@@ -6,9 +6,8 @@
 //! (`QAgent::accumulate_td_batch`, N ∈ {1, 8, 32}) and the serial-32
 //! baseline (32 × `accumulate_td`) — prints the table, saves the CSV,
 //! and emits `BENCH_batch.json` so future PRs have a perf trajectory to
-//! diff against. The workload fixtures are shared with the `batch_td`
-//! criterion bench (`mramrl_bench::batch_td_*`), so the JSON and the
-//! criterion numbers measure the same thing.
+//! diff against. The workload fixtures live in the library
+//! (`mramrl_bench::batch_td_*`).
 //!
 //! The pool sweep injects a fresh `mramrl_nn::pool::ThreadPool` per
 //! `threads` cell (the injectable-handle path — no env games) and times

@@ -81,9 +81,9 @@ fn main() {
                 .expect("TL weights match the shared spec");
             topology.apply(agent.net_mut());
             let cam = mramrl_env::DepthCamera::new(px, px, 90.0f32.to_radians(), 20.0, 0.02);
-            let mut env = DroneEnv::new(train_kind, seed).with_camera(cam);
+            let mut env = VecEnv::from_envs(vec![DroneEnv::new(train_kind, seed).with_camera(cam)]);
             let cfg = TrainerConfig::online(online_iters, seed);
-            let log = Trainer::new(cfg).run(&mut agent, &mut env);
+            let log = Trainer::new(cfg).run_vec(&mut agent, &mut env);
             eprintln!("trained {topology}: train-SFD {:.1} m", log.sfd);
             (topology, agent)
         })

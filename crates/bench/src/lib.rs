@@ -275,9 +275,9 @@ pub fn init_pool_threads() -> (
 /// The batched-TD benchmark network: the 40×40 micro-AlexNet conv trunk
 /// with its FC tail re-proportioned to the paper's Fig. 3(a) census
 /// (~97 % of weights in the FC layers — the composition whose online
-/// training the whole co-design exploits). Shared by the `batch_td`
-/// criterion bench and the `bench_batch_json` emitter so the JSON perf
-/// trajectory and the criterion numbers measure the same workload.
+/// training the whole co-design exploits). Shared by the
+/// `bench_batch_json` emitter and the repository benchmark under
+/// `perfbench/`, so both measure the same network.
 pub fn batch_td_spec() -> mramrl_nn::NetworkSpec {
     use mramrl_nn::LayerSpec;
     let mut spec = mramrl_nn::NetworkSpec::micro(40, 1, 5);
@@ -307,9 +307,8 @@ pub fn batch_td_spec_tiny() -> mramrl_nn::NetworkSpec {
 pub const BATCH_TD_SIZES: [usize; 3] = [1, 8, 32];
 
 /// Deterministic synthetic transitions for the batch-TD workload
-/// (`hw`×`hw` depth images, mixed actions/terminals). Shared by the
-/// `batch_td` criterion bench and the `bench_batch_json` emitter so
-/// both measure the identical workload.
+/// (`hw`×`hw` depth images, mixed actions/terminals), used by the
+/// `bench_batch_json` and `bench_serve_json` emitters.
 pub fn batch_td_transitions(n: usize, hw: usize) -> Vec<mramrl_rl::Transition> {
     let fill = |len: usize, seed: u32| -> Vec<f32> {
         (0..len)

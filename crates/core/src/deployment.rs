@@ -6,7 +6,7 @@
 //! Fig. 12/13 (hardware) results, and the source of the endurance
 //! ablation's write-traffic numbers.
 
-use mramrl_env::{DroneEnv, EnvKind};
+use mramrl_env::{DroneEnv, EnvKind, VecEnv};
 use mramrl_mem::tech::TechParams;
 use mramrl_mem::WearTracker;
 use mramrl_nn::Topology;
@@ -97,8 +97,11 @@ impl DeploymentSim {
             20.0,
             0.02,
         );
-        let mut env = DroneEnv::new(self.env_kind, self.seed).with_camera(cam);
-        let log = Trainer::new(TrainerConfig::online(frames, self.seed)).run(&mut agent, &mut env);
+        let mut env = VecEnv::from_envs(vec![
+            DroneEnv::new(self.env_kind, self.seed).with_camera(cam)
+        ]);
+        let log =
+            Trainer::new(TrainerConfig::online(frames, self.seed)).run_vec(&mut agent, &mut env);
 
         // Hardware side: full-size per-frame costs × frames.
         let model = self.platform.model();

@@ -47,15 +47,11 @@
 //!   [`GemmBackend::Simd`] onto its blocked scalar fallback even where
 //!   feature detection would pick the lane kernels
 //!   ([`crate::simd::simd_active`]).
-//! * `NN_GEMM_THREADS` — row-band count for [`GemmBackend::Threaded`]
-//!   (default: the [`crate::pool`]'s executor count, i.e.
-//!   `NN_POOL_THREADS` or the machine's available parallelism). Parsed
-//!   by [`crate::pool::env_thread_knob`], which warns on stderr for
-//!   invalid values instead of silently falling back.
 //!
-//! `NN_GEMM_BACKEND` and `NN_GEMM_THREADS` are read once and cached;
-//! the pool fallback follows whichever pool is current (injected test
-//! pools included — see `docs/threading.md`).
+//! `NN_GEMM_BACKEND` is read once and cached. The row-band count of
+//! [`GemmBackend::Threaded`] and [`GemmBackend::Simd`] is the current
+//! [`crate::pool`]'s executor count (`NN_POOL_THREADS`, or an injected
+//! test pool — see `docs/threading.md`), re-read per call.
 //!
 //! # Examples
 //!
@@ -117,9 +113,8 @@ pub enum GemmBackend {
     #[default]
     Blocked,
     /// Row-band multi-threading on the persistent [`crate::pool`] over
-    /// the blocked kernel; band count from `NN_GEMM_THREADS` (default:
-    /// the pool's executor count). Also unlocks batch-level sample
-    /// parallelism in the batched conv passes.
+    /// the blocked kernel, one band per pool executor. Also unlocks
+    /// batch-level sample parallelism in the batched conv passes.
     Threaded,
     /// Explicit AVX2+FMA lane kernel ([`crate::simd`]) with the same
     /// pool row-band scatter as `Threaded`, under the documented FMA
@@ -300,18 +295,6 @@ fn parse_backend_knob(var: &str, v: &str) -> Option<GemmBackend> {
     }
 }
 
-/// Row-band count for [`GemmBackend::Threaded`]: `NN_GEMM_THREADS`
-/// (parsed once via [`crate::pool::env_thread_knob`] — invalid values
-/// warn on stderr and fall back), or the current [`crate::pool`]'s
-/// executor count when unset. The knob is cached; the pool fallback is
-/// re-read per call so injected test pools are honoured.
-pub fn thread_count() -> usize {
-    static THREADS: OnceLock<Option<usize>> = OnceLock::new();
-    THREADS
-        .get_or_init(|| crate::pool::env_thread_knob("NN_GEMM_THREADS"))
-        .unwrap_or_else(crate::pool::current_threads)
-}
-
 /// Blocked `A·B` over the whole output (single thread), into `c`.
 fn matmul_blocked_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     // Mat-vec and skinny products gain nothing from packing; the reference
@@ -413,7 +396,7 @@ fn matmul_band(c: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n: us
 /// computed by exactly one band with the blocked kernel's summation
 /// order, so the result is bit-identical to serial at any thread count.
 fn matmul_threaded_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    let threads = thread_count().min(m.max(1));
+    let threads = crate::pool::current_threads().min(m.max(1));
     if threads <= 1 || m * k * n < PAR_MIN_MACS || n < 8 {
         matmul_blocked_into(c, a, b, m, k, n);
         return;
@@ -437,7 +420,7 @@ fn matmul_simd_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: 
         matmul_blocked_into(c, a, b, m, k, n);
         return;
     }
-    let threads = thread_count().min(m.max(1));
+    let threads = crate::pool::current_threads().min(m.max(1));
     if threads <= 1 || m * k * n < PAR_MIN_MACS || n < 8 {
         crate::simd::matmul_band_f32(c, a, b, m, k, n);
         return;
@@ -529,7 +512,7 @@ fn at_b_band(
 /// zeroes and accumulates its own slice, so the scatter is disjoint and
 /// bit-identical to serial at any thread count.
 fn matmul_at_b_threaded_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    let threads = thread_count().min(k.max(1));
+    let threads = crate::pool::current_threads().min(k.max(1));
     if threads <= 1 || m * k * n < PAR_MIN_MACS || n == 0 {
         c.fill(0.0);
         at_b_band(c, a, b, m, k, n, 0, k);
@@ -649,10 +632,5 @@ mod tests {
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
-    }
-
-    #[test]
-    fn thread_count_is_positive() {
-        assert!(thread_count() >= 1);
     }
 }

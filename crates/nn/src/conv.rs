@@ -15,10 +15,9 @@ use crate::workspace::LayerWs;
 /// Weights are stored `[C_out, C_in, K_h, K_w]`; square stride and
 /// symmetric zero padding, matching the AlexNet layers of the paper.
 ///
-/// With the [`GemmBackend::Naive`] backend the layer runs its original
-/// direct loops per sample (the correctness oracle); with
-/// `Blocked`/`Threaded` the **whole batch** routes through **one** im2col
-/// GEMM per pass — `W[out_c × taps] · cols[taps × N·positions]` forward,
+/// Every backend runs one algorithm, the im2col GEMM of §V-B: the
+/// **whole batch** routes through **one** GEMM per pass —
+/// `W[out_c × taps] · cols[taps × N·positions]` forward,
 /// `G[N·positions × out_c] · W` for the input gradient — so batching
 /// multiplies the GEMM's long dimension by `N`, exactly where the
 /// register-tiled and row-band-threaded kernels win. Weight gradients
@@ -36,8 +35,11 @@ use crate::workspace::LayerWs;
 /// pass, so bit-identity holds at any thread count
 /// (see `docs/threading.md`).
 ///
-/// The two algorithms (direct loops vs GEMM path) agree to float
-/// rounding (see the tolerance policy in [`crate::gemm`]).
+/// The backend only picks the GEMM kernel, so `Naive`, `Blocked` and
+/// `Threaded` give bit-identical passes (the summation-order contract of
+/// [`crate::backend`]). The direct-loop convolution survives as the
+/// test oracle [`crate::difftest::conv_direct_forward`], equal to this
+/// path to float rounding.
 ///
 /// # Examples
 ///
@@ -153,100 +155,6 @@ impl Conv2d {
     pub fn geometry(&self) -> (usize, usize, usize, usize, usize) {
         (self.in_c, self.out_c, self.k, self.stride, self.pad)
     }
-
-    /// One sample's direct-loop forward (the `Naive` oracle path):
-    /// `x` is `[C,H,W]` flat, `out` is `[out_c, out_h, out_w]` flat.
-    fn forward_direct_sample(&self, x: &[f32], out: &mut [f32], in_h: usize, in_w: usize) {
-        let (out_h, out_w) = self.out_hw(in_h, in_w);
-        let w = self.weight.value.data();
-        let b = self.bias.value.data();
-        for oc in 0..self.out_c {
-            let w_oc = &w[oc * self.in_c * self.k * self.k..(oc + 1) * self.in_c * self.k * self.k];
-            for oy in 0..out_h {
-                for ox in 0..out_w {
-                    let mut acc = b[oc];
-                    let base_y = (oy * self.stride) as isize - self.pad as isize;
-                    let base_x = (ox * self.stride) as isize - self.pad as isize;
-                    for ic in 0..self.in_c {
-                        let w_ic = &w_oc[ic * self.k * self.k..(ic + 1) * self.k * self.k];
-                        let x_ic = &x[ic * in_h * in_w..(ic + 1) * in_h * in_w];
-                        for ky in 0..self.k {
-                            let iy = base_y + ky as isize;
-                            if iy < 0 || iy >= in_h as isize {
-                                continue;
-                            }
-                            let row = &x_ic[iy as usize * in_w..(iy as usize + 1) * in_w];
-                            let w_row = &w_ic[ky * self.k..(ky + 1) * self.k];
-                            for (kx, &wv) in w_row.iter().enumerate() {
-                                let ix = base_x + kx as isize;
-                                if ix < 0 || ix >= in_w as isize {
-                                    continue;
-                                }
-                                acc += wv * row[ix as usize];
-                            }
-                        }
-                    }
-                    out[(oc * out_h + oy) * out_w + ox] = acc;
-                }
-            }
-        }
-    }
-}
-
-/// One sample's direct-loop backward (the `Naive` oracle path);
-/// accumulates into `gw`/`gb`/`gi`. A free function so the caller can
-/// hold the weight values and gradient accumulators simultaneously.
-/// `geo` is `(in_c, out_c, k, stride, pad)`.
-#[allow(clippy::too_many_arguments)]
-fn conv_backward_direct_sample(
-    geo: (usize, usize, usize, usize, usize),
-    w: &[f32],
-    x: &[f32],
-    go: &[f32],
-    gw: &mut [f32],
-    gb: &mut [f32],
-    gi: &mut [f32],
-    in_h: usize,
-    in_w: usize,
-) {
-    let (in_c, out_c, k, stride, pad) = geo;
-    let out_h = (in_h + 2 * pad - k) / stride + 1;
-    let out_w = (in_w + 2 * pad - k) / stride + 1;
-    for oc in 0..out_c {
-        let w_base = oc * in_c * k * k;
-        for oy in 0..out_h {
-            for ox in 0..out_w {
-                let g = go[(oc * out_h + oy) * out_w + ox];
-                if g == 0.0 {
-                    continue;
-                }
-                gb[oc] += g;
-                let base_y = (oy * stride) as isize - pad as isize;
-                let base_x = (ox * stride) as isize - pad as isize;
-                for ic in 0..in_c {
-                    let wi_base = w_base + ic * k * k;
-                    let x_base = ic * in_h * in_w;
-                    for ky in 0..k {
-                        let iy = base_y + ky as isize;
-                        if iy < 0 || iy >= in_h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for kx in 0..k {
-                            let ix = base_x + kx as isize;
-                            if ix < 0 || ix >= in_w as isize {
-                                continue;
-                            }
-                            let ix = ix as usize;
-                            let xi = x_base + iy * in_w + ix;
-                            gw[wi_base + ky * k + kx] += g * x[xi];
-                            gi[xi] += g * w[wi_base + ky * k + kx];
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl Layer for Conv2d {
@@ -265,20 +173,6 @@ impl Layer for Conv2d {
         LayerWs::reuse(&mut ws.input, x.shape())
             .data_mut()
             .copy_from_slice(x.data());
-
-        if self.backend == GemmBackend::Naive {
-            let out = LayerWs::reuse(&mut ws.out, &[n, self.out_c, out_h, out_w]);
-            let plane = self.out_c * positions;
-            for i in 0..n {
-                self.forward_direct_sample(
-                    x.sample(i),
-                    &mut out.data_mut()[i * plane..(i + 1) * plane],
-                    in_h,
-                    in_w,
-                );
-            }
-            return;
-        }
 
         let taps = self.in_c * self.k * self.k;
 
@@ -395,26 +289,6 @@ impl Layer for Conv2d {
             &[n, self.out_c, out_h, out_w],
             "conv grad shape mismatch"
         );
-
-        if self.backend == GemmBackend::Naive {
-            let grad_in = LayerWs::reuse_zeroed(&mut ws.grad_in, input.shape());
-            let in_plane = self.in_c * in_h * in_w;
-            let geo = (self.in_c, self.out_c, self.k, self.stride, self.pad);
-            for i in 0..n {
-                conv_backward_direct_sample(
-                    geo,
-                    self.weight.value.data(),
-                    input.sample(i),
-                    grad_output.sample(i),
-                    self.weight.grad.data_mut(),
-                    self.bias.grad.data_mut(),
-                    &mut grad_in.data_mut()[i * in_plane..(i + 1) * in_plane],
-                    in_h,
-                    in_w,
-                );
-            }
-            return Ok(());
-        }
 
         let taps = self.in_c * self.k * self.k;
 

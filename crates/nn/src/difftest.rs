@@ -22,7 +22,10 @@
 //!   all `NaN`/`±∞`-classification-aware;
 //! * sweep runners: [`POOL_SIZES`] with [`sweep_pools`] (installs a
 //!   [`crate::pool::ThreadPool`] per size), [`sweep_backends`] /
-//!   [`sweep_qbackends`] over the backend enums.
+//!   [`sweep_qbackends`] over the backend enums;
+//! * the direct-convolution oracle ([`conv_direct_forward`],
+//!   [`conv_direct_backward`]) — the textbook loops the im2col GEMM in
+//!   [`Conv2d`] is checked against.
 //!
 //! The module is ordinary library code (usable from benches and
 //! doctests too), but its only consumers are test surfaces; nothing in
@@ -42,8 +45,10 @@
 use mramrl_fixed::Q8_8;
 
 use crate::backend::GemmBackend;
+use crate::conv::Conv2d;
 use crate::pool::ThreadPool;
 use crate::qgemm::QGemmBackend;
+use crate::tensor::Tensor;
 
 /// The pool sizes every pooled contract is swept over (1 = the serial
 /// oracle schedule, 2 = minimal real fan-out, 7 = more workers than
@@ -247,6 +252,103 @@ pub fn sweep_qbackends(mut f: impl FnMut(QGemmBackend)) {
     for be in QGemmBackend::ALL {
         f(be);
     }
+}
+
+/// The direct-convolution oracle: one `[C,H,W]` sample through the
+/// textbook loops, with `conv`'s weights, bias and geometry, returning
+/// `[out_c, out_h, out_w]`.
+///
+/// [`Conv2d`] runs the im2col GEMM on every backend; this is a different
+/// algorithm (different association), so the two agree to float rounding
+/// only — the tolerance tier of `docs/gemm_backends.md`.
+pub fn conv_direct_forward(conv: &Conv2d, x: &Tensor) -> Tensor {
+    let (in_c, out_c, k, stride, pad) = conv.geometry();
+    let (in_h, in_w) = (x.shape()[1], x.shape()[2]);
+    let out_h = (in_h + 2 * pad - k) / stride + 1;
+    let out_w = (in_w + 2 * pad - k) / stride + 1;
+    let (w, b, x) = (conv.weight().data(), conv.bias().data(), x.data());
+    let mut out = Tensor::zeros(&[out_c, out_h, out_w]);
+    let o = out.data_mut();
+    for oc in 0..out_c {
+        let w_oc = &w[oc * in_c * k * k..(oc + 1) * in_c * k * k];
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                let mut acc = b[oc];
+                let base_y = (oy * stride) as isize - pad as isize;
+                let base_x = (ox * stride) as isize - pad as isize;
+                for ic in 0..in_c {
+                    let w_ic = &w_oc[ic * k * k..(ic + 1) * k * k];
+                    let x_ic = &x[ic * in_h * in_w..(ic + 1) * in_h * in_w];
+                    for ky in 0..k {
+                        let iy = base_y + ky as isize;
+                        if iy < 0 || iy >= in_h as isize {
+                            continue;
+                        }
+                        let row = &x_ic[iy as usize * in_w..(iy as usize + 1) * in_w];
+                        for (kx, &wv) in w_ic[ky * k..(ky + 1) * k].iter().enumerate() {
+                            let ix = base_x + kx as isize;
+                            if ix < 0 || ix >= in_w as isize {
+                                continue;
+                            }
+                            acc += wv * row[ix as usize];
+                        }
+                    }
+                }
+                o[(oc * out_h + oy) * out_w + ox] = acc;
+            }
+        }
+    }
+    out
+}
+
+/// The direct-loop backward matching [`conv_direct_forward`]: one
+/// sample's `(dW, db, dX)` from zeroed accumulators, for the
+/// `[out_c, out_h, out_w]` upstream gradient `grad_output`.
+pub fn conv_direct_backward(
+    conv: &Conv2d,
+    x: &Tensor,
+    grad_output: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let (in_c, out_c, k, stride, pad) = conv.geometry();
+    let (in_h, in_w) = (x.shape()[1], x.shape()[2]);
+    let out_h = (in_h + 2 * pad - k) / stride + 1;
+    let out_w = (in_w + 2 * pad - k) / stride + 1;
+    let (w, x, go) = (conv.weight().data(), x.data(), grad_output.data());
+    let mut gw = Tensor::zeros(conv.weight().shape());
+    let mut gb = Tensor::zeros(&[out_c]);
+    let mut gi = Tensor::zeros(&[in_c, in_h, in_w]);
+    let (gwd, gbd, gid) = (gw.data_mut(), gb.data_mut(), gi.data_mut());
+    for oc in 0..out_c {
+        let w_base = oc * in_c * k * k;
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                let g = go[(oc * out_h + oy) * out_w + ox];
+                gbd[oc] += g;
+                let base_y = (oy * stride) as isize - pad as isize;
+                let base_x = (ox * stride) as isize - pad as isize;
+                for ic in 0..in_c {
+                    let wi_base = w_base + ic * k * k;
+                    let x_base = ic * in_h * in_w;
+                    for ky in 0..k {
+                        let iy = base_y + ky as isize;
+                        if iy < 0 || iy >= in_h as isize {
+                            continue;
+                        }
+                        for kx in 0..k {
+                            let ix = base_x + kx as isize;
+                            if ix < 0 || ix >= in_w as isize {
+                                continue;
+                            }
+                            let xi = x_base + iy as usize * in_w + ix as usize;
+                            gwd[wi_base + ky * k + kx] += g * x[xi];
+                            gid[xi] += g * w[wi_base + ky * k + kx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (gw, gb, gi)
 }
 
 #[cfg(test)]

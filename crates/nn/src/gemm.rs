@@ -3,39 +3,36 @@
 //! The paper's platform backpropagates conv layers by expanding them into
 //! matrix multiplications: "we use GEMM \[16\], where the system first reads
 //! the data ... and expands the inputs to each CONV layers in a 2D
-//! matrix". This module implements that exact transformation in software —
-//! `im2col`, its adjoint `col2im`, and a plain `matmul` — and the conv
-//! forward/backward passes expressed through them.
-//!
-//! Besides mirroring the hardware path, the GEMM formulation is an
-//! independent implementation of convolution: the tests prove it
-//! equivalent to the direct loops in [`crate::Conv2d`], which is a strong
-//! cross-check on both.
+//! matrix". This module holds the pieces of that transformation —
+//! `im2col`, its adjoint `col2im`, and the reference `matmul` kernels —
+//! which [`crate::Conv2d`] composes into its forward and backward passes
+//! on every backend.
 //!
 //! # Backends and the tolerance policy
 //!
-//! The matrix products themselves are pluggable: [`conv2d_gemm_with`] and
-//! [`conv2d_gemm_backward_with`] take a [`GemmBackend`] (naive oracle,
-//! cache-blocked, or multi-threaded — see [`crate::backend`] and
-//! `docs/gemm_backends.md`). Two different equivalence guarantees apply:
+//! The matrix products themselves are pluggable through
+//! [`crate::backend::GemmBackend`] (see `docs/gemm_backends.md`); the
+//! functions here are the [`crate::backend::GemmBackend::Naive`]
+//! kernels. Two different equivalence guarantees apply:
 //!
-//! * **Across backends** (same algorithm, different kernel): results are
-//!   **bit-for-bit identical**, because every backend accumulates each
-//!   output element in the same (ascending contraction index) order.
-//!   `NaN` and `-0.0` propagate identically — [`matmul`] deliberately has
-//!   no `a == 0.0` skip for exactly this reason. (Sole carve-out: `NaN`
-//!   *payload* bits, which IEEE-754 leaves unspecified; `NaN` positions
-//!   still agree exactly.)
-//! * **GEMM path vs the direct [`crate::Conv2d`] loops** (different
-//!   algorithm, different associativity): equality only up to float
-//!   rounding; tests use a `1e-4` absolute tolerance on unit-scale data.
+//! * **Across the bitwise backends** (same algorithm, different kernel):
+//!   results are **bit-for-bit identical**, because every backend
+//!   accumulates each output element in the same (ascending contraction
+//!   index) order. `NaN` and `-0.0` propagate identically — [`matmul`]
+//!   deliberately has no `a == 0.0` skip for exactly this reason. (Sole
+//!   carve-out: `NaN` *payload* bits, which IEEE-754 leaves unspecified;
+//!   `NaN` positions still agree exactly.)
+//! * **The GEMM path vs the direct-convolution oracle**
+//!   ([`crate::difftest::conv_direct_forward`] — different algorithm,
+//!   different associativity): equality only up to float rounding; tests
+//!   use a `1e-4` absolute tolerance on unit-scale data.
 
-use crate::backend::GemmBackend;
 use crate::tensor::Tensor;
 
 /// Dense row-major matrix multiply: `C[m×n] = A[m×k] · B[k×n]`.
 ///
-/// This is the **reference kernel** ([`GemmBackend::Naive`]); the blocked
+/// This is the **reference kernel**
+/// ([`crate::backend::GemmBackend::Naive`]); the blocked
 /// and threaded backends are proven bitwise-equal to it. There is
 /// deliberately no skip of zero `A` entries: `0.0 × NaN` must produce
 /// `NaN` (and `-0.0` accumulation must round identically) on every
@@ -77,7 +74,8 @@ pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: u
 /// `A[m×k]ᵀ · B[m×n] → C[k×n]` without materialising the transpose —
 /// the systolic array's Fig. 8 trick, in software.
 ///
-/// Reference kernel for [`GemmBackend::Naive`]; like [`matmul`] it never
+/// Reference kernel for [`crate::backend::GemmBackend::Naive`]; like
+/// [`matmul`] it never
 /// skips zero entries, so `NaN`/`-0.0` behaviour is identical across
 /// backends.
 ///
@@ -305,168 +303,10 @@ pub fn col2im_slice_accumulate(
     }
 }
 
-/// Convolution forward through GEMM: `out[oc, pos] = W[oc, taps] ·
-/// im2col(x)[pos, taps]ᵀ + b`.
-///
-/// Weights are `[out_c, in_c, k, k]` (as in [`crate::Conv2d`]).
-///
-/// # Panics
-///
-/// Panics on geometry mismatches.
-pub fn conv2d_gemm(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    stride: usize,
-    pad: usize,
-) -> Tensor {
-    conv2d_gemm_with(
-        crate::backend::default_backend(),
-        input,
-        weight,
-        bias,
-        stride,
-        pad,
-    )
-}
-
-/// [`conv2d_gemm`] with an explicit [`GemmBackend`].
-///
-/// The im2col matrix is transposed once into `[taps × positions]` so the
-/// product `W[out_c × taps] · colsᵀ` runs through the backend's row-major
-/// `matmul` kernel; the bias is added afterwards. All backends produce
-/// bit-identical outputs here (the transpose and bias add are
-/// backend-independent, and `matmul` honours the summation-order
-/// contract).
-///
-/// # Panics
-///
-/// Panics on geometry mismatches.
-pub fn conv2d_gemm_with(
-    backend: GemmBackend,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    stride: usize,
-    pad: usize,
-) -> Tensor {
-    let out_c = weight.shape()[0];
-    let in_c = weight.shape()[1];
-    let k = weight.shape()[2];
-    assert_eq!(weight.shape()[3], k, "square filters only");
-    assert_eq!(input.shape()[0], in_c, "channel mismatch");
-    assert_eq!(bias.len(), out_c, "bias mismatch");
-
-    let (cols_m, positions, taps) = im2col(input, k, stride, pad);
-    // Transpose the patch matrix so the product is a plain row-major GEMM:
-    // out[oc × pos] = W[out_c × taps] · colsᵀ[taps × positions].
-    let mut cols_t = vec![0.0f32; taps * positions];
-    for pos in 0..positions {
-        let patch = &cols_m[pos * taps..(pos + 1) * taps];
-        for (t, &v) in patch.iter().enumerate() {
-            cols_t[t * positions + pos] = v;
-        }
-    }
-    let o = backend.matmul(weight.data(), &cols_t, out_c, taps, positions);
-
-    let (h, wdt) = (input.shape()[1], input.shape()[2]);
-    let out_h = (h + 2 * pad - k) / stride + 1;
-    let out_w = (wdt + 2 * pad - k) / stride + 1;
-    let mut out = Tensor::from_vec(&[out_c, out_h, out_w], o);
-    let o = out.data_mut();
-    for oc in 0..out_c {
-        let b = bias.data()[oc];
-        for v in &mut o[oc * positions..(oc + 1) * positions] {
-            *v += b;
-        }
-    }
-    out
-}
-
-/// Conv backward through GEMM, as the platform computes it (§V-B):
-/// weight gradient `dW = gradᵀ · im2col(x)` and input gradient
-/// `dX = col2im(grad · W)`.
-///
-/// Returns `(grad_weight, grad_bias, grad_input)`.
-///
-/// # Panics
-///
-/// Panics on geometry mismatches.
-pub fn conv2d_gemm_backward(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_output: &Tensor,
-    stride: usize,
-    pad: usize,
-) -> (Tensor, Tensor, Tensor) {
-    conv2d_gemm_backward_with(
-        crate::backend::default_backend(),
-        input,
-        weight,
-        grad_output,
-        stride,
-        pad,
-    )
-}
-
-/// [`conv2d_gemm_backward`] with an explicit [`GemmBackend`].
-///
-/// Both products (`dW = gradᵀ · im2col(x)` via `matmul_at_b`, `dX`'s
-/// `grad · W` via `matmul`) honour the backend summation-order contract,
-/// so gradients are bit-identical across backends.
-///
-/// # Panics
-///
-/// Panics on geometry mismatches.
-pub fn conv2d_gemm_backward_with(
-    backend: GemmBackend,
-    input: &Tensor,
-    weight: &Tensor,
-    grad_output: &Tensor,
-    stride: usize,
-    pad: usize,
-) -> (Tensor, Tensor, Tensor) {
-    let out_c = weight.shape()[0];
-    let in_c = weight.shape()[1];
-    let k = weight.shape()[2];
-    let (h, w) = (input.shape()[1], input.shape()[2]);
-    let (cols_m, positions, taps) = im2col(input, k, stride, pad);
-    assert_eq!(grad_output.len(), out_c * positions, "grad geometry");
-
-    // grad as a [positions × out_c] matrix (transposed view of [oc, pos]).
-    let go = grad_output.data();
-    let mut grad_pos_oc = vec![0.0f32; positions * out_c];
-    for oc in 0..out_c {
-        for pos in 0..positions {
-            grad_pos_oc[pos * out_c + oc] = go[oc * positions + pos];
-        }
-    }
-
-    // dW[oc × taps] = grad[pos × oc]ᵀ · cols_m[pos × taps].
-    let dw = backend.matmul_at_b(&grad_pos_oc, &cols_m, positions, out_c, taps);
-    let grad_weight = Tensor::from_vec(&[out_c, in_c, k, k], dw);
-
-    // db[oc] = Σ_pos grad.
-    let mut db = vec![0.0f32; out_c];
-    for oc in 0..out_c {
-        for pos in 0..positions {
-            db[oc] += go[oc * positions + pos];
-        }
-    }
-    let grad_bias = Tensor::from_vec(&[out_c], db);
-
-    // dX = col2im( grad[pos × oc] · W[oc × taps] ).
-    let dcols = backend.matmul(&grad_pos_oc, weight.data(), positions, out_c, taps);
-    let grad_input = col2im(&dcols, in_c, h, w, k, stride, pad);
-    (grad_weight, grad_bias, grad_input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::Conv2d;
     use crate::init::{rng_from_seed, WeightInit};
-    use crate::layer::Layer;
 
     fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
         let mut rng = rng_from_seed(seed);
@@ -541,50 +381,6 @@ mod tests {
             (lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0),
             "{lhs} vs {rhs}"
         );
-    }
-
-    #[test]
-    fn gemm_forward_equals_direct_conv() {
-        for (in_c, out_c, k, stride, pad, hw) in [
-            (1usize, 4usize, 3usize, 1usize, 0usize, 7usize),
-            (2, 3, 3, 2, 1, 9),
-            (3, 8, 5, 2, 0, 11),
-        ] {
-            let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, 7);
-            let x = rand_tensor(&[in_c, hw, hw], 8);
-            let direct = conv.forward(&x);
-            let gemm = conv2d_gemm(&x, conv.weight(), conv.bias(), stride, pad);
-            assert_eq!(direct.shape(), gemm.shape());
-            for (d, g) in direct.data().iter().zip(gemm.data()) {
-                assert!(
-                    (d - g).abs() < 1e-4,
-                    "{d} vs {g} (k={k},s={stride},p={pad})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_backward_equals_direct_backward() {
-        let (in_c, out_c, k, stride, pad, hw) = (2usize, 3usize, 3usize, 2usize, 1usize, 8usize);
-        let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, 9);
-        let x = rand_tensor(&[in_c, hw, hw], 10);
-        let y = conv.forward(&x);
-        let grad = rand_tensor(y.shape(), 11);
-        let direct_gi = conv.backward(&grad);
-        let direct_gw = conv.params()[0].grad.clone();
-        let direct_gb = conv.params()[1].grad.clone();
-
-        let (gw, gb, gi) = conv2d_gemm_backward(&x, conv.weight(), &grad, stride, pad);
-        for (a, b) in direct_gw.data().iter().zip(gw.data()) {
-            assert!((a - b).abs() < 1e-4, "dW {a} vs {b}");
-        }
-        for (a, b) in direct_gb.data().iter().zip(gb.data()) {
-            assert!((a - b).abs() < 1e-4, "db {a} vs {b}");
-        }
-        for (a, b) in direct_gi.data().iter().zip(gi.data()) {
-            assert!((a - b).abs() < 1e-4, "dX {a} vs {b}");
-        }
     }
 
     #[test]

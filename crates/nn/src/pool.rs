@@ -499,8 +499,8 @@ fn default_pool_threads() -> usize {
     })
 }
 
-/// Parses a positive thread-count env knob (the shared helper behind
-/// `NN_POOL_THREADS` and `NN_GEMM_THREADS`). Returns `None` when the
+/// Parses a positive thread-count env knob (the helper behind
+/// `NN_POOL_THREADS`). Returns `None` when the
 /// variable is unset; a set-but-invalid value (unparsable, or zero)
 /// **warns on stderr** and returns `None` — the same
 /// complain-then-fall-back policy as `NN_GEMM_BACKEND`, so a typo'd

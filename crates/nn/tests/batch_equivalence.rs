@@ -298,52 +298,63 @@ fn batch_of_one_equals_single_image() {
     }
 }
 
-/// The standalone conv-as-GEMM helpers (`conv2d_gemm_with` /
-/// `conv2d_gemm_backward_with`, the §V-B exposition path that
-/// `tests/gemm_backends.rs` exercises) must stay bit-identical to the
-/// `Conv2d` batched production path — this pins the two implementations
-/// of the algorithm together so neither can drift past the other's
-/// tests.
+/// A batched `Conv2d` pass on every bitwise backend matches the
+/// direct-convolution oracle run sample by sample (`mramrl_nn::difftest`)
+/// to the documented tolerance: per-sample outputs and dX, and dW/db as
+/// the in-order sum of the per-sample oracle gradients. This pins the
+/// production im2col GEMM path to an independent algorithm at batch
+/// sizes above one.
 #[test]
-fn conv_gemm_helpers_match_batched_conv_bitwise() {
-    use mramrl_nn::gemm::{conv2d_gemm_backward_with, conv2d_gemm_with};
+fn batched_conv_matches_direct_oracle_per_sample() {
+    use mramrl_nn::difftest::{assert_close, conv_direct_backward, conv_direct_forward};
     use mramrl_nn::{Conv2d, Layer, LayerWs};
+    let n = 3usize;
     for (in_c, out_c, k, stride, pad, hw) in [
         (1usize, 4usize, 3usize, 1usize, 1usize, 8usize),
         (2, 3, 3, 2, 0, 9),
     ] {
-        for be in [GemmBackend::Blocked, GemmBackend::Threaded] {
+        for be in GemmBackend::BITWISE {
             let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, 7);
             conv.set_gemm_backend(be);
-            let x = Tensor::from_vec(&[1, in_c, hw, hw], fill(in_c * hw * hw, 3));
-            let xs = Tensor::from_vec(&[in_c, hw, hw], fill(in_c * hw * hw, 3));
-
+            let x = Tensor::from_vec(&[n, in_c, hw, hw], fill(n * in_c * hw * hw, 3));
             let mut ws = LayerWs::new();
             conv.forward_batch(&x, &mut ws);
-            let batched = ws.out.clone().unwrap();
-            let helper = conv2d_gemm_with(be, &xs, conv.weight(), conv.bias(), stride, pad);
-            assert_eq!(bits(batched.data()), bits(helper.data()), "fwd {be}");
-
-            let grad = Tensor::from_vec(batched.shape(), fill(batched.len(), 9));
-            let grad_s = Tensor::from_vec(&batched.shape()[1..], fill(batched.len(), 9));
+            let y = ws.out.clone().unwrap();
+            let grad = Tensor::from_vec(y.shape(), fill(y.len(), 9));
             conv.backward_batch(&grad, &mut ws).unwrap();
-            let (gw, gb, gi) =
-                conv2d_gemm_backward_with(be, &xs, conv.weight(), &grad_s, stride, pad);
-            assert_eq!(
-                bits(conv.params()[0].grad.data()),
-                bits(gw.data()),
-                "dW {be}"
-            );
-            assert_eq!(
-                bits(conv.params()[1].grad.data()),
-                bits(gb.data()),
-                "db {be}"
-            );
-            assert_eq!(
-                bits(ws.grad_in.as_ref().unwrap().data()),
-                bits(gi.data()),
-                "dX {be}"
-            );
+            let gi = ws.grad_in.as_ref().unwrap();
+
+            let mut want_gw = vec![0.0f32; conv.weight().len()];
+            let mut want_gb = vec![0.0f32; out_c];
+            for i in 0..n {
+                let xi = Tensor::from_vec(&x.shape()[1..], x.sample(i).to_vec());
+                let gi_i = Tensor::from_vec(&y.shape()[1..], grad.sample(i).to_vec());
+                let want = conv_direct_forward(&conv, &xi);
+                assert_close(
+                    &format!("fwd {be} #{i}"),
+                    want.data(),
+                    y.sample(i),
+                    1e-4,
+                    0.0,
+                );
+                let (gw_i, gb_i, dx_i) = conv_direct_backward(&conv, &xi, &gi_i);
+                assert_close(
+                    &format!("dX {be} #{i}"),
+                    dx_i.data(),
+                    gi.sample(i),
+                    1e-4,
+                    0.0,
+                );
+                for (a, &v) in want_gw.iter_mut().zip(gw_i.data()) {
+                    *a += v;
+                }
+                for (a, &v) in want_gb.iter_mut().zip(gb_i.data()) {
+                    *a += v;
+                }
+            }
+            let (gw, gb) = (&conv.params()[0].grad, &conv.params()[1].grad);
+            assert_close(&format!("dW {be}"), &want_gw, gw.data(), 1e-4, 0.0);
+            assert_close(&format!("db {be}"), &want_gb, gb.data(), 1e-4, 0.0);
         }
     }
 }

@@ -1,28 +1,29 @@
 //! Backend equivalence suite: the float summation-order family
 //! (`Blocked`, `Threaded`) vs the `Naive` oracle, plus the tolerance
-//! tiers (`Simd` and conv-vs-GEMM).
+//! tiers (`Simd` and the direct-convolution oracle).
 //!
-//! Generators and comparators come from the shared
-//! [`mramrl_nn::difftest`] harness. Two tiers of guarantees are
+//! Generators, comparators and the direct-loop conv oracle come from the
+//! shared [`mramrl_nn::difftest`] harness. Two tiers of guarantees are
 //! asserted (see `docs/gemm_backends.md`):
 //!
 //! 1. **Bitwise** across [`GemmBackend::BITWISE`] for the raw kernels
-//!    (`matmul`, `matmul_at_b`) and for the whole im2col GEMM conv
-//!    path: every backend in that family accumulates each output
-//!    element in the same order, so results must agree to the bit —
-//!    including signed zeros, and with `NaN`s in exactly the same
-//!    positions.
+//!    (`matmul`, `matmul_at_b`), for [`Conv2d`]'s batched passes and for
+//!    a whole network forward: every backend in that family runs the
+//!    same im2col GEMM algorithm and accumulates each output element in
+//!    the same order, so results must agree to the bit — including
+//!    signed zeros, and with `NaN`s in exactly the same positions.
 //! 2. **Tolerance** where the arithmetic differs: the GEMM conv path
-//!    vs the direct [`Conv2d`] loops (different algorithm), and the
+//!    vs the direct-convolution oracle (different algorithm), and the
 //!    `Simd` backend vs the rest (FMA keeps products unrounded, see
 //!    `docs/gemm_backends.md`). `Simd`'s own bitwise story — forced
 //!    fallback ≡ `Blocked`, batched ≡ serial within the backend —
 //!    lives in `simd_equivalence.rs`.
 
 use mramrl_nn::backend::GemmBackend;
-use mramrl_nn::difftest::{assert_close, bits, fill, sweep_pools};
-use mramrl_nn::gemm::{conv2d_gemm_backward_with, conv2d_gemm_with};
-use mramrl_nn::{Conv2d, Layer, Tensor};
+use mramrl_nn::difftest::{
+    assert_close, bits, conv_direct_backward, conv_direct_forward, fill, sweep_pools,
+};
+use mramrl_nn::{Conv2d, Layer, LayerWs, Tensor};
 use proptest::prelude::*;
 
 proptest! {
@@ -66,11 +67,13 @@ proptest! {
         }
     }
 
-    /// The full conv-as-GEMM forward/backward path is bitwise identical
-    /// across the summation-order family (same algorithm, different
-    /// kernels).
+    /// `Conv2d`'s batched forward and backward (output, dX, dW, db) are
+    /// bitwise identical across the summation-order family — `Naive`
+    /// included, since every backend runs the same im2col GEMM — and
+    /// each sample matches the direct-convolution oracle to tolerance.
     #[test]
     fn conv_gemm_path_bitwise_equal(
+        n in 1usize..4,
         hw in 3usize..10,
         in_c in 1usize..4,
         out_c in 1usize..5,
@@ -78,21 +81,37 @@ proptest! {
     ) {
         let k = 3.min(hw);
         let (stride, pad) = (1 + (seed % 2) as usize, (seed % 2) as usize);
-        let x = Tensor::from_vec(&[in_c, hw, hw], fill(in_c * hw * hw, seed, false));
-        let w = Tensor::from_vec(&[out_c, in_c, k, k], fill(out_c * in_c * k * k, seed ^ 1, false));
-        let bias = Tensor::from_vec(&[out_c], fill(out_c, seed ^ 2, false));
-
-        let fwd = conv2d_gemm_with(GemmBackend::Naive, &x, &w, &bias, stride, pad);
-        let grad = Tensor::from_vec(fwd.shape(), fill(fwd.len(), seed ^ 3, false));
-        let (gw, gb, gi) =
-            conv2d_gemm_backward_with(GemmBackend::Naive, &x, &w, &grad, stride, pad);
+        let x = Tensor::from_vec(&[n, in_c, hw, hw], fill(n * in_c * hw * hw, seed, false));
+        let pass = |be: GemmBackend| {
+            let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, seed);
+            conv.set_gemm_backend(be);
+            // A non-zero bias, so the bias-after-the-dot order is pinned too.
+            let bias = fill(out_c, seed ^ 2, false);
+            conv.params_mut()[1].value.data_mut().copy_from_slice(&bias);
+            let mut ws = LayerWs::new();
+            conv.forward_batch(&x, &mut ws);
+            let y = ws.out.clone().expect("forward wrote the output");
+            let grad = Tensor::from_vec(y.shape(), fill(y.len(), seed ^ 3, false));
+            conv.backward_batch(&grad, &mut ws).expect("forward ran");
+            let gi = ws.grad_in.clone().expect("backward wrote dX");
+            let (gw, gb) = (conv.params()[0].grad.clone(), conv.params()[1].grad.clone());
+            (conv, y, grad, gi, gw, gb)
+        };
+        let (conv, y, grad, gi, gw, gb) = pass(GemmBackend::Naive);
         for be in GemmBackend::BITWISE {
-            let f2 = conv2d_gemm_with(be, &x, &w, &bias, stride, pad);
-            prop_assert_eq!(bits(fwd.data()), bits(f2.data()), "fwd {}", be);
-            let (gw2, gb2, gi2) = conv2d_gemm_backward_with(be, &x, &w, &grad, stride, pad);
+            let (_, y2, _, gi2, gw2, gb2) = pass(be);
+            prop_assert_eq!(bits(y.data()), bits(y2.data()), "fwd {}", be);
+            prop_assert_eq!(bits(gi.data()), bits(gi2.data()), "dX {}", be);
             prop_assert_eq!(bits(gw.data()), bits(gw2.data()), "dW {}", be);
             prop_assert_eq!(bits(gb.data()), bits(gb2.data()), "db {}", be);
-            prop_assert_eq!(bits(gi.data()), bits(gi2.data()), "dX {}", be);
+        }
+        for i in 0..n {
+            let xi = Tensor::from_vec(&x.shape()[1..], x.sample(i).to_vec());
+            let gi_i = Tensor::from_vec(&y.shape()[1..], grad.sample(i).to_vec());
+            let want = conv_direct_forward(&conv, &xi);
+            assert_close(&format!("fwd sample {i}"), want.data(), y.sample(i), 1e-4, 0.0);
+            let (_, _, want_gi) = conv_direct_backward(&conv, &xi, &gi_i);
+            assert_close(&format!("dX sample {i}"), want_gi.data(), gi.sample(i), 1e-4, 0.0);
         }
     }
 }
@@ -158,7 +177,7 @@ fn nan_and_signed_zero_propagate_identically() {
     }
 }
 
-/// Regression: conv-via-GEMM still matches the direct `Conv2d` loops —
+/// Regression: `Conv2d` still matches the direct-convolution oracle —
 /// under every backend, `Simd` included — to the documented tolerance
 /// (different algorithm, so only float-rounding-level agreement is
 /// guaranteed).
@@ -170,36 +189,29 @@ fn conv_gemm_matches_direct_conv_under_every_backend() {
         (3, 8, 5, 2, 0, 11),
         (1, 1, 1, 1, 0, 5), // 1×1 kernel: im2col is a pure reshape
     ] {
-        // The oracle: Conv2d on the Naive backend = the original loops.
-        let mut direct = Conv2d::new("c", in_c, out_c, k, stride, pad, 7);
-        direct.set_gemm_backend(GemmBackend::Naive);
         let x = Tensor::from_vec(&[in_c, hw, hw], fill(in_c * hw * hw, 99, false));
-        let y = direct.forward(&x);
-        let grad = Tensor::from_vec(y.shape(), fill(y.len(), 7, false));
-        let gi = direct.backward(&grad);
-        let gw = direct.params()[0].grad.clone();
-        let gb = direct.params()[1].grad.clone();
-
         for be in GemmBackend::ALL {
             let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, 7);
             conv.set_gemm_backend(be);
             assert_eq!(conv.gemm_backend(), Some(be));
-            let y2 = conv.forward(&x);
-            let gi2 = conv.backward(&grad);
-            let gw2 = conv.params()[0].grad.clone();
-            let gb2 = conv.params()[1].grad.clone();
+            let y = conv.forward(&x);
+            let grad = Tensor::from_vec(y.shape(), fill(y.len(), 7, false));
+            let gi = conv.backward(&grad);
+            let (want_gw, want_gb, want_gi) = conv_direct_backward(&conv, &x, &grad);
+            let want_y = conv_direct_forward(&conv, &x);
             let tag = format!("{be} k={k} s={stride} p={pad}");
-            assert_close(&format!("fwd {tag}"), y.data(), y2.data(), 1e-4, 0.0);
-            assert_close(&format!("dX {tag}"), gi.data(), gi2.data(), 1e-4, 0.0);
-            assert_close(&format!("dW {tag}"), gw.data(), gw2.data(), 1e-4, 0.0);
-            assert_close(&format!("db {tag}"), gb.data(), gb2.data(), 1e-4, 0.0);
+            assert_close(&format!("fwd {tag}"), want_y.data(), y.data(), 1e-4, 0.0);
+            assert_close(&format!("dX {tag}"), want_gi.data(), gi.data(), 1e-4, 0.0);
+            let (gw, gb) = (&conv.params()[0].grad, &conv.params()[1].grad);
+            assert_close(&format!("dW {tag}"), want_gw.data(), gw.data(), 1e-4, 0.0);
+            assert_close(&format!("db {tag}"), want_gb.data(), gb.data(), 1e-4, 0.0);
         }
     }
 }
 
-/// A whole network forward agrees across every backend — `Simd`
-/// included — to float tolerance, and `set_gemm_backend` reaches every
-/// conv/FC layer.
+/// A whole network forward is bitwise identical across the
+/// summation-order family and agrees with `Simd` to float tolerance, and
+/// `set_gemm_backend` reaches every conv/FC layer.
 #[test]
 fn network_forward_close_across_backends() {
     use mramrl_nn::NetworkSpec;
@@ -213,6 +225,10 @@ fn network_forward_close_across_backends() {
         net.set_gemm_backend(be);
         assert_eq!(net.gemm_backend(), Some(be));
         let got = net.forward(&x);
-        assert_close(&format!("{be}"), want.data(), got.data(), 1e-4, 0.0);
+        if GemmBackend::BITWISE.contains(&be) {
+            assert_eq!(bits(want.data()), bits(got.data()), "{be}");
+        } else {
+            assert_close(&format!("{be}"), want.data(), got.data(), 1e-4, 0.0);
+        }
     }
 }

@@ -1,14 +1,14 @@
 //! Forces the `Threaded` backend's real fan-out path and proves it
 //! bitwise-equal to the oracle.
 //!
-//! This lives in its own test binary (= its own process) so the
-//! `NN_GEMM_THREADS` knob is set before `backend::thread_count()` first
-//! resolves its `OnceLock` — the shapes here exceed `PAR_MIN_MACS`, so
-//! the scoped-thread band splitting genuinely executes even on a
-//! single-core machine (where the equivalence suite's small shapes
-//! would otherwise always take the blocked fallback).
+//! The row-band count is the current pool's executor count, so the test
+//! installs a 4-executor pool: the shapes here exceed `PAR_MIN_MACS`, so
+//! the band splitting genuinely executes even under `NN_POOL_THREADS=1`
+//! or on a single-core machine (where the equivalence suite's small
+//! shapes would otherwise always take the blocked fallback).
 
-use mramrl_nn::backend::{thread_count, GemmBackend};
+use mramrl_nn::backend::GemmBackend;
+use mramrl_nn::pool::{current_threads, ThreadPool};
 
 fn fill(len: usize, seed: u64) -> Vec<f32> {
     (0..len)
@@ -28,10 +28,15 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 #[test]
 fn forced_thread_fanout_is_bitwise_equal_to_naive() {
-    std::env::set_var("NN_GEMM_THREADS", "4");
-    assert_eq!(thread_count(), 4, "knob must win over detected cores");
+    let pool = ThreadPool::new(4);
+    let _installed = pool.install();
+    assert_eq!(
+        current_threads(),
+        4,
+        "the installed pool sets the band count"
+    );
 
-    // All shapes exceed PAR_MIN_MACS (2^18) so the scoped-thread bands
+    // All shapes exceed PAR_MIN_MACS (2^18) so the pooled row bands
     // actually run; ragged sizes exercise uneven last bands and (for
     // n = 600 > NC) the column-tile boundary inside each band.
     for (m, k, n) in [(67usize, 70usize, 65usize), (20, 30, 600), (129, 17, 130)] {

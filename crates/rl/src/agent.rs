@@ -203,7 +203,7 @@ impl QAgent {
     /// (the target network's forward pass is just as hot as the online
     /// one — every TD update evaluates it).
     ///
-    /// Note: [`crate::Trainer::run`] re-applies its own
+    /// Note: every [`crate::Trainer`] entry point re-applies its own
     /// `TrainerConfig::backend` at the start of every run — to pick a
     /// backend for training, set it on the config rather than (only)
     /// here.
@@ -228,9 +228,9 @@ impl QAgent {
             ActingPrecision::FixedQ8_8 => {
                 // Batch-of-1 through the agent's reusable workspace —
                 // unlike the engine's throwaway-workspace `forward`
-                // wrapper, serial deployment acting (every env step of
-                // `Trainer::evaluate`/`run`) stays allocation-free in
-                // the steady state. Bit-identical to the wrapper by the
+                // wrapper, single-image deployment acting (every
+                // `greedy_action` call) stays allocation-free in the
+                // steady state. Bit-identical to the wrapper by the
                 // batched ≡ serial contract.
                 self.quantized_snapshot();
                 let Self { qsnap, qws, .. } = self;

@@ -3,11 +3,11 @@
 
 use std::collections::HashMap;
 
-use mramrl_env::{DroneEnv, EnvKind};
+use mramrl_env::{DroneEnv, EnvKind, VecEnv};
 use mramrl_nn::NetworkSpec;
 
 use crate::agent::QAgent;
-use crate::trainer::{evaluate, EvalResult, TrainLog, Trainer, TrainerConfig};
+use crate::trainer::{evaluate_vec, EvalResult, TrainLog, Trainer, TrainerConfig};
 use crate::Topology;
 
 /// Caches the meta-trained weights per meta-environment so the four
@@ -40,11 +40,11 @@ impl TransferCache {
         }
         let cam =
             mramrl_env::DepthCamera::new(camera_px, camera_px, 90.0f32.to_radians(), 20.0, 0.02);
-        let mut env = DroneEnv::new(meta, seed).with_camera(cam);
+        let mut env = VecEnv::from_envs(vec![DroneEnv::new(meta, seed).with_camera(cam)]);
         let mut agent = QAgent::new(spec, seed);
         Topology::E2E.apply(agent.net_mut());
         let cfg = TrainerConfig::transfer_learning(tl_iters, seed);
-        let _ = Trainer::new(cfg).run(&mut agent, &mut env);
+        let _ = Trainer::new(cfg).run_vec(&mut agent, &mut env);
         let bytes = agent.net().save_weights();
         self.weights.insert(meta, bytes.clone());
         bytes
@@ -157,12 +157,13 @@ impl Fig10Experiment {
                     .load_transfer(&tl)
                     .expect("TL weights match the shared spec");
                 topology.apply(agent.net_mut());
-                let mut env = self.make_env(env_kind, self.seed);
+                // One drone: the paper's one-image-at-a-time platform.
+                let mut env = VecEnv::from_envs(vec![self.make_env(env_kind, self.seed)]);
                 let cfg = TrainerConfig::online(self.online_iters, self.seed);
-                let log = Trainer::new(cfg).run(&mut agent, &mut env);
+                let log = Trainer::new(cfg).run_vec(&mut agent, &mut env);
                 // Frozen-policy SFD measurement (greedy + 2 % residual ε).
                 let eval_steps = (self.online_iters / 2).max(200);
-                let eval = evaluate(&mut agent, &mut env, eval_steps, 0.02, self.seed);
+                let eval = evaluate_vec(&mut agent, &mut env, eval_steps, 0.02, self.seed);
                 EnvRun {
                     env: env_kind,
                     topology,

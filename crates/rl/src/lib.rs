@@ -55,8 +55,7 @@ pub use mramrl_nn::Topology;
 pub use policy::EpsilonSchedule;
 pub use replay::{ReplayBuffer, ShardedReplay, Transition, TransitionBatch};
 pub use trainer::{
-    evaluate, evaluate_vec, EvalResult, LearnerHook, ParallelStats, TrainLog, Trainer,
-    TrainerConfig,
+    evaluate_vec, EvalResult, LearnerHook, ParallelStats, TrainLog, Trainer, TrainerConfig,
 };
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Exploration policy.
 
-use mramrl_nn::Tensor;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -69,17 +68,10 @@ impl EpsilonSchedule {
         self.start + (self.end - self.start) * f
     }
 
-    /// Chooses an action from Q-values: random with probability ε, greedy
-    /// otherwise.
-    pub fn choose(&self, q: &Tensor, step: u64, rng: &mut SmallRng) -> usize {
-        self.choose_slice(q.data(), step, rng)
-    }
-
-    /// [`EpsilonSchedule::choose`] over a raw Q-value row — the per-lane
-    /// form the vectorized rollout uses on one row of a `[K, actions]`
-    /// batch (identical RNG consumption and the shared
-    /// [`mramrl_nn::argmax`] tie-break, so lane 0 of a batch reproduces
-    /// the serial call stream exactly).
+    /// Chooses an action from one Q-value row (one row of a
+    /// `[K, actions]` batch): random with probability ε, else greedy with
+    /// the shared [`mramrl_nn::argmax`] tie-break. One RNG draw per call,
+    /// plus one more when exploring.
     pub fn choose_slice(&self, q: &[f32], step: u64, rng: &mut SmallRng) -> usize {
         if rng.gen_range(0.0f32..1.0) < self.value(step) {
             rng.gen_range(0..q.len())
@@ -105,21 +97,21 @@ mod tests {
     #[test]
     fn greedy_when_epsilon_zero() {
         let e = EpsilonSchedule::new(0.0, 0.0, 1);
-        let q = Tensor::from_vec(&[5], vec![0.0, 3.0, 1.0, -1.0, 2.0]);
+        let q = [0.0f32, 3.0, 1.0, -1.0, 2.0];
         let mut rng = SmallRng::seed_from_u64(0);
         for _ in 0..20 {
-            assert_eq!(e.choose(&q, 100, &mut rng), 1);
+            assert_eq!(e.choose_slice(&q, 100, &mut rng), 1);
         }
     }
 
     #[test]
     fn explores_when_epsilon_one() {
         let e = EpsilonSchedule::new(1.0, 1.0, 1);
-        let q = Tensor::from_vec(&[5], vec![0.0, 3.0, 1.0, -1.0, 2.0]);
+        let q = [0.0f32, 3.0, 1.0, -1.0, 2.0];
         let mut rng = SmallRng::seed_from_u64(7);
         let mut counts = [0usize; 5];
         for _ in 0..500 {
-            counts[e.choose(&q, 0, &mut rng)] += 1;
+            counts[e.choose_slice(&q, 0, &mut rng)] += 1;
         }
         // Every action gets explored.
         assert!(counts.iter().all(|&c| c > 50), "{counts:?}");

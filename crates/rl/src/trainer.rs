@@ -1,18 +1,17 @@
 //! The online training loop (TL phase and deployment phase share it).
 //!
-//! Three drivers share the configuration: [`Trainer::run`] steps one
-//! [`DroneEnv`] serially (the paper's §V "one image at a time" platform
-//! model), [`Trainer::run_vec`] steps a [`VecEnv`] of `K` lanes with
-//! every hot pass batched, and [`Trainer::run_parallel`] is the
-//! actor/learner architecture: `N` rollout fleets (each a `VecEnv`,
-//! optionally acting in [`ActingPrecision::FixedQ8_8`] deployment
-//! precision from a periodically refreshed snapshot) feed a
+//! One engine drives every training call. [`Trainer::run_parallel`] is
+//! the actor/learner architecture: `N` rollout fleets (each a
+//! [`VecEnv`], optionally acting in [`ActingPrecision::FixedQ8_8`]
+//! deployment precision from a periodically refreshed snapshot) feed a
 //! [`ShardedReplay`] — one shard per fleet, no cross-fleet coordination
 //! on the push path — and one batched learner drains the shards on a
 //! **deterministic schedule**: a fixed-order transition merge and a
 //! pinned sampling/update interleaving, the same bit-identity
-//! discipline as the pool combinators. `run_vec` *is* the one-fleet
-//! case of that schedule, so the whole family reduces to one engine.
+//! discipline as the pool combinators. [`Trainer::run_vec`] is the
+//! one-fleet case of that schedule, and a one-lane `VecEnv` is the
+//! paper's §V "one image at a time" platform model: wrap a single
+//! [`mramrl_env::DroneEnv`] with [`VecEnv::from_envs`].
 //!
 //! The pinned schedule (see `docs/training.md` for the proof sketch):
 //! per round, the learner first drains the previous round's replay
@@ -21,8 +20,8 @@
 //! fleet-major, step all lanes in one pooled scatter and push
 //! fleet-major into their shards. This is a *rotation* of the classic
 //! act-then-learn round, so `run_parallel(1 fleet)` is bit-identical to
-//! `run_vec`, which is bit-identical (at `K = 1`) to `run` — and the
-//! merged shard order equals the serial interleaving's single buffer.
+//! `run_vec`, and the merged shard order equals the serial
+//! interleaving's single buffer.
 //!
 //! With `TrainerConfig::backend = GemmBackend::Threaded` and more than
 //! one executor on the persistent `mramrl_nn::pool`, the whole vec-step
@@ -38,7 +37,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mramrl_env::{step_fleets, Action, DroneEnv, EnvKind, Image, ScenarioSpec, VecEnv};
+use mramrl_env::{step_fleets, Action, EnvKind, Image, ScenarioSpec, VecEnv};
 use mramrl_nn::{GemmBackend, QWorkspace, QuantizedNet, Sgd, Tensor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -46,7 +45,7 @@ use rand::SeedableRng;
 use crate::agent::{ActingPrecision, QAgent};
 use crate::metrics::{MovingAverage, SafeFlightTracker};
 use crate::policy::EpsilonSchedule;
-use crate::replay::{ReplayBuffer, ShardedReplay, Transition, TransitionBatch};
+use crate::replay::{ShardedReplay, Transition, TransitionBatch};
 
 /// Training-loop configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,11 +79,11 @@ pub struct TrainerConfig {
     /// and target nets). Defaults to [`mramrl_nn::backend::default_backend`],
     /// i.e. the `NN_GEMM_BACKEND` env knob.
     pub backend: GemmBackend,
-    /// Environment lanes **per fleet** for the vectorized drivers:
-    /// [`Trainer::build_vec_env`] and [`Trainer::build_fleets`] size
-    /// their fleets from this, and the learner's TD batches are one
-    /// transition per lane per round. The serial [`Trainer::run`]
-    /// ignores it. Default 1.
+    /// Environment lanes **per fleet**: [`Trainer::build_vec_env`] and
+    /// [`Trainer::build_fleets`] size their fleets from this, and the
+    /// learner's TD batches are one transition per lane per round. A
+    /// hand-built `VecEnv` passed to the trainer keeps its own lane
+    /// count. Default 1.
     pub num_envs: usize,
     /// Datapath the rollout actors of [`Trainer::run_parallel`] select
     /// actions on. [`ActingPrecision::Float32`] acts on the live online
@@ -344,7 +343,7 @@ fn learner_phase(
     }
 }
 
-/// Runs the Q-learning loop of §II on a [`DroneEnv`].
+/// Runs the Q-learning loop of §II on fleets of drones ([`VecEnv`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Trainer {
     cfg: TrainerConfig,
@@ -407,104 +406,14 @@ impl Trainer {
         VecEnv::from_spec(spec, self.cfg.num_envs * n).split(n)
     }
 
-    /// Runs the loop: act ε-greedily, record the transition, accumulate
-    /// one replayed TD gradient per image, update every `batch_size`
-    /// images (§III-D's batched update), log Fig. 10 metrics.
-    pub fn run(&self, agent: &mut QAgent, env: &mut DroneEnv) -> TrainLog {
-        let cfg = &self.cfg;
-        agent.set_gemm_backend(cfg.backend);
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED_5EED);
-        let sgd = Sgd::new(cfg.lr).with_grad_clip(cfg.grad_clip);
-        let mut replay = ReplayBuffer::new(cfg.replay_capacity);
-
-        let mut cum_reward = MovingAverage::new(cfg.metrics_window);
-        let mut return_ma = MovingAverage::new((cfg.metrics_window / 64).max(4));
-        let mut sfd = SafeFlightTracker::new();
-        let mut curve = Vec::new();
-
-        let mut episode_reward_sum = 0.0f32;
-        let mut episode_actions = 0u64;
-        let mut accumulated = 0usize;
-        let mut next_log = 0u64;
-
-        let mut obs = Arc::new(to_tensor(&env.reset()));
-        for iter in 0..cfg.iters {
-            let q = agent.q_values(&obs);
-            let a = cfg.epsilon.choose(&q, iter, &mut rng);
-            let step = env.step(Action::from_index(a));
-            let next = Arc::new(to_tensor(&step.observation));
-
-            cum_reward.push(step.reward);
-            episode_reward_sum += step.reward;
-            episode_actions += 1;
-
-            // Frames are shared, not copied: this transition's
-            // `next_state` and the next one's `state` are the same Arc.
-            replay.push(Transition {
-                state: core::mem::replace(&mut obs, Arc::clone(&next)),
-                action: a,
-                reward: step.reward,
-                next_state: next,
-                terminal: step.crashed,
-            });
-
-            // One TD gradient per image, drawn from replay (decorrelated).
-            if let Some(t) = replay.sample(&mut rng) {
-                let t = t.clone();
-                agent.accumulate_td(&t);
-                accumulated += 1;
-            }
-            if accumulated >= cfg.batch_size {
-                agent.apply_update(&sgd, accumulated, cfg.target_sync);
-                accumulated = 0;
-            }
-
-            if step.crashed {
-                return_ma.push(episode_reward_sum / episode_actions.max(1) as f32);
-                sfd.record_episode(env.episode_distance());
-                episode_reward_sum = 0.0;
-                episode_actions = 0;
-                obs = Arc::new(to_tensor(&env.reset()));
-            }
-
-            // Exactly one curve point per `log_every` window: log the
-            // first iteration at or past each window start (for serial
-            // stepping, the multiples of `log_every`). End-of-run state
-            // lives in `TrainLog::final_reward`, so no extra final
-            // point is emitted.
-            if iter >= next_log {
-                curve.push(CurvePoint {
-                    iter,
-                    cumulative_reward: cum_reward.value(),
-                    avg_return: return_ma.value(),
-                });
-                next_log = (iter / cfg.log_every + 1) * cfg.log_every;
-            }
-        }
-        // Censored final episode still informs SFD.
-        if env.episode_distance() > 0.0 {
-            sfd.record_episode(env.episode_distance());
-        }
-
-        let episodes = sfd.episodes() as u64;
-        let tail = (sfd.episodes() / 3).max(3);
-        TrainLog {
-            episodes,
-            sfd: sfd.tail_mean(tail),
-            sfd_overall: sfd.mean(),
-            final_reward: cum_reward.value(),
-            curve,
-        }
-    }
-
     /// The vectorized loop: `K = venv.len()` lanes act together. Each
     /// vec-step runs **one** batched Q forward for action selection
     /// (`[K, ...]` observations), records `K` transitions, accumulates a
     /// `K`-sized replayed TD batch via [`QAgent::accumulate_td_batch`]
-    /// (one TD gradient per image, as in the serial loop) and applies the
-    /// §III-D batched update once `batch_size` gradients have
-    /// accumulated. `iters` counts total environment steps across lanes,
-    /// so wall-clock work matches [`Trainer::run`] at equal `iters`.
+    /// (one TD gradient per image) and applies the §III-D batched update
+    /// once `batch_size` gradients have accumulated. `iters` counts
+    /// total environment steps across lanes, so the work done is the
+    /// same at every lane count.
     ///
     /// Size the `VecEnv` with [`Trainer::build_vec_env`] (which reads
     /// [`TrainerConfig::num_envs`]); a hand-built `venv` also works —
@@ -515,8 +424,7 @@ impl Trainer {
     ///
     /// This *is* [`Trainer::run_parallel`] with one fleet (the engines
     /// are literally the same function), so its trajectories are pinned
-    /// both downward (`K = 1` ≡ [`Trainer::run`]) and upward (the
-    /// one-fleet case of the actor/learner schedule).
+    /// by the actor/learner suite's serial reference, `K = 1` included.
     pub fn run_vec(&self, agent: &mut QAgent, venv: &mut VecEnv) -> TrainLog {
         self.run_parallel_core(agent, core::slice::from_mut(venv), &mut ())
             .0
@@ -605,7 +513,9 @@ impl Trainer {
         // the live net; `cfg.actor_precision` selects the actors'
         // forward (a frozen trainer-held snapshot in Q8.8 mode — the
         // agent's own lazily-invalidated snapshot machinery would
-        // re-quantize after every update).
+        // re-quantize after every update). The caller's precision comes
+        // back on return.
+        let caller_precision = agent.acting_precision();
         agent.set_acting_precision(ActingPrecision::Float32);
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED_5EED);
         let sgd = Sgd::new(cfg.lr).with_grad_clip(cfg.grad_clip);
@@ -768,9 +678,10 @@ impl Trainer {
             }
             stats.transitions += lanes as u64;
 
-            // Same cadence as `run`: exactly one curve point per
-            // `log_every` window — the first round at or past each
-            // window start.
+            // Exactly one curve point per `log_every` window — the first
+            // round at or past each window start. End-of-run state lives
+            // in `TrainLog::final_reward`, so no extra final point is
+            // emitted.
             if iter >= next_log {
                 curve.push(CurvePoint {
                     iter,
@@ -811,6 +722,7 @@ impl Trainer {
             }
         }
 
+        agent.set_acting_precision(caller_precision);
         stats.updates = updates;
         stats.frame_allocs = ws.frame_allocs;
         let episodes = sfd.episodes() as u64;
@@ -857,57 +769,15 @@ pub struct EvalResult {
     pub mean_reward: f32,
 }
 
-/// Evaluates a frozen policy for `steps` environment steps with a small
-/// residual exploration `eps` (breaks limit cycles without materially
-/// perturbing the policy). No learning happens.
+/// Evaluates a frozen policy over a [`VecEnv`] for `steps` environment
+/// steps with a small residual exploration `eps` (breaks limit cycles
+/// without materially perturbing the policy), one batched Q forward per
+/// vec-step. No learning happens. `steps` counts total environment
+/// steps across all lanes (rounded up to a whole vec-step).
 ///
 /// This is the measurement used for Fig. 11's safe-flight distance: it
 /// decouples the SFD statistic from the exploration schedule that is
 /// still active at the end of training.
-///
-/// # Panics
-///
-/// Panics if `steps` is zero or `eps` is outside `[0, 1]`.
-pub fn evaluate(
-    agent: &mut QAgent,
-    env: &mut DroneEnv,
-    steps: u64,
-    eps: f32,
-    seed: u64,
-) -> EvalResult {
-    assert!(steps > 0, "evaluation needs steps");
-    assert!((0.0..=1.0).contains(&eps), "eps must be a probability");
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xEAA1_EAA1);
-    let schedule = EpsilonSchedule::new(eps.max(1e-6), eps.max(1e-6), 1);
-    let mut sfd = SafeFlightTracker::new();
-    let mut reward_sum = 0.0f64;
-
-    let mut obs = to_tensor(&env.reset());
-    for step in 0..steps {
-        let q = agent.q_values(&obs);
-        let a = schedule.choose(&q, step, &mut rng);
-        let s = env.step(Action::from_index(a));
-        reward_sum += f64::from(s.reward);
-        if s.crashed {
-            sfd.record_episode(env.episode_distance());
-            obs = to_tensor(&env.reset());
-        } else {
-            obs = to_tensor(&s.observation);
-        }
-    }
-    if env.episode_distance() > 0.0 {
-        sfd.record_episode(env.episode_distance());
-    }
-    EvalResult {
-        sfd: sfd.mean(),
-        episodes: sfd.episodes() as u64,
-        mean_reward: (reward_sum / steps as f64) as f32,
-    }
-}
-
-/// Vectorized [`evaluate`]: freezes the policy over a [`VecEnv`], one
-/// batched Q forward per vec-step. `steps` counts total environment
-/// steps across all lanes (rounded up to a whole vec-step).
 ///
 /// **Deployment-mode fixed-point evaluation**: set the agent to
 /// [`crate::ActingPrecision::FixedQ8_8`] first and every batched Q
@@ -968,7 +838,7 @@ pub fn evaluate_vec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mramrl_env::EnvKind;
+    use mramrl_env::{DroneEnv, EnvKind};
     use mramrl_nn::NetworkSpec;
 
     fn tiny_env() -> DroneEnv {
@@ -976,11 +846,15 @@ mod tests {
             .with_camera(mramrl_env::DepthCamera::new(16, 16, 1.5, 20.0, 0.01))
     }
 
+    /// The single-drone platform model: one lane.
+    fn one_lane() -> VecEnv {
+        VecEnv::from_envs(vec![tiny_env()])
+    }
+
     #[test]
     fn run_produces_curves_and_episodes() {
-        let mut env = tiny_env();
         let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 1);
-        let log = Trainer::new(TrainerConfig::online(300, 1)).run(&mut agent, &mut env);
+        let log = Trainer::new(TrainerConfig::online(300, 1)).run_vec(&mut agent, &mut one_lane());
         assert!(!log.curve.is_empty());
         assert!(log.curve.iter().all(|p| p.cumulative_reward.is_finite()));
         assert!(log.episodes > 0, "a fresh agent must crash sometimes");
@@ -990,9 +864,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let mut env = tiny_env();
             let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), seed);
-            Trainer::new(TrainerConfig::online(120, seed)).run(&mut agent, &mut env)
+            Trainer::new(TrainerConfig::online(120, seed)).run_vec(&mut agent, &mut one_lane())
         };
         let (a, b) = (run(3), run(3));
         assert_eq!(a.final_reward, b.final_reward);
@@ -1011,8 +884,7 @@ mod tests {
             .take(1)
             .flat_map(|l| l.params().into_iter().flat_map(|p| p.value.data().to_vec()))
             .collect();
-        let mut env = tiny_env();
-        let _ = Trainer::new(TrainerConfig::online(100, 2)).run(&mut agent, &mut env);
+        let _ = Trainer::new(TrainerConfig::online(100, 2)).run_vec(&mut agent, &mut one_lane());
         let conv_after: Vec<f32> = agent
             .net()
             .layers()
@@ -1057,11 +929,10 @@ mod tests {
         // final-iteration clause logged window 3 twice (curve iters
         // [0, 3, 6, 9, 10]); the cadence contract is one point per
         // window, at its first iteration.
-        let mut env = tiny_env();
         let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 1);
         let mut cfg = TrainerConfig::online(11, 1);
         cfg.log_every = 3;
-        let log = Trainer::new(cfg).run(&mut agent, &mut env);
+        let log = Trainer::new(cfg).run_vec(&mut agent, &mut one_lane());
         let iters: Vec<u64> = log.curve.iter().map(|p| p.iter).collect();
         assert_eq!(iters, vec![0, 3, 6, 9]);
     }
@@ -1089,26 +960,21 @@ mod tests {
     }
 
     #[test]
-    fn run_vec_k1_matches_run_cadence() {
-        // A 1-lane vectorized run must reproduce the serial driver's
-        // curve exactly — same iterations logged, same trajectory. With
-        // run_vec now routed through the actor/learner engine, this test
-        // pins the whole rotated schedule against the serial loop.
-        let mut cfg = TrainerConfig::online(50, 9);
-        cfg.log_every = 7;
-        let serial = {
-            let mut env = tiny_env();
-            let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 9);
-            Trainer::new(cfg).run(&mut agent, &mut env)
-        };
-        let vec1 = {
-            let mut venv = mramrl_env::VecEnv::from_envs(vec![tiny_env()]);
-            let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 9);
-            Trainer::new(cfg).run_vec(&mut agent, &mut venv)
-        };
-        let it = |l: &TrainLog| l.curve.iter().map(|p| p.iter).collect::<Vec<_>>();
-        assert_eq!(it(&serial), it(&vec1));
-        assert_eq!(serial.final_reward, vec1.final_reward);
+    fn training_restores_the_callers_acting_precision() {
+        // The engine acts in float while it trains (TD math is float;
+        // Q8.8 actors use a trainer-held snapshot), but an agent built
+        // for deployment-precision acting must come back acting in
+        // Q8.8 — otherwise a following `evaluate_vec` silently measures
+        // the float policy.
+        let mut agent = QAgent::new(&NetworkSpec::micro(16, 1, 5), 6)
+            .with_acting_precision(ActingPrecision::FixedQ8_8);
+        let mut cfg = TrainerConfig::online(40, 6);
+        cfg.actor_precision = ActingPrecision::FixedQ8_8;
+        let _ = Trainer::new(cfg).run_vec(&mut agent, &mut one_lane());
+        assert_eq!(agent.acting_precision(), ActingPrecision::FixedQ8_8);
+        let mut fleets = VecEnv::from_envs(vec![tiny_env(), tiny_env()]).split(2);
+        let _ = Trainer::new(TrainerConfig::online(40, 6)).run_parallel(&mut agent, &mut fleets);
+        assert_eq!(agent.acting_precision(), ActingPrecision::FixedQ8_8);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! * `run_parallel(N)` is **bit-identical** (TrainLog curve + final
 //!   weights) to the pinned serial interleaving — an independent
 //!   reference driver below: one round-robin loop over the fleets, a
-//!   single replay buffer, a single RNG — for N ∈ {1, 2, 4}, in both
-//!   float and Q8.8 acting;
+//!   single replay buffer, a single RNG — for N ∈ {1, 2, 4} fleets of
+//!   K ∈ {1, 2} lanes, in both float and Q8.8 acting (N = K = 1 is the
+//!   one-drone, one-image-at-a-time platform model);
 //! * `run_parallel(1)` ≡ `run_vec` exactly;
 //! * the trajectory is invariant across the bitwise GEMM backends and
-//!   pool sizes {1, 2, 7} — parallelism changes throughput, never bits;
+//!   pool sizes {1, 2, 7} — every bitwise backend runs the same conv
+//!   algorithm, and parallelism changes throughput, never bits;
 //! * deployment-precision actors really act on the *stale* snapshot
 //!   (refresh cadence is observable), and the rollout hot path reaches
 //!   zero steady-state frame allocation (the `Workspace::footprint`
@@ -231,8 +233,15 @@ fn pinned_serial_reference(
     (curve, agent.net().save_weights())
 }
 
-fn assert_matches_reference(n: usize, q88: bool, backend: GemmBackend) {
-    let k = 2;
+/// Runs the engine and the serial reference on `n` fleets of `k` lanes,
+/// asserts they agree to the bit, and returns the engine's curve and
+/// final weights.
+fn assert_matches_reference(
+    n: usize,
+    k: usize,
+    q88: bool,
+    backend: GemmBackend,
+) -> (CurveBits, Vec<u8>) {
     let mut c = cfg(96, 17, k);
     c.backend = backend;
     if q88 {
@@ -248,37 +257,47 @@ fn assert_matches_reference(n: usize, q88: bool, backend: GemmBackend) {
     let mut fl = fleets(17, n, k);
     let (ref_curve, ref_weights) = pinned_serial_reference(&c, &mut ref_agent, &mut fl, q88);
 
+    let tag = format!("n={n}, k={k}, q88={q88}, {backend:?}");
     assert_eq!(
         curve_bits(&log),
         ref_curve,
-        "curve diverged from the serial interleaving at n={n}, q88={q88}, {backend:?}"
+        "curve diverged from the serial interleaving at {tag}"
     );
+    let weights = engine_agent.net().save_weights();
     assert_eq!(
-        engine_agent.net().save_weights(),
-        ref_weights,
-        "final weights diverged from the serial interleaving at n={n}, q88={q88}, {backend:?}"
+        weights, ref_weights,
+        "final weights diverged from the serial interleaving at {tag}"
     );
+    (ref_curve, weights)
 }
 
 /// `run_parallel(N)` ≡ the pinned serial interleaving, bit for bit, for
-/// N ∈ {1, 2, 4} in both acting precisions.
+/// N ∈ {1, 2, 4} fleets of K ∈ {1, 2} lanes in both acting precisions.
 #[test]
 fn run_parallel_matches_pinned_serial_interleaving() {
     for &n in &[1usize, 2, 4] {
-        for q88 in [false, true] {
-            assert_matches_reference(n, q88, GemmBackend::Naive);
+        for k in [1usize, 2] {
+            for q88 in [false, true] {
+                assert_matches_reference(n, k, q88, GemmBackend::Naive);
+            }
         }
     }
 }
 
-/// The same equivalence holds on the other bitwise backends (each
-/// backend defines its own float-accumulation order, so trajectories
-/// are compared engine-vs-reference *within* a backend).
+/// The equivalence holds on every bitwise backend, and the backends
+/// agree with each other: `Naive`, `Blocked` and `Threaded` all run the
+/// one im2col GEMM conv algorithm under the summation-order contract,
+/// so curves and saved weights are the same bytes on all three.
 #[test]
 fn reference_equivalence_holds_per_backend() {
-    for backend in [GemmBackend::Blocked, GemmBackend::Threaded] {
-        for q88 in [false, true] {
-            assert_matches_reference(2, q88, backend);
+    for q88 in [false, true] {
+        let naive = assert_matches_reference(2, 2, q88, GemmBackend::Naive);
+        for backend in [GemmBackend::Blocked, GemmBackend::Threaded] {
+            let got = assert_matches_reference(2, 2, q88, backend);
+            assert_eq!(
+                naive, got,
+                "{backend:?} trajectory differs from Naive (q88={q88})"
+            );
         }
     }
 }
@@ -304,8 +323,8 @@ fn one_fleet_equals_run_vec() {
 /// Within each bitwise backend, the trajectory is invariant across pool
 /// sizes {1, 2, 7} — in both acting precisions (the Q8.8 run
 /// additionally overlaps learner and actor on multi-thread pools, which
-/// must not show). Backends are *not* compared to each other: each
-/// defines its own float-accumulation order.
+/// must not show). Cross-backend equality is
+/// `reference_equivalence_holds_per_backend`'s job.
 #[test]
 fn pool_invariance_per_bitwise_backend() {
     for q88 in [false, true] {

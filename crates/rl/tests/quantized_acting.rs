@@ -136,11 +136,11 @@ fn snapshot_refreshes_after_weight_update() {
 /// Q8.8 greedy acting agree on ≥ 80 % of on-policy frames.
 #[test]
 fn trained_policy_argmax_fidelity_at_least_80_pct() {
-    let mut env = tiny_env(5);
+    let mut env = VecEnv::from_envs(vec![tiny_env(5)]);
     let mut agent = QAgent::new(&spec(), 1);
-    let _ = Trainer::new(TrainerConfig::online(400, 1)).run(&mut agent, &mut env);
+    let _ = Trainer::new(TrainerConfig::online(400, 1)).run_vec(&mut agent, &mut env);
 
-    let mut obs = env.reset();
+    let mut obs = env.reset(0);
     let (mut agree, trials) = (0usize, 50usize);
     for _ in 0..trials {
         let x = Tensor::from_vec(&[1, 16, 16], obs.data().to_vec());
@@ -149,9 +149,9 @@ fn trained_policy_argmax_fidelity_at_least_80_pct() {
         agent.set_acting_precision(ActingPrecision::FixedQ8_8);
         let aq = agent.greedy_action(&x);
         agree += usize::from(af == aq);
-        let s = env.step(mramrl_env::Action::from_index(af));
+        let s = env.step(&[mramrl_env::Action::from_index(af)]).remove(0);
         obs = if s.crashed {
-            env.reset()
+            env.reset(0)
         } else {
             s.observation
         };

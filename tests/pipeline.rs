@@ -1,5 +1,6 @@
 //! Cross-crate integration: the full TL → deploy → online-RL pipeline.
 
+use mramrl::env::VecEnv;
 use mramrl::rl::experiment::normalized_sfd;
 use mramrl::{
     DeploymentSim, DroneEnv, EnvKind, Fig10Experiment, NetworkSpec, Platform, QAgent, Topology,
@@ -12,11 +13,13 @@ fn tl_then_partial_online_rl_end_to_end() {
     let px = 16usize;
     let spec = NetworkSpec::micro(px, 1, 5);
     let cam = || mramrl::env::DepthCamera::new(px, px, 90.0f32.to_radians(), 20.0, 0.02);
-    let mut meta_env = DroneEnv::new(EnvKind::MetaIndoor, 3).with_camera(cam());
+    let mut meta_env = VecEnv::from_envs(vec![
+        DroneEnv::new(EnvKind::MetaIndoor, 3).with_camera(cam())
+    ]);
     let mut meta_agent = QAgent::new(&spec, 3);
     Topology::E2E.apply(meta_agent.net_mut());
-    let tl_log =
-        Trainer::new(TrainerConfig::transfer_learning(250, 3)).run(&mut meta_agent, &mut meta_env);
+    let tl_log = Trainer::new(TrainerConfig::transfer_learning(250, 3))
+        .run_vec(&mut meta_agent, &mut meta_env);
     assert!(tl_log.episodes > 0);
     let tl_weights = meta_agent.net().save_weights();
 
@@ -25,8 +28,10 @@ fn tl_then_partial_online_rl_end_to_end() {
     agent.load_transfer(&tl_weights).expect("same structure");
     Topology::L3.apply(agent.net_mut());
     assert!(agent.net().trainable_fraction() < 0.9);
-    let mut test_env = DroneEnv::new(EnvKind::IndoorApartment, 3).with_camera(cam());
-    let log = Trainer::new(TrainerConfig::online(300, 3)).run(&mut agent, &mut test_env);
+    let mut test_env = VecEnv::from_envs(vec![
+        DroneEnv::new(EnvKind::IndoorApartment, 3).with_camera(cam())
+    ]);
+    let log = Trainer::new(TrainerConfig::online(300, 3)).run_vec(&mut agent, &mut test_env);
     assert!(!log.curve.is_empty());
     assert!(log.sfd > 0.0, "drone must fly some distance");
 
