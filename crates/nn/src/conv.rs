@@ -24,7 +24,8 @@ use crate::workspace::LayerWs;
 /// reduce *across* samples, so they are computed as per-sample
 /// `Gᵢᵀ·colsᵢ` products accumulated in ascending sample order — the
 /// association the serial path uses, which is what makes batched ≡ serial
-/// bit-identical (see `docs/batching.md`).
+/// bit-identical (see `docs/batching.md`). [`Layer::backward_batch_params`]
+/// skips the input-gradient GEMM and its col2im scatter.
 ///
 /// On the `Threaded` backend with `N > 1`, parallelism moves **up to the
 /// batch axis**: each sample's whole pipeline (im2col expansion, GEMMs,
@@ -274,6 +275,53 @@ impl Layer for Conv2d {
     }
 
     fn backward_batch(&mut self, grad_output: &Tensor, ws: &mut LayerWs) -> Result<(), NnError> {
+        self.backward_into(grad_output, ws, true)
+    }
+
+    fn backward_batch_params(
+        &mut self,
+        grad_output: &Tensor,
+        ws: &mut LayerWs,
+    ) -> Result<(), NnError> {
+        self.backward_into(grad_output, ws, false)
+    }
+
+    fn scratch_mut(&mut self) -> &mut LayerWs {
+        &mut self.scratch
+    }
+
+    fn params(&self) -> Vec<&ParamTensor> {
+        vec![&self.weight, &self.bias]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut ParamTensor> {
+        vec![&mut self.weight, &mut self.bias]
+    }
+
+    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+        let (h, w) = self.out_hw(input_shape[1], input_shape[2]);
+        vec![self.out_c, h, w]
+    }
+
+    fn set_gemm_backend(&mut self, backend: GemmBackend) {
+        self.backend = backend;
+    }
+
+    fn gemm_backend(&self) -> Option<GemmBackend> {
+        Some(self.backend)
+    }
+}
+
+impl Conv2d {
+    /// The batched backward: `dW`/`db` always, `dX` (its GEMM and the
+    /// col2im scatter) into `ws.grad_in` only when `input_grad` asks for
+    /// it.
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        ws: &mut LayerWs,
+        input_grad: bool,
+    ) -> Result<(), NnError> {
         if ws.batch == 0 {
             return Err(NnError::BackwardBeforeForward {
                 layer: self.name.clone(),
@@ -296,13 +344,15 @@ impl Layer for Conv2d {
         // whole per-sample backward — im2colᵢ, the transposed gradient
         // block, fully-reduced dWᵢ/dbᵢ **partials** into its own slots of
         // `acc`/`acc2`, the per-sample dXᵢ GEMM and col2im scatter — all
-        // into disjoint chunks. The cross-sample dW/db reduction then
-        // merges the partials on this thread in ascending sample order:
-        // exactly the serial association, so gradients are bit-identical
-        // to N serial passes at any thread count (`docs/threading.md`).
+        // into disjoint chunks (the dXᵢ half only when `input_grad`).
+        // The cross-sample dW/db reduction then merges the partials on
+        // this thread in ascending sample order: exactly the serial
+        // association, so gradients are bit-identical to N serial passes
+        // at any thread count (`docs/threading.md`).
         if self.backend == GemmBackend::Threaded && n > 1 {
             let go = grad_output.data();
             let sample_cols = positions * taps;
+            let in_plane = self.in_c * in_h * in_w;
             let LayerWs {
                 input: ws_input,
                 grad_in,
@@ -316,24 +366,31 @@ impl Layer for Conv2d {
             let input = ws_input.as_ref().expect("checked above");
             let cols_all = LayerWs::reuse_buf(im2col, n * sample_cols);
             let gbig = LayerWs::reuse_buf(gemm_a, n * positions * self.out_c);
-            let dcols = LayerWs::reuse_buf(gemm_c, n * sample_cols);
             let dw_parts = LayerWs::reuse_buf(acc, n * self.out_c * taps);
             let db_parts = LayerWs::reuse_buf(acc2, n * self.out_c);
-            let grad_in = LayerWs::reuse(grad_in, input.shape());
-            let gid = grad_in.data_mut();
-            let in_plane = self.in_c * in_h * in_w;
+            // Per-sample (dcolsᵢ, grad_inᵢ) targets, or `None` for every
+            // sample when no input gradient is wanted.
+            let dx_targets = input_grad
+                .then(|| {
+                    let dcols = LayerWs::reuse_buf(gemm_c, n * sample_cols);
+                    let gid = LayerWs::reuse(grad_in, input.shape()).data_mut();
+                    dcols.chunks_mut(sample_cols).zip(gid.chunks_mut(in_plane))
+                })
+                .into_iter()
+                .flatten()
+                .map(Some)
+                .chain(std::iter::repeat_with(|| None));
             let w = self.weight.value.data();
             let (in_c, out_c, k, stride, pad) = self.geometry();
             let mut tasks: Vec<crate::pool::Task> = Vec::with_capacity(n);
             let chunks = cols_all
                 .chunks_mut(sample_cols)
                 .zip(gbig.chunks_mut(positions * out_c))
-                .zip(dcols.chunks_mut(sample_cols))
                 .zip(dw_parts.chunks_mut(out_c * taps))
                 .zip(db_parts.chunks_mut(out_c))
-                .zip(gid.chunks_mut(in_plane))
+                .zip(dx_targets)
                 .enumerate();
-            for (i, (((((cols_i, gbig_i), dcols_i), dw_i), db_i), gi_i)) in chunks {
+            for (i, ((((cols_i, gbig_i), dw_i), db_i), dx_i)) in chunks {
                 let x_i = input.sample(i);
                 let go_i = &go[i * out_c * positions..(i + 1) * out_c * positions];
                 tasks.push(Box::new(move || {
@@ -357,11 +414,14 @@ impl Layer for Conv2d {
                         *db = s;
                     }
                     // dXᵢ = Gᵢ·W, then the per-sample col2im scatter.
-                    GemmBackend::Blocked.matmul_into(dcols_i, gbig_i, w, positions, out_c, taps);
-                    gi_i.fill(0.0);
-                    crate::gemm::col2im_slice_accumulate(
-                        gi_i, dcols_i, in_c, in_h, in_w, k, stride, pad,
-                    );
+                    if let Some((dcols_i, gi_i)) = dx_i {
+                        GemmBackend::Blocked
+                            .matmul_into(dcols_i, gbig_i, w, positions, out_c, taps);
+                        gi_i.fill(0.0);
+                        crate::gemm::col2im_slice_accumulate(
+                            gi_i, dcols_i, in_c, in_h, in_w, k, stride, pad,
+                        );
+                    }
                 }));
             }
             crate::pool::current().run(tasks);
@@ -443,6 +503,9 @@ impl Layer for Conv2d {
             }
         }
 
+        if !input_grad {
+            return Ok(());
+        }
         // dX: one fused GEMM for the whole batch, then per-sample col2im.
         let dcols = LayerWs::reuse_buf(gemm_c, big_n * taps);
         self.backend.matmul_into(
@@ -468,31 +531,6 @@ impl Layer for Conv2d {
             );
         }
         Ok(())
-    }
-
-    fn scratch_mut(&mut self) -> &mut LayerWs {
-        &mut self.scratch
-    }
-
-    fn params(&self) -> Vec<&ParamTensor> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut ParamTensor> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        let (h, w) = self.out_hw(input_shape[1], input_shape[2]);
-        vec![self.out_c, h, w]
-    }
-
-    fn set_gemm_backend(&mut self, backend: GemmBackend) {
-        self.backend = backend;
-    }
-
-    fn gemm_backend(&self) -> Option<GemmBackend> {
-        Some(self.backend)
     }
 }
 

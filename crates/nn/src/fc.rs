@@ -16,7 +16,8 @@ use crate::workspace::LayerWs;
 /// multiplies the GEMM's column dimension, which is exactly where the
 /// blocked/threaded kernels win (a serial mat-vec gives them nothing to
 /// tile). The batched backward likewise folds the whole batch into one
-/// `dW = Gᵀ·X` product and one `dX = G·W` product. On the `Threaded`
+/// `dW = Gᵀ·X` product and one `dX = G·W` product (the latter skipped
+/// by [`Layer::backward_batch_params`]). On the `Threaded`
 /// backend those GEMMs band their output rows over the persistent
 /// [`crate::pool`], and the batched `Xᵀ` pack fans out the same way —
 /// both disjoint scatters, bit-identical to serial at any thread count.
@@ -170,6 +171,51 @@ impl Layer for Linear {
     }
 
     fn backward_batch(&mut self, grad_output: &Tensor, ws: &mut LayerWs) -> Result<(), NnError> {
+        self.backward_into(grad_output, ws, true)
+    }
+
+    fn backward_batch_params(
+        &mut self,
+        grad_output: &Tensor,
+        ws: &mut LayerWs,
+    ) -> Result<(), NnError> {
+        self.backward_into(grad_output, ws, false)
+    }
+
+    fn scratch_mut(&mut self) -> &mut LayerWs {
+        &mut self.scratch
+    }
+
+    fn params(&self) -> Vec<&ParamTensor> {
+        vec![&self.weight, &self.bias]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut ParamTensor> {
+        vec![&mut self.weight, &mut self.bias]
+    }
+
+    fn output_shape(&self, _input_shape: &[usize]) -> Vec<usize> {
+        vec![self.out_f]
+    }
+
+    fn set_gemm_backend(&mut self, backend: GemmBackend) {
+        self.backend = backend;
+    }
+
+    fn gemm_backend(&self) -> Option<GemmBackend> {
+        Some(self.backend)
+    }
+}
+
+impl Linear {
+    /// The batched backward: `dW`/`db` always, `dX` into `ws.grad_in`
+    /// only when `input_grad` asks for it.
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        ws: &mut LayerWs,
+        input_grad: bool,
+    ) -> Result<(), NnError> {
         if ws.batch == 0 {
             return Err(NnError::BackwardBeforeForward {
                 layer: self.name.clone(),
@@ -204,6 +250,9 @@ impl Layer for Linear {
             }
         }
 
+        if !input_grad {
+            return Ok(());
+        }
         // dX[N × in] = G[N × out] · W[out × in]: per-sample rows, each the
         // serial ascending-`out` reduction.
         let grad_in = LayerWs::reuse(&mut ws.grad_in, &[n, self.in_f]);
@@ -216,30 +265,6 @@ impl Layer for Linear {
             self.in_f,
         );
         Ok(())
-    }
-
-    fn scratch_mut(&mut self) -> &mut LayerWs {
-        &mut self.scratch
-    }
-
-    fn params(&self) -> Vec<&ParamTensor> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut ParamTensor> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn output_shape(&self, _input_shape: &[usize]) -> Vec<usize> {
-        vec![self.out_f]
-    }
-
-    fn set_gemm_backend(&mut self, backend: GemmBackend) {
-        self.backend = backend;
-    }
-
-    fn gemm_backend(&self) -> Option<GemmBackend> {
-        Some(self.backend)
     }
 }
 

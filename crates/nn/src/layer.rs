@@ -62,6 +62,8 @@ impl ParamTensor {
 ///   gradient w.r.t. the input into the slot. Calling it without a
 ///   matching `forward_batch` is reported as
 ///   [`NnError::BackwardBeforeForward`] instead of a panic.
+///   [`Layer::backward_batch_params`] is the same pass minus the input
+///   gradient, for the layer where backpropagation stops.
 ///
 /// The legacy single-image [`Layer::forward`]/[`Layer::backward`] survive
 /// as default-implemented batch-of-1 wrappers over a layer-owned scratch
@@ -111,6 +113,25 @@ pub trait Layer: Send + Sync {
     /// Implementations panic if the gradient shape does not match the
     /// cached output shape.
     fn backward_batch(&mut self, grad_output: &Tensor, ws: &mut LayerWs) -> Result<(), NnError>;
+
+    /// [`Layer::backward_batch`] for a layer whose input gradient nobody
+    /// reads — the earliest trainable layer of a [`crate::Network`],
+    /// where backpropagation stops. Accumulates the same parameter
+    /// gradients, bit for bit, but may leave `ws.grad_in` unwritten.
+    ///
+    /// The default just runs [`Layer::backward_batch`]; [`crate::Conv2d`]
+    /// and [`crate::Linear`] override it to skip their `dX` products.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward_batch`].
+    fn backward_batch_params(
+        &mut self,
+        grad_output: &Tensor,
+        ws: &mut LayerWs,
+    ) -> Result<(), NnError> {
+        self.backward_batch(grad_output, ws)
+    }
 
     /// The layer-owned batch-of-1 scratch slot backing the legacy
     /// [`Layer::forward`]/[`Layer::backward`] wrappers.

@@ -226,6 +226,12 @@ impl Network {
     /// sums** (§III-D), bit-identical — from zeroed accumulators — to `N`
     /// serial [`Network::backward`] calls on every backend.
     ///
+    /// The earliest trainable layer runs
+    /// [`Layer::backward_batch_params`]: its input gradient has no
+    /// reader, so it is not computed and that slot's `grad_in` is left
+    /// as it was (unallocated on a fresh workspace). For the L4 tail
+    /// this skips FC2's `dX = G·W`; end to end, CONV1's `dX` and col2im.
+    ///
     /// # Errors
     ///
     /// [`NnError::BackwardBeforeForward`] if `ws` holds no matching
@@ -250,7 +256,13 @@ impl Network {
             } else {
                 rest[0].grad_in.as_ref().expect("later layer wrote grad_in")
             };
-            self.layers[i].backward_batch(grad, &mut cur[i])?;
+            if i == stop {
+                // Backpropagation ends here: nothing reads this layer's
+                // input gradient, so only its parameter gradients run.
+                self.layers[i].backward_batch_params(grad, &mut cur[i])?;
+            } else {
+                self.layers[i].backward_batch(grad, &mut cur[i])?;
+            }
             if !self.trainable[i] {
                 // Frozen pass-through layer: its params (if any) must not
                 // accumulate. Clear whatever backward just added.

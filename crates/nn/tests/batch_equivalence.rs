@@ -11,6 +11,10 @@
 //! 3. Steady state allocates nothing from the workspace: after the first
 //!    iteration the footprint is constant and the cached activation
 //!    buffers keep their addresses.
+//! 4. The params-only backward (`Layer::backward_batch_params`, which
+//!    `Network::backward_batch` runs at the earliest trainable layer)
+//!    accumulates the same `dW`/`db` bits as the full backward and
+//!    leaves the unread input gradient unallocated.
 
 use mramrl_nn::backend::GemmBackend;
 use mramrl_nn::spec::LayerSpec;
@@ -355,6 +359,96 @@ fn batched_conv_matches_direct_oracle_per_sample() {
             let (gw, gb) = (&conv.params()[0].grad, &conv.params()[1].grad);
             assert_close(&format!("dW {be}"), &want_gw, gw.data(), 1e-4, 0.0);
             assert_close(&format!("db {be}"), &want_gb, gb.data(), 1e-4, 0.0);
+        }
+    }
+}
+
+/// `backward_batch_params` accumulates bit-identical `dW`/`db` to
+/// `backward_batch` and writes no input gradient — for `Linear`, and for
+/// `Conv2d` on both its fused path and (`Threaded`, N > 1) its
+/// per-sample pooled path, on every bitwise backend at batches 1–5.
+#[test]
+fn params_only_backward_matches_full_backward() {
+    use mramrl_nn::{Conv2d, Layer, LayerWs, Linear};
+    type Make = fn() -> Box<dyn Layer>;
+    let layers: [(Make, &[usize]); 3] = [
+        (|| Box::new(Linear::new("fc", 12, 7, 5)), &[12]),
+        (|| Box::new(Conv2d::new("c", 1, 4, 3, 1, 1, 7)), &[1, 8, 8]),
+        (|| Box::new(Conv2d::new("c", 2, 3, 3, 2, 0, 7)), &[2, 9, 9]),
+    ];
+    for (make, sample_shape) in layers {
+        for be in GemmBackend::BITWISE {
+            for n in 1usize..6 {
+                let mut shape = vec![n];
+                shape.extend_from_slice(sample_shape);
+                let x = Tensor::from_vec(&shape, fill(shape.iter().product(), n as u64));
+                let mut full = make();
+                let mut params_only = make();
+                full.set_gemm_backend(be);
+                params_only.set_gemm_backend(be);
+                let (mut ws_full, mut ws_params) = (LayerWs::new(), LayerWs::new());
+                full.forward_batch(&x, &mut ws_full);
+                params_only.forward_batch(&x, &mut ws_params);
+                let y = ws_full.out.as_ref().expect("forward wrote out");
+                let grad = Tensor::from_vec(y.shape(), fill(y.len(), 31 + n as u64));
+                full.backward_batch(&grad, &mut ws_full).unwrap();
+                params_only
+                    .backward_batch_params(&grad, &mut ws_params)
+                    .unwrap();
+                let tag = format!("{} {be} n={n}", full.name());
+                for (a, b) in full.params().iter().zip(params_only.params()) {
+                    assert_eq!(bits(a.grad.data()), bits(b.grad.data()), "{tag}");
+                }
+                assert!(ws_full.grad_in.is_some(), "{tag}: full backward wrote dX");
+                assert!(ws_params.grad_in.is_none(), "{tag}: dX must be skipped");
+            }
+        }
+    }
+}
+
+/// With a frozen prefix (L2/L3/L4) or none (E2E), the batched network
+/// backward stops at the earliest trainable layer without computing its
+/// input gradient: that slot's `grad_in` stays unallocated, every later
+/// slot still carries one, and the parameter gradients equal the serial
+/// single-image backward's, which still computes every input gradient.
+#[test]
+fn frozen_prefix_backward_skips_the_stop_layers_input_gradient() {
+    use mramrl_nn::Topology;
+    let spec = NetworkSpec::micro(16, 1, 5);
+    let (batched_x, samples) = batch_input(3, 16, 77);
+    for topo in Topology::ALL {
+        for be in GemmBackend::BITWISE {
+            let mut serial = spec.build(13);
+            let mut batched = spec.build(13);
+            for net in [&mut serial, &mut batched] {
+                net.set_gemm_backend(be);
+                topo.apply(net);
+            }
+            for s in &samples {
+                let y = serial.forward(s);
+                serial.backward(&Tensor::filled(y.shape(), 1.0));
+            }
+            let mut ws = Workspace::for_spec(&spec);
+            let _ = batched.forward_batch(&batched_x, &mut ws);
+            batched
+                .backward_batch(&Tensor::filled(&[3, 5], 1.0), &mut ws)
+                .expect("forward ran");
+
+            let names = batched.layer_names();
+            let stop = names
+                .iter()
+                .position(|name| batched.is_layer_trainable(name))
+                .expect("every topology trains something");
+            let tag = format!("{topo} {be}: stop at {}", names[stop]);
+            for (i, name) in names.iter().enumerate() {
+                let has_dx = ws.slot_mut(i).grad_in.is_some();
+                assert_eq!(has_dx, i > stop, "{tag}: slot {i} ({name})");
+            }
+            assert_eq!(
+                bits(&all_param_grads(&serial)),
+                bits(&all_param_grads(&batched)),
+                "{tag}"
+            );
         }
     }
 }

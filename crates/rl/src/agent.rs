@@ -10,6 +10,16 @@ use mramrl_nn::{
 
 use crate::replay::{Transition, TransitionBatch};
 
+/// What the forward half of a batched TD step hands its backward half
+/// ([`QAgent::td_forward`] → [`QAgent::td_backward`]).
+pub(crate) struct TdForward {
+    /// Target-net Q-values over the next states, `[N, actions]`.
+    next_q: Tensor,
+    /// The online pass's output: Q over the states (vanilla) or over the
+    /// next states (Double-DQN's a* pick).
+    online_out: Tensor,
+}
+
 /// Numeric precision the agent *acts* with (Q-value evaluation for
 /// action selection). Training math — TD targets, gradients, SGD — is
 /// always float: the paper trains in float-equivalent wide arithmetic
@@ -226,12 +236,13 @@ impl QAgent {
         match self.acting {
             ActingPrecision::Float32 => self.net.forward(obs),
             ActingPrecision::FixedQ8_8 => {
-                // Batch-of-1 through the agent's reusable workspace —
-                // unlike the engine's throwaway-workspace `forward`
-                // wrapper, single-image deployment acting (every
-                // `greedy_action` call) stays allocation-free in the
-                // steady state. Bit-identical to the wrapper by the
-                // batched ≡ serial contract.
+                // Batch-of-1 through the agent's reusable workspace:
+                // unlike the engine's `forward` wrapper, which builds a
+                // throwaway workspace per call, the snapshot's layer
+                // buffers are reused across calls. Each call still
+                // allocates the `[1, ...]` copy of `obs` and the
+                // returned Q-value tensor. Bit-identical to the wrapper
+                // by the batched ≡ serial contract.
                 self.quantized_snapshot();
                 let Self { qsnap, qws, .. } = self;
                 qsnap
@@ -341,13 +352,17 @@ impl QAgent {
     /// every network pass is a single batched GEMM chain instead of `N`
     /// serial ones. Returns the per-sample TD errors.
     ///
-    /// The target net's TD-target pass and the online net's pass touch
-    /// disjoint networks and workspaces, so their schedule is a pure
-    /// performance choice: when each pass is serial inside
-    /// (naive/blocked kernels) [`mramrl_nn::pool::join2`] overlaps the
-    /// two on the persistent pool; on the threaded backend they run
-    /// sequentially so each pass gets the whole pool for its batch-axis
-    /// fan-out. Neither schedule affects a single bit of either result.
+    /// It runs in two halves, which the trainer's deployed round
+    /// schedules separately: the **forward half** — the target net's
+    /// TD-target pass over `next_states` and the online net's pass over
+    /// `states` — touches two disjoint networks and workspaces, so
+    /// [`mramrl_nn::pool::join2`] puts them on both executors; the
+    /// **backward half** (TD errors, loss gradient, online backward)
+    /// touches only the online net, so the trainer overlaps it with the
+    /// Q8.8 actors' forward. Where the passes already fan out inside the
+    /// layers (the threaded backend), or the pool has one executor,
+    /// everything runs sequentially instead. No schedule affects a
+    /// single bit of either result.
     ///
     /// From zeroed gradient accumulators (the batch boundary,
     /// i.e. right after [`QAgent::apply_update`]), the accumulated
@@ -356,7 +371,32 @@ impl QAgent {
     /// order, on every [`GemmBackend`] and at any `NN_POOL_THREADS` —
     /// the equivalence proptests pin this.
     pub fn accumulate_td_batch(&mut self, batch: &TransitionBatch) -> Vec<f32> {
-        let n = batch.len();
+        let fwd = self.td_forward(batch);
+        self.td_backward(batch, fwd)
+    }
+
+    /// `true` when a batched pass already spreads over the pool — the
+    /// threaded backend fans out inside its layers — or the pool has a
+    /// single executor. Either way a 2-way `join2` overlap buys nothing:
+    /// it would pin each side to one worker (nested pool calls run
+    /// inline) and serialize its per-sample tasks. The one predicate
+    /// behind both overlaps of a training round: the TD forward pair
+    /// here and the trainer's backward ‖ actor step.
+    pub(crate) fn passes_fan_out(&self) -> bool {
+        self.net.gemm_backend() == Some(GemmBackend::Threaded)
+            || mramrl_nn::pool::current_threads() <= 1
+    }
+
+    /// The forward half of [`QAgent::accumulate_td_batch`]: the target
+    /// net's forward over `next_states` and the online net's next pass,
+    /// overlapped on the pool unless [`QAgent::passes_fan_out`].
+    /// Vanilla: the online pass runs over the *states*, and its
+    /// activations stay in the online workspace for
+    /// [`QAgent::td_backward`]. Double-DQN: the online net picks a* over
+    /// the *next* states (the backward half re-runs the states forward,
+    /// exactly as the serial path re-runs forward).
+    pub(crate) fn td_forward(&mut self, batch: &TransitionBatch) -> TdForward {
+        let sequential = self.passes_fan_out();
         let Self {
             net,
             target,
@@ -364,24 +404,6 @@ impl QAgent {
             target_ws,
             ..
         } = self;
-
-        // The target net's TD-target forward is independent of the online
-        // net's next pass. Double-DQN: the online net picks a* per sample
-        // (overwrites the online workspace — harmless, the state forward
-        // below re-fills it, exactly as the serial path re-runs forward);
-        // vanilla: the online forward over the *states* runs instead, and
-        // its activations are exactly what the backward below consumes.
-        //
-        // Scheduling (bit-identical either way — the passes share no
-        // state): when each pass is serial inside (naive/blocked, or a
-        // 1-executor pool) the pool overlaps the two via `join2`; on the
-        // threaded backend with real executors the passes run
-        // sequentially instead, because each one already fans out across
-        // the batch axis — overlapping would pin one forward to a single
-        // worker (nested pool calls run inline) and serialize its N
-        // per-sample tasks, costing more than the 2-way overlap buys.
-        let inner_parallel = net.gemm_backend() == Some(GemmBackend::Threaded)
-            && mramrl_nn::pool::current_threads() > 1;
         let mut run_target = || target.forward_batch(&batch.next_states, target_ws).clone();
         let mut run_online = || {
             if self.double_q {
@@ -390,11 +412,21 @@ impl QAgent {
                 net.forward_batch(&batch.states, ws).clone()
             }
         };
-        let (next_q, online_out) = if inner_parallel {
+        let (next_q, online_out) = if sequential {
             (run_target(), run_online())
         } else {
             mramrl_nn::pool::join2(run_target, run_online)
         };
+        TdForward { next_q, online_out }
+    }
+
+    /// The backward half of [`QAgent::accumulate_td_batch`]: TD targets
+    /// from `fwd`, per-sample TD errors, and one batched online backward
+    /// from the activations [`QAgent::td_forward`] left in the online
+    /// workspace. Touches only the online net and its workspace.
+    pub(crate) fn td_backward(&mut self, batch: &TransitionBatch, fwd: TdForward) -> Vec<f32> {
+        let n = batch.len();
+        let TdForward { next_q, online_out } = fwd;
         let a_star: Option<Vec<usize>> = self
             .double_q
             .then(|| (0..n).map(|i| argmax(online_out.sample(i))).collect());
@@ -433,7 +465,7 @@ impl QAgent {
         }
         self.net
             .backward_batch(&grad, &mut self.ws)
-            .expect("forward_batch ran just above");
+            .expect("td_forward ran the online forward");
         td
     }
 

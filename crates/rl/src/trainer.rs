@@ -27,12 +27,14 @@
 //! one executor on the persistent `mramrl_nn::pool`, the whole vec-step
 //! runs multi-core: lane rendering fans out inside [`VecEnv::step`] /
 //! [`mramrl_env::step_fleets`], the TD batch's per-sample conv passes
-//! and GEMM row bands fan out inside the layers, and the agent overlaps
-//! its independent target/online forwards. In deployment-precision
-//! acting the trainer additionally overlaps the learner's float update
-//! with the actors' Q8.8 forward (disjoint nets — the snapshot is
-//! frozen), all bit-identical to the serial schedule at any
-//! `NN_POOL_THREADS` (see `docs/threading.md`).
+//! and GEMM row bands fan out inside the layers. On the serial-kernel
+//! backends the agent instead overlaps its independent target/online
+//! forwards, and in deployment-precision acting the trainer also
+//! overlaps the learner's float backward and update with the actors'
+//! Q8.8 forward (disjoint nets — the snapshot is frozen), so each of
+//! the round's two learner steps fills both executors. Every schedule
+//! is bit-identical to the serial one at any `NN_POOL_THREADS` (see
+//! `docs/threading.md`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,7 +44,7 @@ use mramrl_nn::{GemmBackend, QWorkspace, QuantizedNet, Sgd, Tensor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::agent::{ActingPrecision, QAgent};
+use crate::agent::{ActingPrecision, QAgent, TdForward};
 use crate::metrics::{MovingAverage, SafeFlightTracker};
 use crate::policy::EpsilonSchedule;
 use crate::replay::{ShardedReplay, Transition, TransitionBatch};
@@ -168,9 +170,12 @@ pub struct TrainLog {
 /// learner-bound vs actor-bound regime cells in `BENCH_batch.json`.
 ///
 /// Under the overlapped deployment-precision schedule the phase times
-/// are measured per role (inside each closure), so `learner_ns` vs
-/// `actor_ns + env_ns` compares how much work each side did — the
-/// bound-ness signal — rather than partitioning wall-clock.
+/// are measured per role, so `learner_ns` vs `actor_ns + env_ns`
+/// compares how much work each side did — the bound-ness signal —
+/// rather than partitioning wall-clock. That round runs in two steps:
+/// the learner's TD forward pair (target ‖ online, alone on the pool),
+/// then its backward and weight update ‖ the actors' Q8.8 forward,
+/// each timed inside its own closure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelStats {
     /// Nanoseconds in the actors' action-selection (batched Q forward +
@@ -179,7 +184,9 @@ pub struct ParallelStats {
     /// Nanoseconds stepping environments (pooled lane scatter).
     pub env_ns: u64,
     /// Nanoseconds in the learner (batch fill, TD accumulation, weight
-    /// updates, target syncs, hooks excluded).
+    /// updates, target syncs, hooks excluded). Under Q8.8 acting this is
+    /// the TD forward step's wall time plus the backward-and-update
+    /// closure's own time, which overlaps `actor_ns`.
     pub learner_ns: u64,
     /// Environment transitions generated (= iterations run, rounded up
     /// to whole rounds).
@@ -300,46 +307,85 @@ impl RolloutWs {
     }
 }
 
-/// The learner phase of the pinned schedule: fill the TD batch from the
-/// merged shard view at the pre-drawn `idx`, accumulate, and apply a
-/// weight update when `batch_size` gradients have built up. Returns
-/// `true` when that update also synced the target network. Consumes no
-/// RNG (the indices are drawn by the caller, keeping the single stream
-/// valid under overlap) and is a no-op while the replay is empty
-/// (`idx` empty).
-#[allow(clippy::too_many_arguments)]
-fn learner_phase(
-    agent: &mut QAgent,
-    sgd: &Sgd,
-    cfg: &TrainerConfig,
-    replay: &ShardedReplay,
-    idx: &[usize],
-    batch: &mut Option<TransitionBatch>,
-    accumulated: &mut usize,
-    updates: &mut u64,
-) -> bool {
-    if idx.is_empty() {
-        return false;
+/// The learner side of the pinned schedule: the reused TD batch, the
+/// gradients accumulated toward the next weight update, and the update
+/// count. A learner phase fills the TD batch from the merged shard view
+/// at the pre-drawn indices, accumulates, and applies a weight update
+/// once `batch_size` gradients have built up. It consumes no RNG (the
+/// indices are drawn by the caller, keeping the single stream valid
+/// under overlap) and is a no-op while the replay is empty (`idx`
+/// empty). The phase splits at the TD step's forward/backward seam so
+/// the trainer can schedule the halves apart.
+#[derive(Default)]
+struct Learner {
+    batch: Option<TransitionBatch>,
+    accumulated: usize,
+    updates: u64,
+}
+
+impl Learner {
+    /// First half of a phase: fill the TD batch and run its two
+    /// forwards ([`QAgent::td_forward`]). `None` while the replay is
+    /// empty.
+    fn forward(
+        &mut self,
+        agent: &mut QAgent,
+        replay: &ShardedReplay,
+        idx: &[usize],
+    ) -> Option<TdForward> {
+        if idx.is_empty() {
+            return None;
+        }
+        let b = self.batch.get_or_insert_with(|| {
+            let shape = replay
+                .merged_get(0)
+                .expect("non-empty replay")
+                .state
+                .shape()
+                .to_vec();
+            TransitionBatch::zeros(idx.len(), &shape)
+        });
+        replay.fill_batch(idx, b);
+        Some(agent.td_forward(b))
     }
-    let b = batch.get_or_insert_with(|| {
-        let shape = replay
-            .merged_get(0)
-            .expect("non-empty replay")
-            .state
-            .shape()
-            .to_vec();
-        TransitionBatch::zeros(idx.len(), &shape)
-    });
-    replay.fill_batch(idx, b);
-    agent.accumulate_td_batch(b);
-    *accumulated += idx.len();
-    if *accumulated >= cfg.batch_size {
-        let synced = agent.apply_update(sgd, *accumulated, cfg.target_sync);
-        *accumulated = 0;
-        *updates += 1;
-        synced
-    } else {
-        false
+
+    /// Second half: the online backward ([`QAgent::td_backward`]) and,
+    /// once `batch_size` gradients have built up, the weight update.
+    /// Returns `true` when that update also synced the target network.
+    fn backward(
+        &mut self,
+        agent: &mut QAgent,
+        sgd: &Sgd,
+        cfg: &TrainerConfig,
+        fwd: TdForward,
+    ) -> bool {
+        let b = self.batch.as_ref().expect("forward filled the batch");
+        agent.td_backward(b, fwd);
+        self.accumulated += b.len();
+        if self.accumulated >= cfg.batch_size {
+            let synced = agent.apply_update(sgd, self.accumulated, cfg.target_sync);
+            self.accumulated = 0;
+            self.updates += 1;
+            synced
+        } else {
+            false
+        }
+    }
+
+    /// A whole phase, both halves back to back — the same composition as
+    /// [`QAgent::accumulate_td_batch`].
+    fn phase(
+        &mut self,
+        agent: &mut QAgent,
+        sgd: &Sgd,
+        cfg: &TrainerConfig,
+        replay: &ShardedReplay,
+        idx: &[usize],
+    ) -> bool {
+        match self.forward(agent, replay, idx) {
+            Some(fwd) => self.backward(agent, sgd, cfg, fwd),
+            None => false,
+        }
     }
 }
 
@@ -449,8 +495,9 @@ impl Trainer {
     /// [`ActingPrecision::FixedQ8_8`] the actors run the integer
     /// datapath from a frozen snapshot (refreshed every
     /// [`TrainerConfig::snapshot_refresh`] updates at the phase
-    /// boundary) and the learner's float update overlaps the actors'
-    /// forward on the pool — a pure scheduling choice, same bits.
+    /// boundary) and the learner's float backward and update overlap
+    /// the actors' forward on the pool, after its TD forward pair ran
+    /// on both executors — a pure scheduling choice, same bits.
     ///
     /// # Panics
     ///
@@ -528,8 +575,7 @@ impl Trainer {
 
         let mut ep_reward = vec![0.0f32; lanes];
         let mut ep_actions = vec![0u64; lanes];
-        let mut accumulated = 0usize;
-        let mut updates = 0u64;
+        let mut learner = Learner::default();
         let mut last_refresh = 0u64;
         let mut next_log = 0u64;
         let mut stats = ParallelStats::default();
@@ -541,7 +587,6 @@ impl Trainer {
         };
         let mut qws = QWorkspace::new();
 
-        let mut batch: Option<TransitionBatch> = None;
         let mut idx: Vec<usize> = Vec::with_capacity(lanes);
         let mut actions: Vec<usize> = vec![0; lanes];
         let mut act: Vec<Action> = Vec::with_capacity(lanes);
@@ -556,28 +601,23 @@ impl Trainer {
 
             // 2. Learner phase (drains the previous rounds' replay) and
             //    the actors' fused [lanes]-wide Q forward. In Q8.8
-            //    acting the two touch disjoint nets, so they overlap on
-            //    the pool — except on the Threaded backend, where each
-            //    pass already fans out across its batch axis and the
-            //    2-way overlap would pin each side to one worker (the
-            //    same heuristic as `QAgent::accumulate_td_batch`).
-            //    Either schedule produces identical bits.
+            //    acting the actors read a frozen snapshot, disjoint from
+            //    both learner nets, so the round runs in two steps that
+            //    each fill both executors: the TD forward pair (target ‖
+            //    online, overlapped inside `Learner::forward` at top
+            //    level), then the online backward and weight update ‖
+            //    the actors' forward. Where passes already fan out
+            //    (`QAgent::passes_fan_out`) both steps run sequentially.
+            //    Every schedule produces identical bits.
             let synced = match &actor_snap {
                 Some(snap) => {
-                    let sequential = cfg.backend == GemmBackend::Threaded
-                        || mramrl_nn::pool::current_threads() <= 1;
-                    let mut learner = || {
+                    let sequential = agent.passes_fan_out();
+                    let t0 = Instant::now();
+                    let fwd = learner.forward(agent, &replay, &idx);
+                    stats.learner_ns += t0.elapsed().as_nanos() as u64;
+                    let backward = || {
                         let t0 = Instant::now();
-                        let s = learner_phase(
-                            agent,
-                            &sgd,
-                            cfg,
-                            &replay,
-                            &idx,
-                            &mut batch,
-                            &mut accumulated,
-                            &mut updates,
-                        );
+                        let s = fwd.is_some_and(|f| learner.backward(agent, &sgd, cfg, f));
                         (s, t0.elapsed().as_nanos() as u64)
                     };
                     let snap = Arc::clone(snap);
@@ -588,9 +628,9 @@ impl Trainer {
                         t0.elapsed().as_nanos() as u64
                     };
                     let ((synced, learner_ns), actor_ns) = if sequential {
-                        (learner(), actor())
+                        (backward(), actor())
                     } else {
-                        mramrl_nn::pool::join2(learner, actor)
+                        mramrl_nn::pool::join2(backward, actor)
                     };
                     stats.learner_ns += learner_ns;
                     stats.actor_ns += actor_ns;
@@ -598,16 +638,7 @@ impl Trainer {
                 }
                 None => {
                     let t0 = Instant::now();
-                    let synced = learner_phase(
-                        agent,
-                        &sgd,
-                        cfg,
-                        &replay,
-                        &idx,
-                        &mut batch,
-                        &mut accumulated,
-                        &mut updates,
-                    );
+                    let synced = learner.phase(agent, &sgd, cfg, &replay, &idx);
                     stats.learner_ns += t0.elapsed().as_nanos() as u64;
                     let t0 = Instant::now();
                     agent.q_values_batch_into(&ws.obs, &mut ws.q);
@@ -616,16 +647,17 @@ impl Trainer {
                 }
             };
             if synced {
-                hook.on_target_sync(agent, updates);
+                hook.on_target_sync(agent, learner.updates);
             }
-            hook.on_round(updates);
+            hook.on_round(learner.updates);
             // Snapshot refresh on its update cadence, at the phase
             // boundary (the refreshed snapshot is first used next
             // round) — part of the pinned schedule.
-            if actor_snap.is_some() && updates.saturating_sub(last_refresh) >= cfg.snapshot_refresh
+            if actor_snap.is_some()
+                && learner.updates.saturating_sub(last_refresh) >= cfg.snapshot_refresh
             {
                 actor_snap = Some(agent.quantized_snapshot_shared());
-                last_refresh = updates;
+                last_refresh = learner.updates;
                 stats.snapshot_refreshes += 1;
             }
 
@@ -697,21 +729,12 @@ impl Trainer {
         // acting each round).
         replay.sample_indices(&mut rng, lanes, &mut idx);
         let t0 = Instant::now();
-        let synced = learner_phase(
-            agent,
-            &sgd,
-            cfg,
-            &replay,
-            &idx,
-            &mut batch,
-            &mut accumulated,
-            &mut updates,
-        );
+        let synced = learner.phase(agent, &sgd, cfg, &replay, &idx);
         stats.learner_ns += t0.elapsed().as_nanos() as u64;
         if synced {
-            hook.on_target_sync(agent, updates);
+            hook.on_target_sync(agent, learner.updates);
         }
-        hook.on_round(updates);
+        hook.on_round(learner.updates);
 
         // Censored final episodes still inform SFD, lane by lane.
         for fleet in fleets.iter() {
@@ -723,7 +746,7 @@ impl Trainer {
         }
 
         agent.set_acting_precision(caller_precision);
-        stats.updates = updates;
+        stats.updates = learner.updates;
         stats.frame_allocs = ws.frame_allocs;
         let episodes = sfd.episodes() as u64;
         let tail = (sfd.episodes() / 3).max(3);

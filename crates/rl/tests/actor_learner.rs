@@ -5,7 +5,10 @@
 //!   reference driver below: one round-robin loop over the fleets, a
 //!   single replay buffer, a single RNG — for N ∈ {1, 2, 4} fleets of
 //!   K ∈ {1, 2} lanes, in both float and Q8.8 acting (N = K = 1 is the
-//!   one-drone, one-image-at-a-time platform model);
+//!   one-drone, one-image-at-a-time platform model), and on the
+//!   paper's deployed point — a frozen transfer-learned trunk with only
+//!   the FC tail training (`Topology::L4`), where backpropagation stops
+//!   at the first trainable layer;
 //! * `run_parallel(1)` ≡ `run_vec` exactly;
 //! * the trajectory is invariant across the bitwise GEMM backends and
 //!   pool sizes {1, 2, 7} — every bitwise backend runs the same conv
@@ -21,8 +24,8 @@ use mramrl_env::{DepthCamera, DroneEnv, VecEnv};
 use mramrl_nn::pool::ThreadPool;
 use mramrl_nn::{GemmBackend, NetworkSpec, QWorkspace, QuantizedNet, Sgd, Tensor};
 use mramrl_rl::{
-    ActingPrecision, MovingAverage, QAgent, ReplayBuffer, SafeFlightTracker, TrainLog, Trainer,
-    TrainerConfig, Transition, TransitionBatch,
+    ActingPrecision, MovingAverage, QAgent, ReplayBuffer, SafeFlightTracker, Topology, TrainLog,
+    Trainer, TrainerConfig, Transition, TransitionBatch,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -31,6 +34,13 @@ const HW: usize = 16;
 
 fn spec() -> NetworkSpec {
     NetworkSpec::micro(HW, 1, 5)
+}
+
+/// A fresh agent training under `topo`'s freezing pattern.
+fn new_agent(seed: u64, topo: Topology) -> QAgent {
+    let mut a = QAgent::new(&spec(), seed);
+    topo.apply(a.net_mut());
+    a
 }
 
 fn tiny_env(seed: u64) -> DroneEnv {
@@ -234,13 +244,14 @@ fn pinned_serial_reference(
 }
 
 /// Runs the engine and the serial reference on `n` fleets of `k` lanes,
-/// asserts they agree to the bit, and returns the engine's curve and
-/// final weights.
+/// both agents training under `topo`, asserts they agree to the bit,
+/// and returns the engine's curve and final weights.
 fn assert_matches_reference(
     n: usize,
     k: usize,
     q88: bool,
     backend: GemmBackend,
+    topo: Topology,
 ) -> (CurveBits, Vec<u8>) {
     let mut c = cfg(96, 17, k);
     c.backend = backend;
@@ -249,15 +260,15 @@ fn assert_matches_reference(
     }
     let trainer = Trainer::new(c);
 
-    let mut engine_agent = QAgent::new(&spec(), 17);
+    let mut engine_agent = new_agent(17, topo);
     let mut fl = fleets(17, n, k);
     let log = trainer.run_parallel(&mut engine_agent, &mut fl);
 
-    let mut ref_agent = QAgent::new(&spec(), 17);
+    let mut ref_agent = new_agent(17, topo);
     let mut fl = fleets(17, n, k);
     let (ref_curve, ref_weights) = pinned_serial_reference(&c, &mut ref_agent, &mut fl, q88);
 
-    let tag = format!("n={n}, k={k}, q88={q88}, {backend:?}");
+    let tag = format!("n={n}, k={k}, q88={q88}, {backend:?}, {topo}");
     assert_eq!(
         curve_bits(&log),
         ref_curve,
@@ -278,7 +289,7 @@ fn run_parallel_matches_pinned_serial_interleaving() {
     for &n in &[1usize, 2, 4] {
         for k in [1usize, 2] {
             for q88 in [false, true] {
-                assert_matches_reference(n, k, q88, GemmBackend::Naive);
+                assert_matches_reference(n, k, q88, GemmBackend::Naive, Topology::E2E);
             }
         }
     }
@@ -287,17 +298,22 @@ fn run_parallel_matches_pinned_serial_interleaving() {
 /// The equivalence holds on every bitwise backend, and the backends
 /// agree with each other: `Naive`, `Blocked` and `Threaded` all run the
 /// one im2col GEMM conv algorithm under the summation-order contract,
-/// so curves and saved weights are the same bytes on all three.
+/// so curves and saved weights are the same bytes on all three. Pinned
+/// on all-trainable nets and on the frozen-trunk L4 tail (the deployed
+/// point, where the round's backward stops at FC2 and skips its input
+/// gradient).
 #[test]
 fn reference_equivalence_holds_per_backend() {
-    for q88 in [false, true] {
-        let naive = assert_matches_reference(2, 2, q88, GemmBackend::Naive);
-        for backend in [GemmBackend::Blocked, GemmBackend::Threaded] {
-            let got = assert_matches_reference(2, 2, q88, backend);
-            assert_eq!(
-                naive, got,
-                "{backend:?} trajectory differs from Naive (q88={q88})"
-            );
+    for topo in [Topology::E2E, Topology::L4] {
+        for q88 in [false, true] {
+            let naive = assert_matches_reference(2, 2, q88, GemmBackend::Naive, topo);
+            for backend in [GemmBackend::Blocked, GemmBackend::Threaded] {
+                let got = assert_matches_reference(2, 2, q88, backend, topo);
+                assert_eq!(
+                    naive, got,
+                    "{backend:?} trajectory differs from Naive (q88={q88}, {topo})"
+                );
+            }
         }
     }
 }
@@ -321,37 +337,37 @@ fn one_fleet_equals_run_vec() {
 }
 
 /// Within each bitwise backend, the trajectory is invariant across pool
-/// sizes {1, 2, 7} — in both acting precisions (the Q8.8 run
-/// additionally overlaps learner and actor on multi-thread pools, which
-/// must not show). Cross-backend equality is
-/// `reference_equivalence_holds_per_backend`'s job.
+/// sizes {1, 2, 7} — in both acting precisions, on all-trainable nets
+/// and on the frozen-trunk L4 tail. On multi-thread pools the round
+/// overlaps the TD forward pair, and in Q8.8 acting the learner's
+/// backward with the actors' forward; neither may show. Cross-backend
+/// equality is `reference_equivalence_holds_per_backend`'s job.
 #[test]
 fn pool_invariance_per_bitwise_backend() {
-    for q88 in [false, true] {
-        for backend in [
-            GemmBackend::Naive,
-            GemmBackend::Blocked,
-            GemmBackend::Threaded,
-        ] {
-            let mut reference: Option<(CurveBits, Vec<u8>)> = None;
-            for pool_threads in [1usize, 2, 7] {
-                let pool = ThreadPool::new(pool_threads);
-                let _installed = pool.install();
-                let mut c = cfg(64, 23, 2);
-                c.backend = backend;
-                if q88 {
-                    c.actor_precision = ActingPrecision::FixedQ8_8;
-                }
-                let mut agent = QAgent::new(&spec(), 23);
-                let mut fl = fleets(23, 2, 2);
-                let log = Trainer::new(c).run_parallel(&mut agent, &mut fl);
-                let got = (curve_bits(&log), agent.net().save_weights());
-                match &reference {
-                    None => reference = Some(got),
-                    Some(want) => assert_eq!(
-                        want, &got,
-                        "trajectory changed under {backend:?} × {pool_threads} threads (q88={q88})"
-                    ),
+    for topo in [Topology::E2E, Topology::L4] {
+        for q88 in [false, true] {
+            for backend in GemmBackend::BITWISE {
+                let mut reference: Option<(CurveBits, Vec<u8>)> = None;
+                for pool_threads in [1usize, 2, 7] {
+                    let pool = ThreadPool::new(pool_threads);
+                    let _installed = pool.install();
+                    let mut c = cfg(64, 23, 2);
+                    c.backend = backend;
+                    if q88 {
+                        c.actor_precision = ActingPrecision::FixedQ8_8;
+                    }
+                    let mut agent = new_agent(23, topo);
+                    let mut fl = fleets(23, 2, 2);
+                    let log = Trainer::new(c).run_parallel(&mut agent, &mut fl);
+                    let got = (curve_bits(&log), agent.net().save_weights());
+                    match &reference {
+                        None => reference = Some(got),
+                        Some(want) => assert_eq!(
+                            want, &got,
+                            "trajectory changed under {backend:?} × {pool_threads} threads \
+                             (q88={q88}, {topo})"
+                        ),
+                    }
                 }
             }
         }
