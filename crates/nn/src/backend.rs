@@ -96,8 +96,10 @@ const NC: usize = 512;
 /// the workers. Banding also re-streams the shared operand per band
 /// (all `m` rows of `A`/`B` for `Aᵀ·B` — though each band now reads
 /// only its own `kks`-wide window of every `A` row), which is the other
-/// reason not to push the threshold lower.
-const PAR_MIN_MACS: usize = 1 << 18;
+/// reason not to push the threshold lower. The same floor gates the
+/// layer-level `dW ∥ dX` backward join in [`crate::Linear`] and
+/// [`crate::Conv2d`].
+pub(crate) const PAR_MIN_MACS: usize = 1 << 18;
 
 /// Which GEMM kernel the NN layers use for their matrix products.
 ///
@@ -161,6 +163,23 @@ impl GemmBackend {
     /// latter warns on stderr).
     pub fn from_env() -> Self {
         env_backend_knob("NN_GEMM_BACKEND").unwrap_or_default()
+    }
+
+    /// `true` when a caller-level 2-way overlap of passes on this
+    /// backend buys nothing: its kernels already band every large
+    /// product over the [`crate::pool`] (`Threaded`, `Simd`), or the
+    /// current pool has a single executor. A `join2` would then pin each
+    /// side to one executor (nested pool calls run inline) and serialize
+    /// the fan-out inside it. The one predicate behind every overlap
+    /// above the kernels: the layers' `dW ∥ dX` backward join and the
+    /// `mramrl_rl` agent's and trainer's joins.
+    ///
+    /// The backend is tested first, so a naive/blocked caller reaches
+    /// [`crate::pool::current_threads`] — which spawns the global pool
+    /// on first use — only after its own size gate passed.
+    pub fn fans_out(self) -> bool {
+        matches!(self, GemmBackend::Threaded | GemmBackend::Simd)
+            || crate::pool::current_threads() <= 1
     }
 
     /// Dense row-major `C[m×n] = A[m×k] · B[k×n]` with this backend.
@@ -285,7 +304,7 @@ pub fn env_backend_knob(var: &str) -> Option<GemmBackend> {
 /// The parse half of [`env_backend_knob`], split out so tests can cover
 /// the accept/warn behaviour without mutating process env (concurrent
 /// `setenv`/`getenv` from parallel test threads is UB on glibc).
-fn parse_backend_knob(var: &str, v: &str) -> Option<GemmBackend> {
+pub(crate) fn parse_backend_knob(var: &str, v: &str) -> Option<GemmBackend> {
     match v.parse::<GemmBackend>() {
         Ok(be) => Some(be),
         Err(e) => {
@@ -601,7 +620,9 @@ mod tests {
         // `parse_backend_knob`'s doc); unknown values warn + None so
         // `from_env` falls back to the default instead of silently
         // misreading a typo.
-        assert_eq!(parse_backend_knob("K", "simd"), Some(GemmBackend::Simd));
+        for be in GemmBackend::ALL {
+            assert_eq!(parse_backend_knob("K", be.name()), Some(be));
+        }
         assert_eq!(
             parse_backend_knob("K", " Threaded "),
             Some(GemmBackend::Threaded)

@@ -25,7 +25,9 @@ use crate::workspace::LayerWs;
 /// `Gᵢᵀ·colsᵢ` products accumulated in ascending sample order — the
 /// association the serial path uses, which is what makes batched ≡ serial
 /// bit-identical (see `docs/batching.md`). [`Layer::backward_batch_params`]
-/// skips the input-gradient GEMM and its col2im scatter.
+/// skips the input-gradient GEMM and its col2im scatter. On the
+/// single-threaded kernels the `dW`/`db` loop and the `dX` GEMM + col2im
+/// run side by side on the pool (`dW ∥ dX`, see [`GemmBackend::fans_out`]).
 ///
 /// On the `Threaded` backend with `N > 1`, parallelism moves **up to the
 /// batch axis**: each sample's whole pipeline (im2col expansion, GEMMs,
@@ -442,7 +444,9 @@ impl Conv2d {
             return Ok(());
         }
 
-        // Fused GEMM path (§V-B). Per-sample, ascending sample order:
+        // Fused GEMM path (§V-B). The gradient is first laid out as G,
+        // one [positions × out_c] block per sample. Then, per sample in
+        // ascending order:
         //   dWᵢ = Gᵢᵀ[out_c × positions] · colsᵢ[positions × taps]
         //   dbᵢ[oc] = Σ_pos Gᵢ  (ascending positions)
         // accumulated into the parameter buffers sample by sample — the
@@ -450,9 +454,15 @@ impl Conv2d {
         // The input gradient has no cross-sample reduction, so it runs as
         // ONE fused GEMM over the whole batch:
         //   dcols[N·positions × taps] = G[N·positions × out_c] · W
-        // followed by a per-sample col2im scatter.
+        // followed by a per-sample col2im scatter. Both halves only read G,
+        // the cached input and W, and write disjoint buffers, so on a
+        // single-threaded kernel with a multi-executor pool a layer of at
+        // least `PAR_MIN_MACS` runs them as one `join2` (`dW ∥ dX`) —
+        // unchanged kernels and op sequences, so the same bits.
         let big_n = n * positions;
         let go = grad_output.data();
+        let (in_c, out_c, k, stride, pad) = self.geometry();
+        let backend = self.backend;
         let LayerWs {
             input: ws_input,
             grad_in,
@@ -463,72 +473,78 @@ impl Conv2d {
             ..
         } = ws;
         let input = ws_input.as_ref().expect("checked above");
-        let cols = LayerWs::reuse_buf(im2col, positions * taps);
-        let gbig = LayerWs::reuse_buf(gemm_a, big_n * self.out_c);
-        let dw = LayerWs::reuse_buf(acc, self.out_c * taps);
-        for i in 0..n {
-            crate::gemm::im2col_slice_into(
-                cols,
-                input.sample(i),
-                self.in_c,
-                in_h,
-                in_w,
-                self.k,
-                self.stride,
-                self.pad,
-            );
-            // Sample i's grad as a [positions × out_c] block of G.
-            let gi_block = &mut gbig[i * positions * self.out_c..(i + 1) * positions * self.out_c];
-            let go_i = &go[i * self.out_c * positions..(i + 1) * self.out_c * positions];
-            for oc in 0..self.out_c {
+        let gbig = LayerWs::reuse_buf(gemm_a, big_n * out_c);
+        for (gi_block, go_i) in gbig
+            .chunks_mut(positions * out_c)
+            .zip(go.chunks(out_c * positions))
+        {
+            for oc in 0..out_c {
                 for pos in 0..positions {
-                    gi_block[pos * self.out_c + oc] = go_i[oc * positions + pos];
+                    gi_block[pos * out_c + oc] = go_i[oc * positions + pos];
                 }
-            }
-            // dWᵢ, fully reduced per sample, then accumulated — the
-            // serial op sequence exactly.
-            self.backend
-                .matmul_at_b_into(dw, gi_block, cols, positions, self.out_c, taps);
-            for (a, &v) in self.weight.grad.data_mut().iter_mut().zip(dw.iter()) {
-                *a += v;
-            }
-            // dbᵢ: ascending positions, fully reduced, then accumulated.
-            let gb = self.bias.grad.data_mut();
-            for (oc, acc_b) in gb.iter_mut().enumerate() {
-                let mut s = 0.0f32;
-                for pos in 0..positions {
-                    s += go_i[oc * positions + pos];
-                }
-                *acc_b += s;
             }
         }
+        let gbig = &*gbig;
+        let Self { weight, bias, .. } = self;
 
+        let mut params = || {
+            let cols = LayerWs::reuse_buf(im2col, positions * taps);
+            let dw = LayerWs::reuse_buf(acc, out_c * taps);
+            for i in 0..n {
+                crate::gemm::im2col_slice_into(
+                    cols,
+                    input.sample(i),
+                    in_c,
+                    in_h,
+                    in_w,
+                    k,
+                    stride,
+                    pad,
+                );
+                // dWᵢ, fully reduced per sample, then accumulated — the
+                // serial op sequence exactly.
+                let gi_block = &gbig[i * positions * out_c..(i + 1) * positions * out_c];
+                backend.matmul_at_b_into(dw, gi_block, cols, positions, out_c, taps);
+                for (a, &v) in weight.grad.data_mut().iter_mut().zip(dw.iter()) {
+                    *a += v;
+                }
+                // dbᵢ: ascending positions, fully reduced, then accumulated.
+                let go_i = &go[i * out_c * positions..(i + 1) * out_c * positions];
+                for (oc, acc_b) in bias.grad.data_mut().iter_mut().enumerate() {
+                    let mut s = 0.0f32;
+                    for pos in 0..positions {
+                        s += go_i[oc * positions + pos];
+                    }
+                    *acc_b += s;
+                }
+            }
+        };
         if !input_grad {
+            params();
             return Ok(());
         }
         // dX: one fused GEMM for the whole batch, then per-sample col2im.
-        let dcols = LayerWs::reuse_buf(gemm_c, big_n * taps);
-        self.backend.matmul_into(
-            dcols,
-            gbig,
-            self.weight.value.data(),
-            big_n,
-            self.out_c,
-            taps,
-        );
-        let grad_in = LayerWs::reuse_zeroed(grad_in, input.shape());
-        let in_plane = self.in_c * in_h * in_w;
-        for i in 0..n {
-            crate::gemm::col2im_slice_accumulate(
-                &mut grad_in.data_mut()[i * in_plane..(i + 1) * in_plane],
-                &dcols[i * positions * taps..(i + 1) * positions * taps],
-                self.in_c,
-                in_h,
-                in_w,
-                self.k,
-                self.stride,
-                self.pad,
-            );
+        let w = weight.value.data();
+        let mut dx = || {
+            let dcols = LayerWs::reuse_buf(gemm_c, big_n * taps);
+            backend.matmul_into(dcols, gbig, w, big_n, out_c, taps);
+            let grad_in = LayerWs::reuse_zeroed(grad_in, input.shape());
+            let in_plane = in_c * in_h * in_w;
+            for (gi_i, dcols_i) in grad_in
+                .data_mut()
+                .chunks_mut(in_plane)
+                .zip(dcols.chunks(positions * taps))
+            {
+                crate::gemm::col2im_slice_accumulate(
+                    gi_i, dcols_i, in_c, in_h, in_w, k, stride, pad,
+                );
+            }
+        };
+        if big_n * out_c * taps >= crate::backend::PAR_MIN_MACS && !backend.fans_out() {
+            crate::pool::join2(params, dx);
+        } else {
+            params();
+            dx();
         }
         Ok(())
     }

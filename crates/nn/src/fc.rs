@@ -21,6 +21,8 @@ use crate::workspace::LayerWs;
 /// backend those GEMMs band their output rows over the persistent
 /// [`crate::pool`], and the batched `Xᵀ` pack fans out the same way —
 /// both disjoint scatters, bit-identical to serial at any thread count.
+/// On the single-threaded kernels the two backward products run side by
+/// side instead (`dW ∥ dX`, see [`GemmBackend::fans_out`]).
 ///
 /// Bit-identity: every output element and every `dW`/`db` element is
 /// reduced in the same ascending order as the serial single-image pass
@@ -128,7 +130,7 @@ impl Layer for Linear {
         let xd = x.data();
         let in_f = self.in_f;
         // Backend check first: `current_threads()` would lazily spawn the
-        // global pool, which strictly serial naive/blocked runs never use.
+        // global pool, which a naive/blocked forward never uses.
         if self.backend == GemmBackend::Threaded
             && n * in_f >= 1 << 15
             && crate::pool::current_threads() > 1
@@ -210,6 +212,13 @@ impl Layer for Linear {
 impl Linear {
     /// The batched backward: `dW`/`db` always, `dX` into `ws.grad_in`
     /// only when `input_grad` asks for it.
+    ///
+    /// The two halves share only read-only inputs (the gradient, the
+    /// cached input, the weights) and write disjoint buffers, so on a
+    /// single-threaded kernel (naive/blocked) with a multi-executor pool
+    /// a layer of at least `PAR_MIN_MACS` runs them as one
+    /// [`crate::pool::join2`]. Each half keeps its unchanged kernel and
+    /// op sequence, so the overlap is bit-invisible.
     fn backward_into(
         &mut self,
         grad_output: &Tensor,
@@ -222,48 +231,54 @@ impl Linear {
             });
         }
         let n = ws.batch;
-        assert_eq!(
-            grad_output.len(),
-            n * self.out_f,
-            "linear grad length mismatch"
-        );
-        let input = ws.input.as_ref().expect("forward cached the input");
+        let (in_f, out_f, backend) = (self.in_f, self.out_f, self.backend);
+        assert_eq!(grad_output.len(), n * out_f, "linear grad length mismatch");
+        let LayerWs {
+            input,
+            acc,
+            grad_in,
+            ..
+        } = ws;
+        let input = input.as_ref().expect("forward cached the input");
         let go = grad_output.data();
+        let Self { weight, bias, .. } = self;
 
-        // dW[out × in] = Gᵀ[out × N] · X[N × in]: ascending-sample
-        // contraction — the exact order the serial per-sample outer
-        // products accumulate in (each per-sample term is a single
-        // product, so the fused GEMM is bit-identical).
-        let dw = LayerWs::reuse_buf(&mut ws.acc, self.out_f * self.in_f);
-        self.backend
-            .matmul_at_b_into(dw, go, input.data(), n, self.out_f, self.in_f);
-        for (acc, &v) in self.weight.grad.data_mut().iter_mut().zip(&ws.acc) {
-            *acc += v;
-        }
-
-        // db[oc] += Σ_i g[i, oc], samples in ascending order — the serial
-        // accumulation sequence exactly.
-        let gb = self.bias.grad.data_mut();
-        for i in 0..n {
-            for (acc, &g) in gb.iter_mut().zip(&go[i * self.out_f..(i + 1) * self.out_f]) {
-                *acc += g;
+        let mut params = || {
+            // dW[out × in] = Gᵀ[out × N] · X[N × in]: ascending-sample
+            // contraction — the exact order the serial per-sample outer
+            // products accumulate in (each per-sample term is a single
+            // product, so the fused GEMM is bit-identical).
+            let dw = LayerWs::reuse_buf(acc, out_f * in_f);
+            backend.matmul_at_b_into(dw, go, input.data(), n, out_f, in_f);
+            for (a, &v) in weight.grad.data_mut().iter_mut().zip(dw.iter()) {
+                *a += v;
             }
-        }
-
+            // db[oc] += Σ_i g[i, oc], samples in ascending order — the
+            // serial accumulation sequence exactly.
+            let gb = bias.grad.data_mut();
+            for i in 0..n {
+                for (a, &g) in gb.iter_mut().zip(&go[i * out_f..(i + 1) * out_f]) {
+                    *a += g;
+                }
+            }
+        };
         if !input_grad {
+            params();
             return Ok(());
         }
         // dX[N × in] = G[N × out] · W[out × in]: per-sample rows, each the
         // serial ascending-`out` reduction.
-        let grad_in = LayerWs::reuse(&mut ws.grad_in, &[n, self.in_f]);
-        self.backend.matmul_into(
-            grad_in.data_mut(),
-            go,
-            self.weight.value.data(),
-            n,
-            self.out_f,
-            self.in_f,
-        );
+        let w = weight.value.data();
+        let mut dx = || {
+            let gi = LayerWs::reuse(grad_in, &[n, in_f]);
+            backend.matmul_into(gi.data_mut(), go, w, n, out_f, in_f);
+        };
+        if n * out_f * in_f >= crate::backend::PAR_MIN_MACS && !backend.fans_out() {
+            crate::pool::join2(params, dx);
+        } else {
+            params();
+            dx();
+        }
         Ok(())
     }
 }

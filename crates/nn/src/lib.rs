@@ -114,6 +114,82 @@ pub use workspace::{LayerWs, Workspace};
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
+    use crate::backend::parse_backend_knob;
+    use crate::pool::parse_thread_knob;
+    use crate::simd::parse_simd_knob;
+
+    /// Knob-parser inputs: a mix of the tokens the parsers accept or
+    /// nearly accept (numbers at the `usize` edge, signs, whitespace,
+    /// mixed case, backend and switch names) and arbitrary Unicode
+    /// scalars — the space a typo'd environment variable lives in.
+    fn knob_string() -> impl Strategy<Value = String> {
+        const TOKENS: [&str; 24] = [
+            "0",
+            "1",
+            "7",
+            "42",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-",
+            "+",
+            " ",
+            "\t",
+            "\n",
+            "on",
+            "OFF",
+            "Auto",
+            "true",
+            "false",
+            "naive",
+            "Blocked",
+            "THREADED",
+            "simd",
+            "\u{0}",
+            "é",
+            "İ",
+            "\u{FEFF}",
+        ];
+        collection::vec((0usize..2 * TOKENS.len(), any::<u32>()), 0..6).prop_map(|parts| {
+            parts
+                .into_iter()
+                .map(|(pick, code)| match TOKENS.get(pick) {
+                    Some(token) => (*token).to_string(),
+                    None => char::from_u32(code % 0x11_0000)
+                        .unwrap_or(char::REPLACEMENT_CHARACTER)
+                        .to_string(),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// No input panics a knob parser, and every accepted value
+        /// round-trips through its canonical spelling.
+        #[test]
+        fn knob_parsers_never_panic_and_round_trip(s in knob_string()) {
+            if let Some(t) = parse_thread_knob("K", &s) {
+                prop_assert!(t > 0);
+                prop_assert_eq!(parse_thread_knob("K", &t.to_string()), Some(t));
+            }
+            if let Some(be) = parse_backend_knob("K", &s) {
+                prop_assert_eq!(parse_backend_knob("K", be.name()), Some(be));
+            }
+            if let Some(on) = parse_simd_knob(&s) {
+                prop_assert_eq!(parse_simd_knob(if on { "on" } else { "off" }), Some(on));
+            }
+        }
+
+        /// Every positive thread count round-trips, with or without
+        /// surrounding whitespace.
+        #[test]
+        fn thread_knob_round_trips_every_count(t in 1usize..usize::MAX) {
+            prop_assert_eq!(parse_thread_knob("K", &t.to_string()), Some(t));
+            prop_assert_eq!(parse_thread_knob("K", &format!(" {t}\n")), Some(t));
+        }
+    }
+
     #[test]
     fn send_sync_public_types() {
         fn assert_send<T: Send>() {}

@@ -2,8 +2,9 @@
 //!
 //! Every multi-core site in the stack — GEMM row bands
 //! ([`crate::backend`]), per-sample batched conv passes
-//! ([`crate::Conv2d`]), `VecEnv` lane stepping, the `QAgent`'s
-//! independent network forwards — runs on **one** pool of workers that
+//! ([`crate::Conv2d`]), the `dW ∥ dX` halves of a naive/blocked layer
+//! backward, `VecEnv` lane stepping, the `QAgent`'s independent network
+//! forwards — runs on **one** pool of workers that
 //! is spawned once and parked between jobs, instead of paying a
 //! `std::thread::spawn` per matrix product. See `docs/threading.md` for
 //! the full lifecycle/ownership writeup.
@@ -35,9 +36,16 @@
 //! thread until the guard drops — no env-var games, no process
 //! restarts.
 //!
-//! Nested parallelism is defined away: a pool worker that reaches a
-//! pool call simply runs the tasks inline (same order, same bits), so
-//! layered code can parallelise at its own level without deadlock.
+//! Nested parallelism is defined away: a thread executing a pool task
+//! — a worker, or the submitter while it drains its own submission —
+//! that reaches a pool call simply runs the tasks inline (same order,
+//! same bits), so layered code can parallelise at its own level without
+//! deadlock, and a nested call never picks up a sibling task of the
+//! submission it runs in. One consequence: a layer that overlaps two
+//! halves of its own work (the `dW ∥ dX` join in
+//! [`crate::Linear`]/[`crate::Conv2d`] backward) gets a second core
+//! only when it is reached at top level; inside an outer `join2` — the
+//! trainer's backward ∥ actor step — it runs its halves in order.
 //!
 //! # Examples
 //!
@@ -72,9 +80,11 @@ pub type Task<'s> = Box<dyn FnOnce() + Send + 's>;
 type StaticTask = Box<dyn FnOnce() + Send + 'static>;
 
 std::thread_local! {
-    /// Set on pool worker threads: pool calls made from inside a task
-    /// run inline instead of re-entering the queue (no nested waits).
-    static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Set while a thread executes pool tasks — always on a pool worker,
+    /// and on a submitting thread while it drains its own submission:
+    /// pool calls made from inside a task run inline instead of
+    /// re-entering the queue (no nested waits, no stolen siblings).
+    static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     /// Stack of installed pools ([`ThreadPool::install`]); the top —
     /// or, when empty, the [`global`] pool — is what [`current`] returns.
     static INSTALLED: std::cell::RefCell<Vec<PoolHandle>> =
@@ -279,8 +289,29 @@ impl Drop for TlsInstall {
     }
 }
 
+/// Marks the calling thread as executing pool tasks ([`IN_POOL`])
+/// until dropped, then restores the previous value — drop-based, so a
+/// panic unwinding through the drain cannot leave the flag behind.
+struct InPoolGuard {
+    prev: bool,
+}
+
+impl InPoolGuard {
+    fn enter() -> Self {
+        Self {
+            prev: IN_POOL.with(|f| f.replace(true)),
+        }
+    }
+}
+
+impl Drop for InPoolGuard {
+    fn drop(&mut self) {
+        IN_POOL.with(|f| f.set(self.prev));
+    }
+}
+
 fn worker_loop(inner: &Inner) {
-    IS_POOL_WORKER.with(|w| w.set(true));
+    IN_POOL.with(|w| w.set(true));
     loop {
         let task = {
             let mut st = inner.state.lock().expect("pool lock");
@@ -309,8 +340,9 @@ impl PoolHandle {
     /// Runs every task to completion, using the pool's workers plus the
     /// calling thread, and returns only when all of them have finished.
     ///
-    /// Called from a 1-thread pool or from inside a pool task, the
-    /// tasks run inline on the caller in submission order — the serial
+    /// Called from a 1-thread pool or from inside a pool task — on a
+    /// worker, or on a submitter draining its own submission — the
+    /// tasks run inline on the caller in submission order: the serial
     /// execution every combinator's determinism contract is pinned to.
     ///
     /// # Panics
@@ -321,7 +353,7 @@ impl PoolHandle {
         if tasks.is_empty() {
             return;
         }
-        if self.threads <= 1 || tasks.len() == 1 || IS_POOL_WORKER.with(std::cell::Cell::get) {
+        if self.threads <= 1 || tasks.len() == 1 || IN_POOL.with(std::cell::Cell::get) {
             // Keep `current()` resolving to the executing pool even on
             // the inline path, so sizing decisions inside tasks see the
             // right executor count.
@@ -359,15 +391,23 @@ impl PoolHandle {
             }
         }
         self.inner.work_cv.notify_all();
-        // The caller works too: drain the queue instead of blocking.
-        loop {
-            let task = {
-                let mut st = self.inner.state.lock().expect("pool lock");
-                st.queue.pop_front()
-            };
-            match task {
-                Some(t) => t(),
-                None => break,
+        // The caller works too: drain the queue instead of blocking. While
+        // it does, it is a pool executor like any worker, so a task it runs
+        // makes its nested pool calls inline. Otherwise such a call would
+        // re-enter the shared queue and could pop — and run to completion —
+        // a sibling of this submission before finishing its own work,
+        // serializing the overlap the submission asked for.
+        {
+            let _in_pool = InPoolGuard::enter();
+            loop {
+                let task = {
+                    let mut st = self.inner.state.lock().expect("pool lock");
+                    st.queue.pop_front()
+                };
+                match task {
+                    Some(t) => t(),
+                    None => break,
+                }
             }
         }
         if let Some(payload) = latch.wait() {
@@ -512,7 +552,7 @@ pub fn env_thread_knob(var: &str) -> Option<usize> {
 /// The parse half of [`env_thread_knob`], split out so tests can cover
 /// the accept/warn behaviour without mutating process env (concurrent
 /// `setenv`/`getenv` from parallel test threads is UB on glibc).
-fn parse_thread_knob(var: &str, v: &str) -> Option<usize> {
+pub(crate) fn parse_thread_knob(var: &str, v: &str) -> Option<usize> {
     match v.trim().parse::<usize>() {
         Ok(t) if t > 0 => Some(t),
         _ => {

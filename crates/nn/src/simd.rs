@@ -130,7 +130,7 @@ pub fn env_simd_knob() -> Option<bool> {
 /// The parse half of [`env_simd_knob`], split out so tests can cover
 /// the accept/warn behaviour without mutating process env (concurrent
 /// `setenv`/`getenv` from parallel test threads is UB on glibc).
-fn parse_simd_knob(v: &str) -> Option<bool> {
+pub(crate) fn parse_simd_knob(v: &str) -> Option<bool> {
     match v.trim().to_ascii_lowercase().as_str() {
         "on" | "1" | "true" | "auto" => Some(true),
         "off" | "0" | "false" => Some(false),

@@ -166,3 +166,77 @@ fn pooled_gemm_bands_bitwise_equal_at_every_pool_size() {
         });
     }
 }
+
+/// The layer-level `dW ∥ dX` backward join: on every bitwise backend,
+/// `Linear` and `Conv2d` backward — full and params-only — give the
+/// same `dW`, `db` and `dX` bits on pools of 2 and 7 executors as on
+/// the 1-executor pool. The shapes sit above `PAR_MIN_MACS`, so the
+/// single-threaded backends take the joined branch on the wider pools.
+/// Each layer runs two backwards, so the second accumulates onto
+/// non-zero gradients.
+#[test]
+fn layer_backward_join_is_bit_invisible_at_every_pool_size() {
+    use mramrl_nn::Linear;
+    type Make = fn() -> Box<dyn Layer>;
+    // (constructor, per-sample input shape, batch, backward MACs)
+    let layers: [(Make, &[usize], usize, usize); 3] = [
+        (
+            || Box::new(Linear::new("fc", 256, 160, 5)),
+            &[256],
+            8,
+            8 * 256 * 160,
+        ),
+        (
+            || Box::new(Conv2d::new("c", 4, 16, 3, 1, 1, 7)),
+            &[4, 16, 16],
+            3,
+            3 * 16 * 16 * 16 * (4 * 9),
+        ),
+        (
+            || Box::new(Conv2d::new("c", 3, 24, 5, 2, 0, 7)),
+            &[3, 27, 27],
+            4,
+            4 * 12 * 12 * 24 * (3 * 25),
+        ),
+    ];
+    for (make, sample_shape, n, macs) in layers {
+        assert!(macs >= 1 << 18, "shape must reach the joined branch");
+        let mut shape = vec![n];
+        shape.extend_from_slice(sample_shape);
+        let x = Tensor::from_vec(&shape, fill(shape.iter().product(), n as u64));
+        for be in GemmBackend::BITWISE {
+            for input_grad in [true, false] {
+                let mut reference: Option<Vec<Vec<u32>>> = None;
+                sweep_pools(|pool_threads| {
+                    let mut layer = make();
+                    layer.set_gemm_backend(be);
+                    let mut ws = LayerWs::new();
+                    let mut results = Vec::new();
+                    for step in 0..2u64 {
+                        layer.forward_batch(&x, &mut ws);
+                        let y = ws.out.as_ref().expect("forward wrote out");
+                        let grad = Tensor::from_vec(y.shape(), fill(y.len(), 31 + step));
+                        if input_grad {
+                            layer.backward_batch(&grad, &mut ws).expect("forward ran");
+                            results.push(bits(ws.grad_in.as_ref().expect("dX").data()));
+                        } else {
+                            layer
+                                .backward_batch_params(&grad, &mut ws)
+                                .expect("forward ran");
+                            assert!(ws.grad_in.is_none(), "params-only skips dX");
+                        }
+                    }
+                    results.extend(layer.params().iter().map(|p| bits(p.grad.data())));
+                    let tag = format!(
+                        "{} {be} input_grad={input_grad} pool={pool_threads}",
+                        layer.name()
+                    );
+                    match &reference {
+                        None => reference = Some(results),
+                        Some(want) => assert!(want == &results, "{tag}: bits differ"),
+                    }
+                });
+            }
+        }
+    }
+}

@@ -360,7 +360,7 @@ impl QAgent {
     /// **backward half** (TD errors, loss gradient, online backward)
     /// touches only the online net, so the trainer overlaps it with the
     /// Q8.8 actors' forward. Where the passes already fan out inside the
-    /// layers (the threaded backend), or the pool has one executor,
+    /// layers (the threaded and simd backends), or the pool has one executor,
     /// everything runs sequentially instead. No schedule affects a
     /// single bit of either result.
     ///
@@ -375,16 +375,13 @@ impl QAgent {
         self.td_backward(batch, fwd)
     }
 
-    /// `true` when a batched pass already spreads over the pool — the
-    /// threaded backend fans out inside its layers — or the pool has a
-    /// single executor. Either way a 2-way `join2` overlap buys nothing:
-    /// it would pin each side to one worker (nested pool calls run
-    /// inline) and serialize its per-sample tasks. The one predicate
-    /// behind both overlaps of a training round: the TD forward pair
-    /// here and the trainer's backward ‖ actor step.
+    /// `true` when a batched pass already spreads over the pool, or the
+    /// pool has a single executor: [`GemmBackend::fans_out`] for the
+    /// online net's backend. Either way a 2-way `join2` overlap buys
+    /// nothing. It gates both overlaps of a training round: the TD
+    /// forward pair here and the trainer's backward ‖ actor step.
     pub(crate) fn passes_fan_out(&self) -> bool {
-        self.net.gemm_backend() == Some(GemmBackend::Threaded)
-            || mramrl_nn::pool::current_threads() <= 1
+        self.net.gemm_backend().unwrap_or_default().fans_out()
     }
 
     /// The forward half of [`QAgent::accumulate_td_batch`]: the target

@@ -608,7 +608,10 @@ impl Trainer {
             //    level), then the online backward and weight update ‖
             //    the actors' forward. Where passes already fan out
             //    (`QAgent::passes_fan_out`) both steps run sequentially.
-            //    Every schedule produces identical bits.
+            //    Float acting needs the updated weights, so its phase
+            //    runs alone at top level, where each layer's `dW ∥ dX`
+            //    backward join gets both executors. Every schedule
+            //    produces identical bits.
             let synced = match &actor_snap {
                 Some(snap) => {
                     let sequential = agent.passes_fan_out();
