@@ -3,12 +3,25 @@
 //! what they cost.
 
 use mramrl_bench::{fmt, knob_meta, Table};
-use mramrl_core::DesignSweep;
+use mramrl_core::Topology;
+use mramrl_dse::{DesignSpace, ScenarioMix};
+use mramrl_mem::TechKind;
 
 fn main() {
     mramrl_bench::init_gemm_backend();
     let (_pool, _guard) = mramrl_bench::init_pool_threads();
-    let sweep = DesignSweep::date19();
+    // The paper's SRAM break-points (12.7 / 30 / 63 MB) bracketed by an
+    // under- and a mid-margin capacity, on the paper's 128 MB STT-MRAM
+    // stack: 20 points, SRAM-major.
+    let space = DesignSpace {
+        sram_mb: vec![8.0, 12.7, 30.0, 45.0, 63.0],
+        mram_mb: vec![128.0],
+        techs: vec![TechKind::SttMram],
+        topologies: Topology::ALL.to_vec(),
+        batches: vec![4],
+        mixes: vec![ScenarioMix::continuous()],
+    };
+    let results = mramrl_dse::sweep(&space);
     let mut t = Table::new(
         "Design-space sweep — SRAM capacity × topology",
         &[
@@ -21,27 +34,22 @@ fn main() {
             "Energy/frame [mJ]",
         ],
     );
-    for p in sweep.run() {
+    for r in &results {
+        let placed = |v: f64, digits| {
+            if r.placeable {
+                fmt(v, digits)
+            } else {
+                "-".into()
+            }
+        };
         t.row_owned(vec![
-            fmt(p.sram_mb, 1),
-            p.topology.to_string(),
-            if p.placeable { "yes" } else { "no" }.into(),
-            if p.nvm_write_free { "yes" } else { "no" }.into(),
-            if p.placeable {
-                fmt(p.sram_used_mb, 2)
-            } else {
-                "-".into()
-            },
-            if p.placeable {
-                fmt(p.fps_batch4, 1)
-            } else {
-                "-".into()
-            },
-            if p.placeable {
-                fmt(p.energy_per_frame_mj, 0)
-            } else {
-                "-".into()
-            },
+            fmt(r.config.sram_mb, 1),
+            r.config.topology.to_string(),
+            if r.placeable { "yes" } else { "no" }.into(),
+            if r.nvm_write_free { "yes" } else { "no" }.into(),
+            placed(r.sram_used_mb, 2),
+            placed(r.fps, 1),
+            placed(r.energy_per_frame_mj, 0),
         ]);
     }
     t.print();
@@ -50,8 +58,13 @@ fn main() {
     t.save_with_meta("ablation_design_space", &knob_meta());
 
     println!("Write-free frontier (min SRAM per topology):");
-    for topo in mramrl_core::Topology::ALL {
-        match sweep.min_sram_for(topo) {
+    for topo in Topology::ALL {
+        let min_sram = results
+            .iter()
+            .filter(|r| r.config.topology == topo && r.nvm_write_free)
+            .map(|r| r.config.sram_mb)
+            .min_by(f64::total_cmp);
+        match min_sram {
             Some(mb) => println!("  {topo}: {mb} MB"),
             None => println!("  {topo}: never write-free"),
         }

@@ -4,15 +4,23 @@
 //! energy; hence the algorithm-hardware co-design ... is applicable to
 //! similar other platforms").
 
+use mramrl_accel::SystemParams;
 use mramrl_bench::{fmt, knob_meta, Table};
 use mramrl_mem::tech::TechParams;
 use mramrl_mem::WearTracker;
+use mramrl_nn::NetworkSpec;
 
 fn main() {
     mramrl_bench::init_gemm_backend();
     let (_pool, _guard) = mramrl_bench::init_pool_threads();
-    let fc1_grad_bytes = 37_752_832u64 * 2; // FC1 gradient accumulator
-    let model_bytes = 112_380_682u64; // full 56.19 M weights at 16 bit
+    let spec = NetworkSpec::date19_alexnet();
+    // FC1's gradient accumulator is as large as its 16-bit weights.
+    let fc1_grad_bytes = spec
+        .layer_weight_bytes()
+        .into_iter()
+        .find_map(|(name, bytes)| (name == "FC1").then_some(bytes))
+        .expect("the paper net has an FC1");
+    let model_bytes = spec.total_weight_bytes(); // all 56.19 M weights at 16 bit
 
     let mut t = Table::new(
         "§III-C ablation — the E2E write path under different NVMs",
@@ -30,8 +38,12 @@ fn main() {
         TechParams::rram(),
         TechParams::pcm(),
     ] {
-        // Write bandwidth with the same 1024-bit interface.
-        let bw = 1024.0 / tech.write_latency_ns / 8.0; // GB/s
+        // Write bandwidth through the paper's stack interface.
+        let bw = SystemParams {
+            mram: tech.clone(),
+            ..SystemParams::date19()
+        }
+        .mram_write_gbytes_per_s(); // GB/s
         let rmw_ms = fc1_grad_bytes as f64 / bw / 1.0e6;
         let wb_ms = model_bytes as f64 / bw / 1.0e6;
         let wb_mj = model_bytes as f64 * 8.0 * tech.write_energy_pj_per_bit * 1e-9;

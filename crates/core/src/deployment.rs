@@ -111,22 +111,13 @@ impl DeploymentSim {
         let energy_j = it.total_mj * iterations as f64 * 1e-3;
         let compute_s = it.total_ms * iterations as f64 * 1e-3;
 
-        // NVM write traffic: zero for write-free platforms; E2E writes the
-        // MRAM-resident weights back every iteration plus FC1's per-image
-        // gradient RMW.
-        let nvm_bytes_written = if self.platform.is_nvm_write_free(topo) {
-            0
-        } else {
-            let mram_weights = self.platform.placement().mram_weight_bytes();
-            let spilled: u64 = self
-                .platform
-                .placement()
-                .spilled_layers()
-                .iter()
-                .map(|l| l.weight_bytes)
-                .sum();
-            iterations * mram_weights + frames * spilled
-        };
+        // NVM write traffic, the placement's write stream: one weight
+        // update per iteration writes back the MRAM-resident trainable
+        // weights, every frame pays the spilled-gradient RMW. Both are
+        // zero on a write-free placement.
+        let plan = self.platform.placement();
+        let nvm_bytes_written = iterations * plan.nvm_writeback_bytes_per_update()
+            + frames * plan.nvm_rmw_bytes_per_frame();
         let mut wear = WearTracker::new(
             TechParams::stt_mram(),
             (self.platform.mram_capacity_mb() * 1.0e6) as u64,
@@ -175,6 +166,23 @@ mod tests {
             "{}",
             report.nvm_bytes_written
         );
+        assert!(report.nvm_wear_fraction > 0.0);
+    }
+
+    #[test]
+    fn partially_spilled_tail_charges_only_its_trainable_weights() {
+        // L3 in 12.7 MB places but is not write-free: FC3 keeps neither
+        // its weights nor its gradients on-die. The frozen trunk also
+        // lives in MRAM and must not be charged.
+        let platform = Platform::new(Topology::L3, 12.7, 128.0).unwrap();
+        let plan = platform.placement().clone();
+        let per_update = plan.nvm_writeback_bytes_per_update();
+        let per_frame = plan.nvm_rmw_bytes_per_frame();
+        assert!(per_update > 0 && per_frame > 0);
+        assert!(plan.mram_weight_bytes() > 12 * per_update);
+        let report = DeploymentSim::new(platform, EnvKind::IndoorApartment, 7).fly(120);
+        // One weight update per batch-4 iteration.
+        assert_eq!(report.nvm_bytes_written, 30 * per_update + 120 * per_frame);
         assert!(report.nvm_wear_fraction > 0.0);
     }
 

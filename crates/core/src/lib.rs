@@ -5,14 +5,16 @@
 //!
 //! * [`Platform`] — a deployable design point: training [`Topology`] ×
 //!   SRAM capacity × the STT-MRAM stack, with memory placement validated
-//!   by `mramrl-mem` and costs from `mramrl-accel`;
+//!   by `mramrl-mem` and costs from `mramrl-accel`; the paper's four
+//!   canonical points are [`PAPER_DESIGN_POINTS`], and `mramrl-dse`
+//!   sweeps the space around them;
 //! * [`Mission`] — the Fig. 1 operational analysis: required fps
 //!   (`v / d_min`) per environment class versus the fps a platform
 //!   sustains, giving each design's maximum safe velocity;
 //! * [`DeploymentSim`] — runs the actual RL loop (`mramrl-rl` on
 //!   `mramrl-env`) while metering what the full-size platform would have
-//!   spent per frame: energy, NVM write traffic, endurance wear;
-//! * [`codesign`] — the SRAM-capacity × topology design-space sweep;
+//!   spent per frame: energy, NVM write traffic (the placement's write
+//!   stream), endurance wear;
 //! * [`headline`] — the paper's abstract in one struct.
 //!
 //! # Examples
@@ -31,18 +33,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codesign;
 mod deployment;
 mod error;
 pub mod mission;
 mod platform;
 mod summary;
 
-pub use codesign::{DesignPoint, DesignSweep, PAPER_DESIGN_POINTS};
 pub use deployment::{DeploymentReport, DeploymentSim};
 pub use error::CoreError;
 pub use mission::{EnvClass, Mission, ENV_CLASSES};
-pub use platform::Platform;
+pub use platform::{Platform, PAPER_DESIGN_POINTS};
 pub use summary::{headline, Headline};
 
 pub use mramrl_accel::{Calibration, PlatformModel};

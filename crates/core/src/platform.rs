@@ -7,6 +7,18 @@ use mramrl_nn::Topology;
 
 use crate::error::CoreError;
 
+/// The paper's canonical design points as `(topology, sram_mb, mram_mb)`:
+/// the three §II-D embedded architectures (SRAM sized for the L2/L3/L4
+/// tails on the 128 MB stack) plus the E2E baseline, which only places on
+/// an oversized 256 MB stack. One table, shared by the ablation binaries
+/// and the `mramrl_dse` design space.
+pub const PAPER_DESIGN_POINTS: [(Topology, f64, f64); 4] = [
+    (Topology::L2, 12.7, 128.0),
+    (Topology::L3, 30.0, 128.0),
+    (Topology::L4, 63.0, 128.0),
+    (Topology::E2E, 30.0, 256.0),
+];
+
 /// A concrete embedded design: the full DATE-19 AlexNet placed into an
 /// SRAM + stacked-STT-MRAM hierarchy sized for a training topology, with
 /// the cost model attached.
@@ -45,24 +57,16 @@ impl Platform {
     /// (e.g. E2E gradient accumulators exceeding the stack) and
     /// [`CoreError::InvalidConfig`] for non-positive capacities.
     pub fn new(topology: Topology, sram_mb: f64, mram_mb: f64) -> Result<Self, CoreError> {
-        Self::with_calibration(topology, sram_mb, mram_mb, Calibration::date19())
+        Self::with_system(
+            topology,
+            sram_mb,
+            mram_mb,
+            SystemParams::date19(),
+            Calibration::date19(),
+        )
     }
 
-    /// Like [`Platform::new`] with an explicit calibration profile.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Platform::new`].
-    pub fn with_calibration(
-        topology: Topology,
-        sram_mb: f64,
-        mram_mb: f64,
-        calib: Calibration,
-    ) -> Result<Self, CoreError> {
-        Self::with_system(topology, sram_mb, mram_mb, SystemParams::date19(), calib)
-    }
-
-    /// The fully general constructor: explicit [`SystemParams`] (so the
+    /// The general constructor: explicit [`SystemParams`] (so the
     /// stack technology, I/O width and clock can deviate from the paper's
     /// STT-MRAM system — the `mramrl_dse` technology axis goes through
     /// here) plus an explicit calibration profile.
@@ -183,6 +187,19 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paper_design_points_all_place() {
+        // The shared table must stay placeable: it feeds the ablation
+        // binaries and the DSE space alike.
+        for (topo, sram, mram) in PAPER_DESIGN_POINTS {
+            let p = Platform::new(topo, sram, mram)
+                .unwrap_or_else(|e| panic!("{topo} @ {sram}/{mram} MB: {e}"));
+            // The three L-architectures are write-free by construction;
+            // the E2E baseline never is.
+            assert_eq!(p.is_nvm_write_free(topo), topo != Topology::E2E);
+        }
+    }
 
     #[test]
     fn proposed_matches_fig5() {

@@ -54,29 +54,24 @@ fn write_free_paper_points_report_zero_wear() {
 fn scheduler_baseline_reproduces_deployment_iteration_traffic() {
     let platform = paper_platform(Topology::E2E);
     let capacity = (platform.mram_capacity_mb() * 1.0e6) as u64;
-    let mram_weights = platform.placement().mram_weight_bytes();
-    let spilled: u64 = platform
-        .placement()
-        .spilled_layers()
-        .iter()
-        .map(|l| l.weight_bytes)
-        .sum();
-    let report = DeploymentSim::new(platform, EnvKind::IndoorApartment, 7).fly(FRAMES);
-
-    // The deployment write model is iterations × MRAM-resident weights
-    // plus the per-frame spilled-gradient RMW. A passthrough scheduler's
-    // baseline stream, advanced one update per iteration, must account
-    // for the iteration half exactly.
-    let iterations = FRAMES / 4;
-    let mut sched = EnduranceScheduler::new(
+    let per_frame = platform.placement().nvm_rmw_bytes_per_frame();
+    // The scheduler reads its per-update write-back off the same plan.
+    let mut sched = EnduranceScheduler::for_plan(
+        platform.placement(),
         TechParams::stt_mram(),
         capacity,
-        mram_weights,
         SchedulerPolicy::passthrough(),
     );
+    let report = DeploymentSim::new(platform, EnvKind::IndoorApartment, 7).fly(FRAMES);
+
+    // The deployment write model is the placement's write stream: one
+    // write-back per iteration plus the per-frame spilled-gradient RMW.
+    // A passthrough scheduler's baseline stream, advanced one update per
+    // iteration, must account for the iteration half exactly.
+    let iterations = FRAMES / 4;
     sched.advance_to(iterations);
     assert_eq!(
-        sched.baseline_wear().bytes_written() + FRAMES * spilled,
+        sched.baseline_wear().bytes_written() + FRAMES * per_frame,
         report.nvm_bytes_written
     );
 }

@@ -22,6 +22,9 @@ pub struct DseResult {
     pub placeable: bool,
     /// Whether online training keeps the stack read-only.
     pub nvm_write_free: bool,
+    /// SRAM the placement uses (weights + gradients + scratch), MB; 0
+    /// when the design does not place. Not part of the rendered report.
+    pub sram_used_mb: f64,
     /// Sustained throughput at the configured batch, fps.
     pub fps: f64,
     /// Energy per processed frame, mJ.
@@ -47,6 +50,7 @@ pub fn evaluate(cfg: &DseConfig) -> DseResult {
         config: *cfg,
         placeable: false,
         nvm_write_free: false,
+        sram_used_mb: 0.0,
         fps: 0.0,
         energy_per_frame_mj: 0.0,
         train_latency_ms: 0.0,
@@ -69,36 +73,23 @@ pub fn evaluate(cfg: &DseConfig) -> DseResult {
     let train_latency_ms = platform.model().per_image(cfg.topology).total_ms();
     let nvm_write_free = platform.is_nvm_write_free(cfg.topology);
 
-    // The write stream mirrors `DeploymentSim::fly`: write-free designs
-    // never touch the stack; otherwise every weight update writes back
-    // the MRAM-resident *trainable* weights (one update per batch) and
-    // every frame pays the spilled-gradient read-modify-write. The
-    // scenario mix scales how often training happens at all.
-    let (nvm_write_bytes_per_s, lifetime_years) = if nvm_write_free {
-        (0.0, None)
-    } else {
-        let resident: u64 = platform
-            .placement()
-            .mram_resident_trainable()
-            .iter()
-            .map(|l| l.weight_bytes)
-            .sum();
-        let spilled: u64 = platform
-            .placement()
-            .spilled_layers()
-            .iter()
-            .map(|l| l.weight_bytes)
-            .sum();
-        let per_s = cfg.mix.online_duty()
-            * (fps / cfg.batch as f64 * resident as f64 + fps * spilled as f64);
-        let tracker = WearTracker::new(tech_params(cfg.tech), (cfg.mram_mb * 1.0e6) as u64);
-        (per_s, tracker.lifetime_years(per_s))
-    };
+    // The placement's write stream at the sustained rate: one weight
+    // update per batch writes back the MRAM-resident trainable weights,
+    // every frame pays the spilled-gradient read-modify-write. Both are
+    // zero on a write-free placement, whose lifetime is then unbounded.
+    // The scenario mix scales how often training happens at all.
+    let plan = platform.placement();
+    let nvm_write_bytes_per_s = cfg.mix.online_duty()
+        * (fps / cfg.batch as f64 * plan.nvm_writeback_bytes_per_update() as f64
+            + fps * plan.nvm_rmw_bytes_per_frame() as f64);
+    let lifetime_years = WearTracker::new(tech_params(cfg.tech), (cfg.mram_mb * 1.0e6) as u64)
+        .lifetime_years(nvm_write_bytes_per_s);
 
     DseResult {
         config: *cfg,
         placeable: true,
         nvm_write_free,
+        sram_used_mb: platform.sram_used_mb(),
         fps,
         energy_per_frame_mj,
         train_latency_ms,
@@ -174,6 +165,21 @@ mod tests {
     }
 
     #[test]
+    fn write_rate_is_the_plans_write_stream_at_the_sustained_fps() {
+        // L3 in 12.7 MB places but is not write-free; only FC3, not the
+        // frozen trunk, is charged.
+        let c = cfg(Topology::L3, 12.7, 128.0, TechKind::SttMram);
+        let r = evaluate(&c);
+        assert!(r.placeable && !r.nvm_write_free);
+        let p = Platform::new(Topology::L3, 12.7, 128.0).unwrap();
+        let plan = p.placement();
+        let per_s = r.fps / 4.0 * plan.nvm_writeback_bytes_per_update() as f64
+            + r.fps * plan.nvm_rmw_bytes_per_frame() as f64;
+        assert_eq!(r.nvm_write_bytes_per_s.to_bits(), per_s.to_bits());
+        assert_eq!(r.sram_used_mb.to_bits(), p.sram_used_mb().to_bits());
+    }
+
+    #[test]
     fn weaker_endurance_means_shorter_life() {
         let stt = evaluate(&cfg(Topology::E2E, 30.0, 256.0, TechKind::SttMram));
         let pcm = evaluate(&cfg(Topology::E2E, 30.0, 256.0, TechKind::Pcm));
@@ -195,6 +201,7 @@ mod tests {
         let r = evaluate(&cfg(Topology::E2E, 30.0, 128.0, TechKind::SttMram));
         assert!(!r.placeable);
         assert_eq!(r.fps, 0.0);
+        assert_eq!(r.sram_used_mb, 0.0);
     }
 
     #[test]

@@ -72,6 +72,7 @@ mod tests {
             },
             placeable: true,
             nvm_write_free: life.is_none(),
+            sram_used_mb: 0.0,
             fps,
             energy_per_frame_mj: energy,
             train_latency_ms: latency,

@@ -248,11 +248,11 @@ impl EnduranceScheduler {
     }
 
     /// Scheduler for a solved placement: the per-update write-back is
-    /// the MRAM-resident *trainable* weight bytes (the layers whose
-    /// updated weights must go back to the stack). Spilled
-    /// gradient-accumulator RMW traffic is per-image and cannot be
-    /// coalesced by update batching, so it stays outside the scheduler's
-    /// stream — the same split `DeploymentSim` accounts.
+    /// [`PlacementPlan::nvm_writeback_bytes_per_update`]. The per-frame
+    /// half of the plan's write stream
+    /// ([`PlacementPlan::nvm_rmw_bytes_per_frame`]) is per-image and
+    /// cannot be coalesced by update batching, so it stays outside the
+    /// scheduler's stream.
     ///
     /// # Panics
     ///
@@ -263,12 +263,12 @@ impl EnduranceScheduler {
         capacity_bytes: u64,
         policy: SchedulerPolicy,
     ) -> Self {
-        let bytes_per_update = plan
-            .mram_resident_trainable()
-            .iter()
-            .map(|l| l.weight_bytes)
-            .sum();
-        Self::new(tech, capacity_bytes, bytes_per_update, policy)
+        Self::new(
+            tech,
+            capacity_bytes,
+            plan.nvm_writeback_bytes_per_update(),
+            policy,
+        )
     }
 
     /// The policy in force.

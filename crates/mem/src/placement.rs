@@ -266,12 +266,29 @@ impl PlacementPlan {
             .collect()
     }
 
-    /// Trainable layers whose *weights* could not be kept in SRAM.
-    pub fn mram_resident_trainable(&self) -> Vec<&LayerPlacement> {
+    /// NVM write-back bytes per weight update: every trainable layer
+    /// whose weights could not be kept in SRAM writes them back to the
+    /// stack after each update. Frozen layers are never written.
+    ///
+    /// With [`PlacementPlan::nvm_rmw_bytes_per_frame`] this is the one
+    /// model of online training's NVM write stream: a run of `u` updates
+    /// over `f` frames writes `u · write-back + f · RMW` bytes. The
+    /// deployment simulator, the design-space evaluator and the endurance
+    /// scheduler all charge it.
+    pub fn nvm_writeback_bytes_per_update(&self) -> u64 {
         self.placements
             .iter()
             .filter(|p| p.trainable && p.weights_in == StorageClass::Mram)
-            .collect()
+            .map(|p| p.weight_bytes)
+            .sum()
+    }
+
+    /// NVM read-modify-write bytes per training frame: each gradient
+    /// accumulator spilled to MRAM is read, summed into and written back
+    /// once per image, so the per-frame stream equals
+    /// [`PlacementPlan::mram_gradient_bytes`].
+    pub fn nvm_rmw_bytes_per_frame(&self) -> u64 {
+        self.mram_gradient_bytes()
     }
 
     /// `true` when every trainable layer fits entirely on-die — the
@@ -382,7 +399,8 @@ mod tests {
         // FC2–FC5: 29.38 MB weights + same gradients + 4.2 scratch ≈ 63 MB.
         let tight = solve(4, 30.0);
         assert!(!tight.is_write_free_nvm());
-        assert_eq!(tight.mram_resident_trainable().len(), 1); // FC2 stays in MRAM
+        // FC2 stays in MRAM: it alone is written back per update.
+        assert_eq!(tight.nvm_writeback_bytes_per_update(), 8_390_656 * 2);
         let roomy = solve(4, 63.0);
         assert!(roomy.is_write_free_nvm());
         assert!(
@@ -428,6 +446,21 @@ mod tests {
             PlacementPlan::solve(&req),
             Err(MemError::CapacityExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn write_stream_charges_trainable_mram_weights_and_spilled_gradients() {
+        // L3 in 12.7 MB: FC4/FC5 take the SRAM, FC3 keeps neither its
+        // weights nor its gradient accumulator on-die.
+        let l3 = solve(3, 12.7);
+        assert_eq!(l3.nvm_writeback_bytes_per_update(), 4_196_352 * 2);
+        assert_eq!(l3.nvm_rmw_bytes_per_frame(), 4_196_352 * 2);
+        // The frozen trunk stays in MRAM but is never written.
+        assert!(l3.mram_weight_bytes() > 12 * l3.nvm_writeback_bytes_per_update());
+        // A write-free plan has an empty stream.
+        let free = solve(3, 30.0);
+        assert_eq!(free.nvm_writeback_bytes_per_update(), 0);
+        assert_eq!(free.nvm_rmw_bytes_per_frame(), 0);
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   each task owns one disjoint output chunk and computes it from
 //!   shared read-only inputs. No two tasks write the same element, so
 //!   scheduling cannot change any bit.
-//! * [`PoolHandle::reduce_in_order`] — cross-chunk reductions compute
-//!   per-chunk partials in parallel, then the **caller** merges them
-//!   serially in ascending chunk index: the float-op sequence of the
-//!   merge is fixed no matter how the partials were scheduled.
+//! * fixed-order reductions — cross-sample sums (the batched conv
+//!   `dW`/`db`) compute per-sample partials in parallel, then the
+//!   **caller** merges them serially in ascending index: the float-op
+//!   sequence of the merge is fixed no matter how the partials were
+//!   scheduled.
 //! * [`join2`] — two independent jobs; independence is the caller's
 //!   contract (disjoint `&mut` borrows enforce it at compile time).
 //!
@@ -441,46 +442,6 @@ impl PoolHandle {
             .collect();
         self.run(tasks);
     }
-
-    /// Fixed-order parallel reduction: `partials` holds one
-    /// `partial_len`-sized buffer per chunk; `compute(i, partial_i)`
-    /// fills them in parallel (each from its own inputs), then the
-    /// caller merges them **serially in ascending chunk index** via
-    /// `merge(i, partial_i)`. Because each partial is fully reduced
-    /// before any merge and the merge order is fixed, the float-op
-    /// sequence — and hence every output bit — is independent of
-    /// scheduling. The batched conv `dW`/`db` accumulation follows this
-    /// exact partials-then-ascending-merge pattern (hand-rolled in
-    /// `Conv2d::backward_batch`, because its per-sample tasks fill
-    /// several disjoint buffers at once — more than this single-slice
-    /// signature can express); this combinator is the reusable form for
-    /// plain one-buffer reductions (`docs/threading.md`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partial_len` is zero or does not divide
-    /// `partials.len()`.
-    pub fn reduce_in_order<F, M>(
-        &self,
-        partials: &mut [f32],
-        partial_len: usize,
-        compute: F,
-        mut merge: M,
-    ) where
-        F: Fn(usize, &mut [f32]) + Sync,
-        M: FnMut(usize, &[f32]),
-    {
-        assert!(partial_len > 0, "partial length must be positive");
-        assert_eq!(
-            partials.len() % partial_len,
-            0,
-            "partials must hold whole chunks"
-        );
-        self.scatter_chunks(partials, partial_len, compute);
-        for (i, p) in partials.chunks(partial_len).enumerate() {
-            merge(i, p);
-        }
-    }
 }
 
 /// The pool the calling thread should submit to: the innermost
@@ -609,25 +570,6 @@ mod tests {
         })
         .join()
         .expect("worker thread");
-    }
-
-    #[test]
-    fn reduce_in_order_merges_ascending() {
-        // The merge order is observable through float non-associativity:
-        // record the visit order instead and check the ascending contract.
-        let pool = ThreadPool::new(3);
-        let mut partials = vec![0.0f32; 5 * 4];
-        let mut order = Vec::new();
-        pool.handle().reduce_in_order(
-            &mut partials,
-            4,
-            |i, p| p.fill(i as f32),
-            |i, p| {
-                assert!(p.iter().all(|&v| v == i as f32));
-                order.push(i);
-            },
-        );
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

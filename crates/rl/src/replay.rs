@@ -230,12 +230,6 @@ impl ReplayBuffer {
         }
     }
 
-    /// Samples `n` transitions and packs them into a [`TransitionBatch`].
-    pub fn sample_as_batch(&self, rng: &mut SmallRng, n: usize) -> Option<TransitionBatch> {
-        self.sample_batch(rng, n)
-            .map(|ts| TransitionBatch::from_transitions(&ts))
-    }
-
     /// The most recently pushed transition.
     pub fn latest(&self) -> Option<&Transition> {
         self.items.back()
@@ -378,25 +372,6 @@ impl ShardedReplay {
             return;
         }
         out.extend((0..n).map(|_| rng.gen_range(0..len)));
-    }
-
-    /// Uniformly samples `n` transitions with replacement through the
-    /// merged view (the sharded analogue of
-    /// [`ReplayBuffer::sample_batch`]).
-    pub fn sample_merged<'a>(
-        &'a self,
-        rng: &mut SmallRng,
-        n: usize,
-    ) -> Option<Vec<&'a Transition>> {
-        if self.is_empty() || n == 0 {
-            return None;
-        }
-        let len = self.len();
-        Some(
-            (0..n)
-                .map(|_| self.merged_get(rng.gen_range(0..len)).expect("aligned"))
-                .collect(),
-        )
     }
 
     /// Copies the transitions at `indices` (merged view) into `batch`

@@ -39,7 +39,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mramrl_env::{step_fleets, Action, EnvKind, Image, ScenarioSpec, VecEnv};
+use mramrl_env::{step_fleets, Action, EnvKind, Image, VecEnv};
 use mramrl_nn::{GemmBackend, QWorkspace, QuantizedNet, Sgd, Tensor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -236,11 +236,9 @@ impl LearnerHook for () {
 
 /// Caller-owned rollout workspace: the actor side's persistent buffers.
 ///
-/// Kills the per-vec-step allocations the old `run_vec` made
-/// (`stack_observations` rebuilt the `[K,C,H,W]` batch and `to_tensor`
-/// heap-allocated one frame per lane per step): observations are written
-/// in place into one batched tensor, Q-values land in a reused output,
-/// and frame buffers cycle through a free pool fed by replay evictions
+/// Steady-state acting allocates nothing: observations are written in
+/// place into one batched tensor, Q-values land in a reused output, and
+/// frame buffers cycle through a free pool fed by replay evictions
 /// (`Arc::try_unwrap` on the evicted transition's frames).
 struct RolloutWs {
     /// Batched observations `[lanes, 1, H, W]`, overwritten in place.
@@ -264,18 +262,16 @@ impl RolloutWs {
         for fl in fleets.iter_mut() {
             first.extend(fl.reset_all());
         }
-        let lanes = first.len();
         let (h, w) = (first[0].height(), first[0].width());
         let mut ws = Self {
-            obs: Tensor::zeros(&[lanes, 1, h, w]),
+            obs: observation_batch(&first),
             q: Tensor::zeros(&[1]),
-            prev: Vec::with_capacity(lanes),
+            prev: Vec::with_capacity(first.len()),
             free: Vec::new(),
             frame_shape: [1, h, w],
             frame_allocs: 0,
         };
-        for (lane, img) in first.iter().enumerate() {
-            ws.obs.sample_mut(lane).copy_from_slice(img.data());
+        for img in &first {
             let frame = ws.frame(img.data());
             ws.prev.push(frame);
         }
@@ -437,19 +433,6 @@ impl Trainer {
     pub fn build_fleets(&self, kind: EnvKind, n: usize) -> Vec<VecEnv> {
         assert!(n > 0, "need at least one fleet");
         VecEnv::new(kind, self.cfg.seed, self.cfg.num_envs * n).split(n)
-    }
-
-    /// [`Trainer::build_fleets`] over a [`ScenarioSpec`]: global lane
-    /// `i` is seeded `spec.lane_seed(i)` (the scenario's own rule —
-    /// `cfg.seed` is not consulted), so the fleet set covers the
-    /// scenario's lane axis exactly as one wide `VecEnv` would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` or `num_envs` is zero.
-    pub fn build_fleets_from_spec(&self, spec: &ScenarioSpec, n: usize) -> Vec<VecEnv> {
-        assert!(n > 0, "need at least one fleet");
-        VecEnv::from_spec(spec, self.cfg.num_envs * n).split(n)
     }
 
     /// The vectorized loop: `K = venv.len()` lanes act together. Each
@@ -766,21 +749,15 @@ impl Trainer {
     }
 }
 
-/// Stacks per-lane observations `[C,H,W]` into one `[K, C, H, W]` batch.
-fn stack_observations(obs: &[Tensor]) -> Tensor {
-    let mut shape = Vec::with_capacity(obs[0].shape().len() + 1);
-    shape.push(obs.len());
-    shape.extend_from_slice(obs[0].shape());
-    let mut data = Vec::with_capacity(obs.len() * obs[0].len());
-    for o in obs {
-        data.extend_from_slice(o.data());
+/// Stacks per-lane depth images (one camera geometry) into a batched
+/// `[lanes, 1, H, W]` observation tensor.
+fn observation_batch(images: &[Image]) -> Tensor {
+    let (h, w) = (images[0].height(), images[0].width());
+    let mut obs = Tensor::zeros(&[images.len(), 1, h, w]);
+    for (lane, img) in images.iter().enumerate() {
+        obs.sample_mut(lane).copy_from_slice(img.data());
     }
-    Tensor::from_vec(&shape, data)
-}
-
-/// Depth image → CNN input tensor.
-pub(crate) fn to_tensor(img: &Image) -> Tensor {
-    Tensor::from_vec(&[1, img.height(), img.width()], img.data().to_vec())
+    obs
 }
 
 /// Result of a frozen-policy evaluation flight.
@@ -831,10 +808,13 @@ pub fn evaluate_vec(
     let mut sfd = SafeFlightTracker::new();
     let mut reward_sum = 0.0f64;
 
-    let mut obs: Vec<Tensor> = venv.reset_all().iter().map(to_tensor).collect();
+    // One batched observation and one Q output, overwritten in place,
+    // as in the trainer's rollout.
+    let mut obs = observation_batch(&venv.reset_all());
+    let mut q = Tensor::zeros(&[1]);
     let mut stepped = 0u64;
     while stepped < steps {
-        let q = agent.q_values_batch(&stack_observations(&obs));
+        agent.q_values_batch_into(&obs, &mut q);
         let act: Vec<Action> = (0..k)
             .map(|i| Action::from_index(schedule.choose_slice(q.sample(i), stepped, &mut rng)))
             .collect();
@@ -842,9 +822,9 @@ pub fn evaluate_vec(
             reward_sum += f64::from(s.reward);
             if s.crashed {
                 sfd.record_episode(venv.episode_distance(i));
-                obs[i] = to_tensor(&venv.reset(i));
+                obs.sample_mut(i).copy_from_slice(venv.reset(i).data());
             } else {
-                obs[i] = to_tensor(&s.observation);
+                obs.sample_mut(i).copy_from_slice(s.observation.data());
             }
         }
         stepped += k as u64;

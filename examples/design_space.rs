@@ -5,42 +5,48 @@
 //! cargo run --release --example design_space
 //! ```
 
-use mramrl::{DesignSweep, Topology};
+use mramrl::dse::{self, DesignSpace, ScenarioMix};
+use mramrl::mem::TechKind;
+use mramrl::Topology;
 
 fn main() {
-    let sweep = DesignSweep::date19();
+    // SRAM capacities × the four topologies on the paper's 128 MB
+    // STT-MRAM stack, at batch 4 with online learning on every frame.
+    let space = DesignSpace {
+        sram_mb: vec![8.0, 12.7, 30.0, 45.0, 63.0],
+        mram_mb: vec![128.0],
+        techs: vec![TechKind::SttMram],
+        topologies: Topology::ALL.to_vec(),
+        batches: vec![4],
+        mixes: vec![ScenarioMix::continuous()],
+    };
+    let results = dse::sweep(&space);
     println!(
         "{:<10} {:<6} {:>10} {:>15} {:>14} {:>12} {:>16}",
         "SRAM [MB]", "topo", "placeable", "NVM write-free", "SRAM used", "fps@4", "mJ/frame"
     );
-    for p in sweep.run() {
+    for r in &results {
+        let placed = |text: String| if r.placeable { text } else { "-".into() };
         println!(
             "{:<10} {:<6} {:>10} {:>15} {:>14} {:>12} {:>16}",
-            p.sram_mb,
-            p.topology.to_string(),
-            p.placeable,
-            p.nvm_write_free,
-            if p.placeable {
-                format!("{:.2}", p.sram_used_mb)
-            } else {
-                "-".into()
-            },
-            if p.placeable {
-                format!("{:.1}", p.fps_batch4)
-            } else {
-                "-".into()
-            },
-            if p.placeable {
-                format!("{:.0}", p.energy_per_frame_mj)
-            } else {
-                "-".into()
-            },
+            r.config.sram_mb,
+            r.config.topology.to_string(),
+            r.placeable,
+            r.nvm_write_free,
+            placed(format!("{:.2}", r.sram_used_mb)),
+            placed(format!("{:.1}", r.fps)),
+            placed(format!("{:.0}", r.energy_per_frame_mj)),
         );
     }
 
     println!("\nWrite-free frontier (the paper's three architectures):");
     for topo in [Topology::L2, Topology::L3, Topology::L4] {
-        if let Some(mb) = sweep.min_sram_for(topo) {
+        let min_sram = results
+            .iter()
+            .filter(|r| r.config.topology == topo && r.nvm_write_free)
+            .map(|r| r.config.sram_mb)
+            .min_by(f64::total_cmp);
+        if let Some(mb) = min_sram {
             println!("  {topo}: ≥ {mb} MB SRAM");
         }
     }

@@ -17,10 +17,10 @@
 //! * [`systolic`] — the 32×32 PE array and its Type I/II/III mappings.
 //! * [`accel`] — the latency/energy/power model (Fig. 12/13).
 //! * [`core`] — the co-design API: [`Platform`], [`Mission`],
-//!   [`DeploymentSim`], design-space sweeps, [`headline`].
-//! * [`dse`] — fleet-scale design-space exploration: the parallel
-//!   SRAM × MRAM × technology × topology × batch × scenario sweep and
-//!   its 4-axis Pareto frontier report.
+//!   [`DeploymentSim`], [`headline`].
+//! * [`dse`] — design-space exploration, from the paper's SRAM ×
+//!   topology grid to the fleet-scale SRAM × MRAM × technology ×
+//!   topology × batch × scenario sweep and its 4-axis Pareto frontier.
 //!
 //! # Examples
 //!
@@ -46,8 +46,8 @@ pub use mramrl_serve as serve;
 pub use mramrl_systolic as systolic;
 
 pub use mramrl_core::{
-    headline, Calibration, CoreError, DeploymentSim, DesignSweep, Headline, Mission, Platform,
-    PlatformModel, Topology, ENV_CLASSES,
+    headline, Calibration, CoreError, DeploymentSim, Headline, Mission, Platform, PlatformModel,
+    Topology, ENV_CLASSES,
 };
 pub use mramrl_env::{DroneEnv, EnvKind};
 pub use mramrl_nn::{NetworkSpec, Tensor};

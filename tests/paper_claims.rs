@@ -2,7 +2,29 @@
 //! the reproduction's outputs (the executable EXPERIMENTS.md).
 
 use mramrl::accel::{paper, PlatformModel};
+use mramrl::dse::{DesignSpace, DseResult, ScenarioMix};
+use mramrl::mem::TechKind;
 use mramrl::{headline, Calibration, Mission, NetworkSpec, Platform, Topology};
+
+/// The §II-D co-design grid through the design-space evaluator: the
+/// given SRAM capacities × the four topologies on the paper's 128 MB
+/// STT-MRAM stack, batch 4, learning on every frame.
+fn codesign_grid(sram_mb: &[f64]) -> Vec<DseResult> {
+    mramrl::dse::sweep(&DesignSpace {
+        sram_mb: sram_mb.to_vec(),
+        mram_mb: vec![128.0],
+        techs: vec![TechKind::SttMram],
+        topologies: Topology::ALL.to_vec(),
+        batches: vec![4],
+        mixes: vec![ScenarioMix::continuous()],
+    })
+}
+
+fn point(grid: &[DseResult], topo: Topology) -> &DseResult {
+    grid.iter()
+        .find(|r| r.config.topology == topo)
+        .expect("topology in grid")
+}
 
 #[test]
 fn claim_fig1_fps_equals_v_over_dmin() {
@@ -125,4 +147,41 @@ fn claim_orderings_hold_without_anchoring() {
     let h = headline(Calibration::ideal());
     assert!(h.latency_reduction_pct > 50.0);
     assert!(h.energy_reduction_pct > 50.0);
+}
+
+#[test]
+fn claim_write_free_sram_thresholds() {
+    // §II-D's three embedded architectures: L2 trains without NVM writes
+    // from 12.7 MB of SRAM, L3 from 30 MB, L4 from 63 MB; E2E never.
+    let grid = codesign_grid(&[8.0, 12.7, 30.0, 45.0, 63.0]);
+    let min_sram = |topo| {
+        grid.iter()
+            .filter(|r| r.config.topology == topo && r.nvm_write_free)
+            .map(|r| r.config.sram_mb)
+            .min_by(f64::total_cmp)
+    };
+    assert_eq!(min_sram(Topology::L2), Some(12.7));
+    assert_eq!(min_sram(Topology::L3), Some(30.0));
+    assert_eq!(min_sram(Topology::L4), Some(63.0));
+    assert_eq!(min_sram(Topology::E2E), None);
+}
+
+#[test]
+fn claim_30mb_sram_trains_l2_and_l3_write_free() {
+    let row = codesign_grid(&[30.0]);
+    assert!(point(&row, Topology::L2).nvm_write_free);
+    assert!(point(&row, Topology::L3).nvm_write_free);
+    // L4 places but is degraded: FC2 writes the stack on every update.
+    let l4 = point(&row, Topology::L4);
+    assert!(l4.placeable && !l4.nvm_write_free);
+    assert!(l4.nvm_write_bytes_per_s > 0.0);
+    assert!(!point(&row, Topology::E2E).placeable);
+}
+
+#[test]
+fn claim_smaller_tails_sustain_higher_fps() {
+    let row = codesign_grid(&[63.0]);
+    let fps = |topo| point(&row, topo).fps;
+    assert!(fps(Topology::L2) > fps(Topology::L3));
+    assert!(fps(Topology::L3) > fps(Topology::L4));
 }
