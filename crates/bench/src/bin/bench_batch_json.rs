@@ -11,17 +11,16 @@
 //!
 //! The pool sweep injects a fresh `mramrl_nn::pool::ThreadPool` per
 //! `threads` cell (the injectable-handle path — no env games) and times
-//! **every** backend at every pool size: `naive`/`blocked` also reach
-//! the pool through the agent's join2 overlap of the target/online
-//! forwards, so their cells are not thread-invariant. Acceptance bars
+//! **every** backend at every pool size: every backend reaches the
+//! pool through the agent's join2 overlap of the target/online
+//! forwards, so no cell is thread-invariant. Acceptance bars
 //! recorded in the JSON: `batched(32) ≥ 2× serial(32)` on the blocked
-//! backend at one thread, and — on a multi-core runner — threaded
-//! batched(32) ≥ 1.5× blocked batched(32) at the same pool size.
+//! backend at one thread.
 //!
 //! A **quantised-inference cell family** rides along (modes
 //! `infer-f32` / `infer-q8.8` / `infer-q8.8-serial`): the Q8.8
 //! deployment engine (`mramrl_nn::quant`, `docs/fixed_point.md`) at
-//! batch 1/8/32 per integer backend (naive/blocked/pooled) and pool
+//! batch 1/8/32 per integer backend (naive/blocked/simd) and pool
 //! size, next to the float forward on the same weights and frames. The
 //! JSON records the per-backend `q8.8 batched(32) / serial(32)` speedup
 //! (bar: ≥ 4× on blocked) and the float-vs-Q8.8 throughput ratio.
@@ -43,7 +42,7 @@
 //! `--tiny`) on the `blocked` and `simd` integer backends, recording
 //! GMAC/s and the `speedup_qgemm_simd_vs_blocked` key (bar: ≥ 1.5× on
 //! AVX2 hosts; honestly recorded either way — on non-x86 hosts `simd`
-//! falls back to the pooled kernel and the ratio documents that).
+//! falls back to the blocked kernel and the ratio documents that).
 //!
 //! Flags: `--reps N` (timed repetitions per cell, default 10),
 //! `--backend <name>` narrows to one backend, `--pool-threads N` sets
@@ -416,21 +415,6 @@ fn main() {
         _ => None,
     };
 
-    // The multi-core bar: threaded batched(32) against blocked
-    // batched(32) at the SAME pool size (blocked also gets the pool's
-    // join2 forward overlap, so same-size cells are the fair baseline).
-    let mut multicore = Vec::new();
-    for &t in thread_counts.iter().filter(|&&t| t > 1) {
-        if let (Some(th), Some(bl)) = (
-            ns_of("threaded", "batched", t),
-            ns_of("blocked", "batched", t),
-        ) {
-            let s = bl / th;
-            println!("speedup threaded batched(32) vs blocked batched(32) @ {t} threads: {s:.2}x");
-            multicore.push((t, s));
-        }
-    }
-
     // The actor/learner acceptance bar: the best train-parallel cell
     // (any width, precision, backend, pool) against the best
     // single-fleet train-vec cell, in transitions/sec. Alongside it,
@@ -549,15 +533,7 @@ fn main() {
             if i + 1 == regimes.len() { "" } else { "," }
         ));
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"speedup_threaded_batched32_vs_blocked_batched32\": {");
-    for (i, (t, s)) in multicore.iter().enumerate() {
-        json.push_str(&format!(
-            "{}\"{t}\": {s:.3}",
-            if i == 0 { "" } else { ", " }
-        ));
-    }
-    json.push_str("}\n}\n");
+    json.push_str("  ]\n}\n");
 
     if let Some(path) = save_bench_json("BENCH_batch.json", &json) {
         println!("wrote {}", path.display());

@@ -3,8 +3,8 @@
 //! `--full` is passed (budget minutes for `--full`).
 //!
 //! Every flag is forwarded verbatim to each child binary, so
-//! `repro_all -- --backend threaded` runs the NN-heavy experiments on the
-//! multi-threaded GEMM backend (see `docs/gemm_backends.md`).
+//! `repro_all -- --backend simd` runs the NN-heavy experiments on the
+//! SIMD GEMM backend (see `docs/gemm_backends.md`).
 
 use std::path::Path;
 use std::process::Command;

@@ -14,7 +14,7 @@
 //! bit-identity discipline (bitwise GEMM family for training, bitwise
 //! Q8.8 engine for acting, seed-derived scenario lanes). The emitted
 //! bytes must therefore be identical across
-//! `NN_GEMM_BACKEND ∈ {naive, blocked, threaded}` and any
+//! `NN_GEMM_BACKEND ∈ {naive, blocked}` and any
 //! `NN_POOL_THREADS` — the named CI gate diffs them.
 //!
 //! Flags: `--seed`, `--iters` (online RL), `--tl` (transfer iters),

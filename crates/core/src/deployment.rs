@@ -7,7 +7,6 @@
 //! ablation's write-traffic numbers.
 
 use mramrl_env::{DroneEnv, EnvKind, VecEnv};
-use mramrl_mem::tech::TechParams;
 use mramrl_mem::WearTracker;
 use mramrl_nn::Topology;
 use mramrl_rl::{QAgent, Trainer, TrainerConfig};
@@ -118,8 +117,9 @@ impl DeploymentSim {
         let plan = self.platform.placement();
         let nvm_bytes_written = iterations * plan.nvm_writeback_bytes_per_update()
             + frames * plan.nvm_rmw_bytes_per_frame();
+        // Wear on the stack technology the platform was built with.
         let mut wear = WearTracker::new(
-            TechParams::stt_mram(),
+            model.params().mram.clone(),
             (self.platform.mram_capacity_mb() * 1.0e6) as u64,
         );
         wear.record_write_bytes(nvm_bytes_written);
@@ -184,6 +184,27 @@ mod tests {
         // One weight update per batch-4 iteration.
         assert_eq!(report.nvm_bytes_written, 30 * per_update + 120 * per_frame);
         assert!(report.nvm_wear_fraction > 0.0);
+    }
+
+    #[test]
+    fn wear_follows_the_platform_technology() {
+        // The same E2E placement on an RRAM stack writes the same bytes
+        // as on STT-MRAM, but RRAM's 1e9-cycle endurance wears 1000×
+        // faster than STT-MRAM's 1e12 — the report must charge RRAM.
+        use mramrl_accel::{Calibration, SystemParams};
+        use mramrl_mem::tech::TechParams;
+        let mut rram = SystemParams::date19();
+        rram.mram = TechParams::rram();
+        let platform =
+            Platform::with_system(Topology::E2E, 30.0, 256.0, rram, Calibration::date19()).unwrap();
+        let report = DeploymentSim::new(platform, EnvKind::IndoorApartment, 7).fly(8);
+        assert!(report.nvm_bytes_written > 0);
+        let mut want = WearTracker::new(TechParams::rram(), 256_000_000);
+        want.record_write_bytes(report.nvm_bytes_written);
+        assert_eq!(report.nvm_wear_fraction, want.wear_fraction());
+        let mut stt = WearTracker::new(TechParams::stt_mram(), 256_000_000);
+        stt.record_write_bytes(report.nvm_bytes_written);
+        assert!(report.nvm_wear_fraction > 100.0 * stt.wear_fraction());
     }
 
     #[test]

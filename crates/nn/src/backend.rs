@@ -9,22 +9,27 @@
 //! |------------|------------------------------------------------|-----|
 //! | [`GemmBackend::Naive`]    | reference triple loops ([`crate::gemm::matmul`]) | correctness oracle |
 //! | [`GemmBackend::Blocked`]  | k-panel packed, `MR×NR` register-tiled kernel   | default |
-//! | [`GemmBackend::Threaded`] | row bands on the persistent [`crate::pool`] over the blocked kernel | large shapes / multi-core |
-//! | [`GemmBackend::Simd`]     | explicit AVX2+FMA lane kernel ([`crate::simd`]), pool row bands, blocked fallback | max single-core throughput |
+//! | [`GemmBackend::Simd`]     | explicit AVX2+FMA lane kernel ([`crate::simd`]), blocked fallback | max single-core throughput |
+//!
+//! Every kernel here runs on the calling thread. Whether a pass spreads
+//! over the [`crate::pool`] is decided one level up, by the layers, with
+//! one rule for every backend (`pool::split_parts`): conv
+//! forwards split into slabs of samples, FC forwards into output-row
+//! bands, backwards into `dW ∥ dX`. See `docs/threading.md`.
 //!
 //! # Summation-order contract (exactness policy)
 //!
-//! The [`GemmBackend::BITWISE`] backends (naive/blocked/threaded)
-//! compute every output element with a **single accumulator** and add
-//! contributions in **ascending order of the contraction index** (`k`
-//! for `A·B`, the shared row index `i` for `Aᵀ·B`). Rust never
-//! re-associates float arithmetic and no FMA contraction is emitted
-//! from safe code here, so those three backends are **bit-for-bit
-//! identical** — signed zeros included, and with `NaN`s in exactly the
-//! same positions. The single carve-out: `NaN` *payload* bits are
-//! unspecified by IEEE-754 (LLVM may commute float operands), so only
-//! `NaN`-ness, not the payload, is guaranteed. The equivalence
-//! proptests in `crates/nn/tests/gemm_backends.rs` assert this with
+//! The [`GemmBackend::BITWISE`] backends (naive/blocked) compute every
+//! output element with a **single accumulator** and add contributions
+//! in **ascending order of the contraction index** (`k` for `A·B`, the
+//! shared row index `i` for `Aᵀ·B`). Rust never re-associates float
+//! arithmetic and no FMA contraction is emitted from safe code here, so
+//! the two backends are **bit-for-bit identical** — signed zeros
+//! included, and with `NaN`s in exactly the same positions. The single
+//! carve-out: `NaN` *payload* bits are unspecified by IEEE-754 (LLVM
+//! may commute float operands), so only `NaN`-ness, not the payload, is
+//! guaranteed. The equivalence proptests in
+//! `crates/nn/tests/gemm_backends.rs` assert this with
 //! payload-canonicalised `f32::to_bits`. See `docs/gemm_backends.md`
 //! for the full blocking/packing writeup.
 //!
@@ -39,19 +44,17 @@
 //!
 //! # Environment knobs
 //!
-//! * `NN_GEMM_BACKEND` — `naive` | `blocked` | `threaded` | `simd`;
-//!   the process-wide default returned by [`default_backend`]
-//!   (default: `blocked`). Parsed by [`env_backend_knob`], which warns
-//!   on stderr for unknown values instead of silently defaulting.
+//! * `NN_GEMM_BACKEND` — `naive` | `blocked` | `simd`; the process-wide
+//!   default returned by [`default_backend`] (default: `blocked`).
+//!   Parsed by [`env_backend_knob`], which warns on stderr for unknown
+//!   values — the retired `threaded` among them — instead of silently
+//!   defaulting.
 //! * `NN_SIMD` — `auto` (default) | `off`: forces
 //!   [`GemmBackend::Simd`] onto its blocked scalar fallback even where
 //!   feature detection would pick the lane kernels
 //!   ([`crate::simd::simd_active`]).
 //!
-//! `NN_GEMM_BACKEND` is read once and cached. The row-band count of
-//! [`GemmBackend::Threaded`] and [`GemmBackend::Simd`] is the current
-//! [`crate::pool`]'s executor count (`NN_POOL_THREADS`, or an injected
-//! test pool — see `docs/threading.md`), re-read per call.
+//! `NN_GEMM_BACKEND` is read once and cached.
 //!
 //! # Examples
 //!
@@ -83,24 +86,6 @@ const NR: usize = 8;
 /// sweeps it.
 const NC: usize = 512;
 
-/// Below this many multiply-accumulates a threaded launch costs more than
-/// it saves; [`GemmBackend::Threaded`] falls back to the blocked kernel.
-///
-/// Rationale, with numbers measured on the dev container: the blocked
-/// kernel sustains ≈ 10.5 GMAC/s single-core (64³ = 262 k MACs ≈ 23 µs,
-/// flat through the CONV1 shape), and one pool submit + latch round trip
-/// costs ≈ 0.4 µs queue-side plus a few µs of cross-core condvar wakeup
-/// on real multi-core hardware. At the `2^18`-MAC threshold a serial
-/// sweep is ~25 µs, so dispatch is ≲ 15 % and two cores already win;
-/// an order of magnitude lower the whole product costs less than waking
-/// the workers. Banding also re-streams the shared operand per band
-/// (all `m` rows of `A`/`B` for `Aᵀ·B` — though each band now reads
-/// only its own `kks`-wide window of every `A` row), which is the other
-/// reason not to push the threshold lower. The same floor gates the
-/// layer-level `dW ∥ dX` backward join in [`crate::Linear`] and
-/// [`crate::Conv2d`].
-pub(crate) const PAR_MIN_MACS: usize = 1 << 18;
-
 /// Which GEMM kernel the NN layers use for their matrix products.
 ///
 /// Selection is threaded through [`crate::Conv2d`], [`crate::Linear`],
@@ -114,16 +99,11 @@ pub enum GemmBackend {
     /// Cache-blocked, k-panel-packed, `MR×NR` register-tiled kernel.
     #[default]
     Blocked,
-    /// Row-band multi-threading on the persistent [`crate::pool`] over
-    /// the blocked kernel, one band per pool executor. Also unlocks
-    /// batch-level sample parallelism in the batched conv passes.
-    Threaded,
-    /// Explicit AVX2+FMA lane kernel ([`crate::simd`]) with the same
-    /// pool row-band scatter as `Threaded`, under the documented FMA
-    /// **tolerance tier** (equal to the bitwise family to rounding,
-    /// bitwise self-consistent across batch/band/pool). Falls back to
-    /// the blocked kernel — bit for bit — when the host lacks
-    /// AVX2+FMA, when `NN_SIMD=off`, or under a test's
+    /// Explicit AVX2+FMA lane kernel ([`crate::simd`]) under the
+    /// documented FMA **tolerance tier** (equal to the bitwise family
+    /// to rounding, bitwise self-consistent across batch/band/pool).
+    /// Falls back to the blocked kernel — bit for bit — when the host
+    /// lacks AVX2+FMA, when `NN_SIMD=off`, or under a test's
     /// [`crate::simd::force_scalar`] guard.
     Simd,
 }
@@ -131,29 +111,19 @@ pub enum GemmBackend {
 impl GemmBackend {
     /// All backends, oracle first — handy for benches and equivalence
     /// tests.
-    pub const ALL: [GemmBackend; 4] = [
-        GemmBackend::Naive,
-        GemmBackend::Blocked,
-        GemmBackend::Threaded,
-        GemmBackend::Simd,
-    ];
+    pub const ALL: [GemmBackend; 3] = [GemmBackend::Naive, GemmBackend::Blocked, GemmBackend::Simd];
 
     /// The backends under the bit-for-bit summation-order contract
     /// (everything but the FMA tolerance tier) — the sweep cross-backend
     /// bitwise tests run over. [`GemmBackend::Simd`] is excluded: it is
     /// bitwise only against itself, and equal to these to rounding.
-    pub const BITWISE: [GemmBackend; 3] = [
-        GemmBackend::Naive,
-        GemmBackend::Blocked,
-        GemmBackend::Threaded,
-    ];
+    pub const BITWISE: [GemmBackend; 2] = [GemmBackend::Naive, GemmBackend::Blocked];
 
     /// Stable lowercase name (the `NN_GEMM_BACKEND` / `--backend` token).
     pub fn name(self) -> &'static str {
         match self {
             GemmBackend::Naive => "naive",
             GemmBackend::Blocked => "blocked",
-            GemmBackend::Threaded => "threaded",
             GemmBackend::Simd => "simd",
         }
     }
@@ -163,23 +133,6 @@ impl GemmBackend {
     /// latter warns on stderr).
     pub fn from_env() -> Self {
         env_backend_knob("NN_GEMM_BACKEND").unwrap_or_default()
-    }
-
-    /// `true` when a caller-level 2-way overlap of passes on this
-    /// backend buys nothing: its kernels already band every large
-    /// product over the [`crate::pool`] (`Threaded`, `Simd`), or the
-    /// current pool has a single executor. A `join2` would then pin each
-    /// side to one executor (nested pool calls run inline) and serialize
-    /// the fan-out inside it. The one predicate behind every overlap
-    /// above the kernels: the layers' `dW ∥ dX` backward join and the
-    /// `mramrl_rl` agent's and trainer's joins.
-    ///
-    /// The backend is tested first, so a naive/blocked caller reaches
-    /// [`crate::pool::current_threads`] — which spawns the global pool
-    /// on first use — only after its own size gate passed.
-    pub fn fans_out(self) -> bool {
-        matches!(self, GemmBackend::Threaded | GemmBackend::Simd)
-            || crate::pool::current_threads() <= 1
     }
 
     /// Dense row-major `C[m×n] = A[m×k] · B[k×n]` with this backend.
@@ -208,8 +161,10 @@ impl GemmBackend {
         match self {
             GemmBackend::Naive => crate::gemm::matmul_into(c, a, b, m, k, n),
             GemmBackend::Blocked => matmul_blocked_into(c, a, b, m, k, n),
-            GemmBackend::Threaded => matmul_threaded_into(c, a, b, m, k, n),
-            GemmBackend::Simd => matmul_simd_into(c, a, b, m, k, n),
+            GemmBackend::Simd if crate::simd::simd_active() => {
+                crate::simd::matmul_band_f32(c, a, b, m, k, n)
+            }
+            GemmBackend::Simd => matmul_blocked_into(c, a, b, m, k, n),
         }
     }
 
@@ -245,19 +200,13 @@ impl GemmBackend {
         assert_eq!(c.len(), k * n, "C dimensions");
         match self {
             GemmBackend::Naive => crate::gemm::matmul_at_b_into(c, a, b, m, k, n),
-            GemmBackend::Blocked => {
-                c.fill(0.0);
-                at_b_band(c, a, b, m, k, n, 0, k);
-            }
             // The backward contraction stays in the bitwise family:
             // `Aᵀ·B` is a rank-1-update sweep (no contiguous dots to
             // hand the FMA lanes without changing its ascending-`i`
-            // chain shape), so `Simd` delegates to the pooled blocked
-            // kernel — batched-training gradients keep the exact bits
-            // PR 3/4 pinned, and only forwards ride the tolerance tier.
-            GemmBackend::Threaded | GemmBackend::Simd => {
-                matmul_at_b_threaded_into(c, a, b, m, k, n)
-            }
+            // chain shape), so `Simd` runs the blocked kernel —
+            // batched-training gradients keep the bitwise family's
+            // exact bits, and only forwards ride the tolerance tier.
+            GemmBackend::Blocked | GemmBackend::Simd => at_b_blocked_into(c, a, b, m, k, n),
         }
     }
 }
@@ -269,10 +218,9 @@ impl FromStr for GemmBackend {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(GemmBackend::Naive),
             "blocked" => Ok(GemmBackend::Blocked),
-            "threaded" => Ok(GemmBackend::Threaded),
             "simd" => Ok(GemmBackend::Simd),
             other => Err(format!(
-                "unknown GEMM backend {other:?} (expected naive|blocked|threaded|simd)"
+                "unknown GEMM backend {other:?} (expected naive|blocked|simd)"
             )),
         }
     }
@@ -409,55 +357,12 @@ fn matmul_band(c: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n: us
     }
 }
 
-/// Threaded `A·B`: contiguous row bands of `C` scattered over the
-/// persistent [`crate::pool`], each running the blocked kernel on its
-/// band, into `c`. Pure disjoint scatter — every output element is
-/// computed by exactly one band with the blocked kernel's summation
-/// order, so the result is bit-identical to serial at any thread count.
-fn matmul_threaded_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    let threads = crate::pool::current_threads().min(m.max(1));
-    if threads <= 1 || m * k * n < PAR_MIN_MACS || n < 8 {
-        matmul_blocked_into(c, a, b, m, k, n);
-        return;
-    }
-    let band_rows = m.div_ceil(threads);
-    crate::pool::current().scatter_chunks(c, band_rows * n, |t, cband| {
-        let rows = cband.len() / n;
-        let aband = &a[t * band_rows * k..(t * band_rows + rows) * k];
-        matmul_band(cband, aband, b, rows, k, n);
-    });
-}
-
-/// `A·B` on the explicit lane kernel: [`crate::simd::matmul_band_f32`]
-/// over pool row bands (the `Threaded` scatter, same thresholds).
-/// Every element is one ascending-`k` FMA chain wherever it lands, so
-/// banding is invisible to the bits; with the SIMD gate closed
-/// ([`crate::simd::simd_active`] false) the whole product runs the
-/// blocked kernel and the backend is bit-identical to `Blocked`.
-fn matmul_simd_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    if !crate::simd::simd_active() {
-        matmul_blocked_into(c, a, b, m, k, n);
-        return;
-    }
-    let threads = crate::pool::current_threads().min(m.max(1));
-    if threads <= 1 || m * k * n < PAR_MIN_MACS || n < 8 {
-        crate::simd::matmul_band_f32(c, a, b, m, k, n);
-        return;
-    }
-    let band_rows = m.div_ceil(threads);
-    crate::pool::current().scatter_chunks(c, band_rows * n, |t, cband| {
-        let rows = cband.len() / n;
-        let aband = &a[t * band_rows * k..(t * band_rows + rows) * k];
-        crate::simd::matmul_band_f32(cband, aband, b, rows, k, n);
-    });
-}
-
 /// Rows of `A`/`B` consumed together by one `Aᵀ·B` sweep: the output is
 /// re-streamed once per group, so 8 rows cut output traffic 8×.
 const MR_ATB: usize = 8;
 
-/// Blocked `Aᵀ·B` over the output rows `[kk0, kk0 + kks)`, written into
-/// the zero-initialised band `c` (length `kks·n`).
+/// Blocked `Aᵀ·B` over the whole output (single thread), into `c`
+/// (fully overwritten).
 ///
 /// The contraction runs over the *shared row index* `i`, so the natural
 /// kernel is a sequence of rank-1 updates; grouping `MR_ATB = 8` input
@@ -465,32 +370,20 @@ const MR_ATB: usize = 8;
 /// once per row. The eight products are added left-to-right inside one
 /// expression — still ascending-`i` order per output element, hence
 /// bitwise identical to the naive loop.
-#[allow(clippy::too_many_arguments)]
-fn at_b_band(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    kk0: usize,
-    kks: usize,
-) {
+fn at_b_blocked_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    c.fill(0.0);
     let mut i = 0;
     while i + MR_ATB <= m {
-        // Hoisted band window: each A row is sliced to exactly the
-        // `[kk0, kk0 + kks)` columns this band reads, so the sweep below
-        // indexes with `kk` against a slice of length `kks` — one bounds
-        // proof per row per group instead of one check per element, and
-        // no re-reading of the rest of the row (every band used to slice
-        // all `k` columns of every one of the `m` shared rows).
-        let ar = |r: usize| &a[(i + r) * k + kk0..(i + r) * k + kk0 + kks];
+        // Hoisted row slices: the sweep below indexes with `kk` against
+        // slices of length `k` — one bounds proof per row per group
+        // instead of one check per element.
+        let ar = |r: usize| &a[(i + r) * k..(i + r + 1) * k];
         let br = |r: usize| &b[(i + r) * n..(i + r + 1) * n];
         let (a0, a1, a2, a3) = (ar(0), ar(1), ar(2), ar(3));
         let (a4, a5, a6, a7) = (ar(4), ar(5), ar(6), ar(7));
         let (b0, b1, b2, b3) = (br(0), br(1), br(2), br(3));
         let (b4, b5, b6, b7) = (br(4), br(5), br(6), br(7));
-        for kk in 0..kks {
+        for kk in 0..k {
             let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
             let (x4, x5, x6, x7) = (a4[kk], a5[kk], a6[kk], a7[kk]);
             let crow = &mut c[kk * n..(kk + 1) * n];
@@ -510,11 +403,9 @@ fn at_b_band(
         i += MR_ATB;
     }
     while i < m {
-        // Same hoisted window for the ragged tail rows.
-        let arow = &a[i * k + kk0..i * k + kk0 + kks];
+        let arow = &a[i * k..(i + 1) * k];
         let brow = &b[i * n..(i + 1) * n];
-        for kk in 0..kks {
-            let x = arow[kk];
+        for (kk, &x) in arow.iter().enumerate() {
             let crow = &mut c[kk * n..(kk + 1) * n];
             for (cv, &bv) in crow.iter_mut().zip(brow) {
                 *cv += x * bv;
@@ -522,27 +413,6 @@ fn at_b_band(
         }
         i += 1;
     }
-}
-
-/// Threaded `Aᵀ·B`: the `k` output rows are split into contiguous bands
-/// scattered over the persistent [`crate::pool`]; every band sweeps all
-/// `m` input rows (in ascending order, reading only its own `kks`-wide
-/// window of each `A` row) over its own slice of the output. Each band
-/// zeroes and accumulates its own slice, so the scatter is disjoint and
-/// bit-identical to serial at any thread count.
-fn matmul_at_b_threaded_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    let threads = crate::pool::current_threads().min(k.max(1));
-    if threads <= 1 || m * k * n < PAR_MIN_MACS || n == 0 {
-        c.fill(0.0);
-        at_b_band(c, a, b, m, k, n, 0, k);
-        return;
-    }
-    let band_rows = k.div_ceil(threads);
-    crate::pool::current().scatter_chunks(c, band_rows * n, |t, cband| {
-        let kks = cband.len() / n;
-        cband.fill(0.0);
-        at_b_band(cband, a, b, m, k, n, t * band_rows, kks);
-    });
 }
 
 #[cfg(test)]
@@ -559,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_and_threaded_match_naive_bitwise() {
+    fn blocked_matches_naive_bitwise() {
         for (m, k, n) in [
             (0usize, 3usize, 4usize),
             (3, 0, 4),
@@ -573,14 +443,12 @@ mod tests {
             let a = fill(m * k, 1);
             let b = fill(k * n, 2);
             let want = GemmBackend::Naive.matmul(&a, &b, m, k, n);
-            for be in [GemmBackend::Blocked, GemmBackend::Threaded] {
-                let got = be.matmul(&a, &b, m, k, n);
-                assert_eq!(
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{be} m={m} k={k} n={n}"
-                );
-            }
+            let got = GemmBackend::Blocked.matmul(&a, &b, m, k, n);
+            assert_eq!(
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "m={m} k={k} n={n}"
+            );
         }
     }
 
@@ -590,14 +458,12 @@ mod tests {
             let a = fill(m * k, 3);
             let b = fill(m * n, 4);
             let want = GemmBackend::Naive.matmul_at_b(&a, &b, m, k, n);
-            for be in [GemmBackend::Blocked, GemmBackend::Threaded] {
-                let got = be.matmul_at_b(&a, &b, m, k, n);
-                assert_eq!(
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{be} m={m} k={k} n={n}"
-                );
-            }
+            let got = GemmBackend::Blocked.matmul_at_b(&a, &b, m, k, n);
+            assert_eq!(
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "m={m} k={k} n={n}"
+            );
         }
     }
 
@@ -612,6 +478,7 @@ mod tests {
             GemmBackend::Blocked
         );
         assert!("gpu".parse::<GemmBackend>().is_err());
+        assert!("threaded".parse::<GemmBackend>().is_err());
     }
 
     #[test]
@@ -623,10 +490,11 @@ mod tests {
         for be in GemmBackend::ALL {
             assert_eq!(parse_backend_knob("K", be.name()), Some(be));
         }
-        assert_eq!(
-            parse_backend_knob("K", " Threaded "),
-            Some(GemmBackend::Threaded)
-        );
+        assert_eq!(parse_backend_knob("K", " Simd "), Some(GemmBackend::Simd));
+        // The retired row-band backend warns and falls back to blocked
+        // (the `None` that `from_env` defaults), never a panic.
+        assert_eq!(parse_backend_knob("K", "threaded"), None);
+        assert_eq!(parse_backend_knob("K", " Threaded "), None);
         assert_eq!(parse_backend_knob("K", "gpu"), None);
         assert_eq!(parse_backend_knob("K", ""), None);
         assert_eq!(env_backend_knob("NN_TEST_BACKEND_KNOB_UNSET"), None);

@@ -20,26 +20,23 @@ use crate::workspace::LayerWs;
 /// `W[out_c × taps] · cols[taps × N·positions]` forward,
 /// `G[N·positions × out_c] · W` for the input gradient — so batching
 /// multiplies the GEMM's long dimension by `N`, exactly where the
-/// register-tiled and row-band-threaded kernels win. Weight gradients
-/// reduce *across* samples, so they are computed as per-sample
-/// `Gᵢᵀ·colsᵢ` products accumulated in ascending sample order — the
-/// association the serial path uses, which is what makes batched ≡ serial
-/// bit-identical (see `docs/batching.md`). [`Layer::backward_batch_params`]
-/// skips the input-gradient GEMM and its col2im scatter. On the
-/// single-threaded kernels the `dW`/`db` loop and the `dX` GEMM + col2im
-/// run side by side on the pool (`dW ∥ dX`, see [`GemmBackend::fans_out`]).
+/// register-tiled kernels win. Weight gradients reduce *across*
+/// samples, so they are computed as per-sample `Gᵢᵀ·colsᵢ` products
+/// accumulated in ascending sample order — the association the serial
+/// path uses, which is what makes batched ≡ serial bit-identical (see
+/// `docs/batching.md`). [`Layer::backward_batch_params`] skips the
+/// input-gradient GEMM and its col2im scatter.
 ///
-/// On the `Threaded` backend with `N > 1`, parallelism moves **up to the
-/// batch axis**: each sample's whole pipeline (im2col expansion, GEMMs,
-/// bias add, col2im scatter) is one [`crate::pool`] task writing its own
-/// disjoint workspace chunks, and the cross-sample `dW`/`db` reductions
-/// become per-sample partial buffers merged on the caller in ascending
-/// sample order — the same per-element float-op sequences as the serial
-/// pass, so bit-identity holds at any thread count
-/// (see `docs/threading.md`).
+/// Where [`crate::pool`]'s one parallel rule lets a pass fan out (see
+/// `docs/threading.md`), the forward splits the batch into
+/// executor-sized slabs of consecutive samples — each slab packs its
+/// own columns of the GEMM operand and runs its own fused product into
+/// its own rows of the output — and the backward runs its `dW`/`db`
+/// loop beside its `dX` GEMM + col2im (`dW ∥ dX`). Every output element
+/// keeps its one ascending-taps chain, so neither split changes a bit.
 ///
-/// The backend only picks the GEMM kernel, so `Naive`, `Blocked` and
-/// `Threaded` give bit-identical passes (the summation-order contract of
+/// The backend only picks the GEMM kernel, so `Naive` and `Blocked`
+/// give bit-identical passes (the summation-order contract of
 /// [`crate::backend`]). The direct-loop convolution survives as the
 /// test oracle [`crate::difftest::conv_direct_forward`], equal to this
 /// path to float rounding.
@@ -178,102 +175,71 @@ impl Layer for Conv2d {
             .copy_from_slice(x.data());
 
         let taps = self.in_c * self.k * self.k;
+        let (in_c, out_c, k, stride, pad) = self.geometry();
 
-        // Pooled batch-parallel path: one task per sample, each running
-        // the whole per-sample pipeline — im2col straight into the
-        // transposed [taps × positions] GEMM layout, its own
-        //   outᵢ[out_c × positions] = W[out_c × taps] · colsᵢᵀ
-        // product on the single-thread blocked kernel, bias after the
-        // full dot — into disjoint chunks of the shared buffers. Every
-        // output element is the identical ascending-taps dot product as
-        // the fused batch GEMM *and* the serial per-image pass, so the
-        // scatter is bit-identical to both at any thread count.
-        if self.backend == GemmBackend::Threaded && n > 1 {
-            let LayerWs { gemm_a, out, .. } = ws;
-            let sample_cols = taps * positions;
-            let cols_all = LayerWs::reuse_buf(gemm_a, n * sample_cols);
-            let out = LayerWs::reuse(out, &[n, self.out_c, out_h, out_w]);
-            let od = out.data_mut();
-            let w = self.weight.value.data();
-            let b = self.bias.value.data();
-            let (in_c, out_c, k, stride, pad) = self.geometry();
-            let out_plane = out_c * positions;
-            let mut tasks: Vec<crate::pool::Task> = Vec::with_capacity(n);
-            for (i, (cols_i, out_i)) in cols_all
-                .chunks_mut(sample_cols)
-                .zip(od.chunks_mut(out_plane))
-                .enumerate()
-            {
-                let x_i = x.sample(i);
-                tasks.push(Box::new(move || {
-                    crate::gemm::im2col_t_slice_into(cols_i, x_i, in_c, in_h, in_w, k, stride, pad);
-                    GemmBackend::Blocked.matmul_into(out_i, w, cols_i, out_c, taps, positions);
-                    for oc in 0..out_c {
-                        let bv = b[oc];
-                        for v in &mut out_i[oc * positions..(oc + 1) * positions] {
-                            // Bias after the full dot product — the serial order.
-                            *v += bv;
-                        }
-                    }
-                }));
-            }
-            crate::pool::current().run(tasks);
-            return;
-        }
-
-        // Fused GEMM path: pack the whole batch into one product,
-        //   out'[out_c × N·positions] = W[out_c × taps] · cols[taps × N·positions],
-        // with sample i's im2col columns occupying columns
-        // [i·positions, (i+1)·positions). Each output element is the same
-        // ascending-taps dot product as the serial per-image GEMM, so the
-        // fused product is bit-identical to N serial ones.
+        // One fused GEMM per slab of consecutive samples,
+        //   out'[out_c × S·positions] = W[out_c × taps] · cols[taps × S·positions],
+        // with slab sample j's im2col columns at [j·positions, (j+1)·positions).
+        // The slabs tile `gemm_a`, `gemm_c` and `out` slab-major, so the
+        // buffers are the same at any slab count, and one slab (the
+        // serial case) is the fused product over the whole batch. Each
+        // output element is the same ascending-taps dot product as the
+        // serial per-image GEMM, so every split is bit-identical to it.
         let LayerWs {
-            im2col,
             gemm_a,
             gemm_c,
             out,
             ..
         } = ws;
-        let cols = LayerWs::reuse_buf(im2col, positions * taps);
-        let big_n = n * positions;
-        let bt = LayerWs::reuse_buf(gemm_a, taps * big_n);
-        for i in 0..n {
-            crate::gemm::im2col_slice_into(
-                cols,
-                x.sample(i),
-                self.in_c,
-                in_h,
-                in_w,
-                self.k,
-                self.stride,
-                self.pad,
-            );
-            for pos in 0..positions {
-                let patch = &cols[pos * taps..(pos + 1) * taps];
-                let col = i * positions + pos;
-                for (t, &v) in patch.iter().enumerate() {
-                    bt[t * big_n + col] = v;
+        let bt = LayerWs::reuse_buf(gemm_a, taps * n * positions);
+        let gc = LayerWs::reuse_buf(gemm_c, out_c * n * positions);
+        let od = LayerWs::reuse(out, &[n, out_c, out_h, out_w]).data_mut();
+        let (w, b) = (self.weight.value.data(), self.bias.value.data());
+        let backend = self.backend;
+        let slab_pass = |s0: usize, bt: &mut [f32], gc: &mut [f32], od: &mut [f32]| {
+            let cols = od.len() / out_c;
+            for (j, pos0) in (0..cols).step_by(positions).enumerate() {
+                crate::gemm::im2col_t_into(
+                    bt,
+                    cols,
+                    pos0,
+                    x.sample(s0 + j),
+                    in_c,
+                    in_h,
+                    in_w,
+                    k,
+                    stride,
+                    pad,
+                );
+            }
+            backend.matmul_into(gc, w, bt, out_c, taps, cols);
+            for (j, od_j) in od.chunks_mut(out_c * positions).enumerate() {
+                for (oc, dst) in od_j.chunks_mut(positions).enumerate() {
+                    let src = &gc[oc * cols + j * positions..oc * cols + (j + 1) * positions];
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        // Bias after the full dot product — the serial order.
+                        *d = s + b[oc];
+                    }
                 }
             }
+        };
+        let parts = crate::pool::split_parts(n * positions * out_c * taps, n);
+        if parts == 1 {
+            slab_pass(0, bt, gc, od);
+            return;
         }
-        let gc = LayerWs::reuse_buf(gemm_c, self.out_c * big_n);
-        self.backend
-            .matmul_into(gc, self.weight.value.data(), bt, self.out_c, taps, big_n);
-
-        let out = LayerWs::reuse(out, &[n, self.out_c, out_h, out_w]);
-        let od = out.data_mut();
-        let b = self.bias.value.data();
-        for i in 0..n {
-            for oc in 0..self.out_c {
-                let src = &gc[oc * big_n + i * positions..oc * big_n + (i + 1) * positions];
-                let dst = &mut od
-                    [(i * self.out_c + oc) * positions..(i * self.out_c + oc + 1) * positions];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    // Bias after the full dot product — the serial order.
-                    *d = s + b[oc];
-                }
-            }
-        }
+        let slab = n.div_ceil(parts);
+        let slab_pass = &slab_pass;
+        let tasks: Vec<crate::pool::Task> = bt
+            .chunks_mut(slab * positions * taps)
+            .zip(gc.chunks_mut(slab * positions * out_c))
+            .zip(od.chunks_mut(slab * positions * out_c))
+            .enumerate()
+            .map(|(si, ((bt, gc), od))| -> crate::pool::Task {
+                Box::new(move || slab_pass(si * slab, bt, gc, od))
+            })
+            .collect();
+        crate::pool::current().run(tasks);
     }
 
     fn backward_batch(&mut self, grad_output: &Tensor, ws: &mut LayerWs) -> Result<(), NnError> {
@@ -342,108 +308,6 @@ impl Conv2d {
 
         let taps = self.in_c * self.k * self.k;
 
-        // Pooled batch-parallel path: one task per sample computing the
-        // whole per-sample backward — im2colᵢ, the transposed gradient
-        // block, fully-reduced dWᵢ/dbᵢ **partials** into its own slots of
-        // `acc`/`acc2`, the per-sample dXᵢ GEMM and col2im scatter — all
-        // into disjoint chunks (the dXᵢ half only when `input_grad`).
-        // The cross-sample dW/db reduction then merges the partials on
-        // this thread in ascending sample order: exactly the serial
-        // association, so gradients are bit-identical to N serial passes
-        // at any thread count (`docs/threading.md`).
-        if self.backend == GemmBackend::Threaded && n > 1 {
-            let go = grad_output.data();
-            let sample_cols = positions * taps;
-            let in_plane = self.in_c * in_h * in_w;
-            let LayerWs {
-                input: ws_input,
-                grad_in,
-                im2col,
-                gemm_a,
-                gemm_c,
-                acc,
-                acc2,
-                ..
-            } = ws;
-            let input = ws_input.as_ref().expect("checked above");
-            let cols_all = LayerWs::reuse_buf(im2col, n * sample_cols);
-            let gbig = LayerWs::reuse_buf(gemm_a, n * positions * self.out_c);
-            let dw_parts = LayerWs::reuse_buf(acc, n * self.out_c * taps);
-            let db_parts = LayerWs::reuse_buf(acc2, n * self.out_c);
-            // Per-sample (dcolsᵢ, grad_inᵢ) targets, or `None` for every
-            // sample when no input gradient is wanted.
-            let dx_targets = input_grad
-                .then(|| {
-                    let dcols = LayerWs::reuse_buf(gemm_c, n * sample_cols);
-                    let gid = LayerWs::reuse(grad_in, input.shape()).data_mut();
-                    dcols.chunks_mut(sample_cols).zip(gid.chunks_mut(in_plane))
-                })
-                .into_iter()
-                .flatten()
-                .map(Some)
-                .chain(std::iter::repeat_with(|| None));
-            let w = self.weight.value.data();
-            let (in_c, out_c, k, stride, pad) = self.geometry();
-            let mut tasks: Vec<crate::pool::Task> = Vec::with_capacity(n);
-            let chunks = cols_all
-                .chunks_mut(sample_cols)
-                .zip(gbig.chunks_mut(positions * out_c))
-                .zip(dw_parts.chunks_mut(out_c * taps))
-                .zip(db_parts.chunks_mut(out_c))
-                .zip(dx_targets)
-                .enumerate();
-            for (i, ((((cols_i, gbig_i), dw_i), db_i), dx_i)) in chunks {
-                let x_i = input.sample(i);
-                let go_i = &go[i * out_c * positions..(i + 1) * out_c * positions];
-                tasks.push(Box::new(move || {
-                    crate::gemm::im2col_slice_into(cols_i, x_i, in_c, in_h, in_w, k, stride, pad);
-                    // Sample i's grad as a [positions × out_c] block.
-                    for oc in 0..out_c {
-                        for pos in 0..positions {
-                            gbig_i[pos * out_c + oc] = go_i[oc * positions + pos];
-                        }
-                    }
-                    // dWᵢ, fully reduced per sample — the serial op
-                    // sequence (merge happens after the join, in order).
-                    GemmBackend::Blocked
-                        .matmul_at_b_into(dw_i, gbig_i, cols_i, positions, out_c, taps);
-                    // dbᵢ: ascending positions, fully reduced.
-                    for (oc, db) in db_i.iter_mut().enumerate() {
-                        let mut s = 0.0f32;
-                        for pos in 0..positions {
-                            s += go_i[oc * positions + pos];
-                        }
-                        *db = s;
-                    }
-                    // dXᵢ = Gᵢ·W, then the per-sample col2im scatter.
-                    if let Some((dcols_i, gi_i)) = dx_i {
-                        GemmBackend::Blocked
-                            .matmul_into(dcols_i, gbig_i, w, positions, out_c, taps);
-                        gi_i.fill(0.0);
-                        crate::gemm::col2im_slice_accumulate(
-                            gi_i, dcols_i, in_c, in_h, in_w, k, stride, pad,
-                        );
-                    }
-                }));
-            }
-            crate::pool::current().run(tasks);
-            // Fixed-order merge: ascending sample index, exactly the
-            // serial accumulation sequence.
-            let gw = self.weight.grad.data_mut();
-            for dw_i in dw_parts.chunks(out_c * taps) {
-                for (a, &v) in gw.iter_mut().zip(dw_i) {
-                    *a += v;
-                }
-            }
-            let gb = self.bias.grad.data_mut();
-            for db_i in db_parts.chunks(out_c) {
-                for (a, &v) in gb.iter_mut().zip(db_i) {
-                    *a += v;
-                }
-            }
-            return Ok(());
-        }
-
         // Fused GEMM path (§V-B). The gradient is first laid out as G,
         // one [positions × out_c] block per sample. Then, per sample in
         // ascending order:
@@ -455,10 +319,10 @@ impl Conv2d {
         // ONE fused GEMM over the whole batch:
         //   dcols[N·positions × taps] = G[N·positions × out_c] · W
         // followed by a per-sample col2im scatter. Both halves only read G,
-        // the cached input and W, and write disjoint buffers, so on a
-        // single-threaded kernel with a multi-executor pool a layer of at
-        // least `PAR_MIN_MACS` runs them as one `join2` (`dW ∥ dX`) —
-        // unchanged kernels and op sequences, so the same bits.
+        // the cached input and W, and write disjoint buffers, so where the
+        // pool's parallel rule allows a split they run as one `join2`
+        // (`dW ∥ dX`) — unchanged kernels and op sequences, so the same
+        // bits.
         let big_n = n * positions;
         let go = grad_output.data();
         let (in_c, out_c, k, stride, pad) = self.geometry();
@@ -540,7 +404,7 @@ impl Conv2d {
                 );
             }
         };
-        if big_n * out_c * taps >= crate::backend::PAR_MIN_MACS && !backend.fans_out() {
+        if crate::pool::split_parts(big_n * out_c * taps, 2) > 1 {
             crate::pool::join2(params, dx);
         } else {
             params();

@@ -14,15 +14,15 @@ use crate::workspace::LayerWs;
 /// The batched forward runs **one** GEMM per layer: `Yᵀ[out×N] =
 /// W[out×in] · Xᵀ[in×N]` on the layer's [`GemmBackend`] — the batch
 /// multiplies the GEMM's column dimension, which is exactly where the
-/// blocked/threaded kernels win (a serial mat-vec gives them nothing to
-/// tile). The batched backward likewise folds the whole batch into one
+/// blocked kernel wins (a serial mat-vec gives it nothing to tile). The
+/// batched backward likewise folds the whole batch into one
 /// `dW = Gᵀ·X` product and one `dX = G·W` product (the latter skipped
-/// by [`Layer::backward_batch_params`]). On the `Threaded`
-/// backend those GEMMs band their output rows over the persistent
-/// [`crate::pool`], and the batched `Xᵀ` pack fans out the same way —
-/// both disjoint scatters, bit-identical to serial at any thread count.
-/// On the single-threaded kernels the two backward products run side by
-/// side instead (`dW ∥ dX`, see [`GemmBackend::fans_out`]).
+/// by [`Layer::backward_batch_params`]). Where [`crate::pool`]'s one
+/// parallel rule lets a pass fan out (see `docs/threading.md`), the
+/// forward product splits into bands of output rows over the pool, and
+/// the two backward products run side by side (`dW ∥ dX`) — disjoint
+/// outputs with unchanged op sequences, bit-identical to serial at any
+/// pool size.
 ///
 /// Bit-identity: every output element and every `dW`/`db` element is
 /// reduced in the same ascending order as the serial single-image pass
@@ -127,38 +127,30 @@ impl Layer for Linear {
         // Yᵀ[out × n] = W[out × in] · Xᵀ. Per output element this is the
         // identical ascending-`in` dot product as the serial mat-vec.
         let xt = LayerWs::reuse_buf(&mut ws.gemm_a, self.in_f * n);
-        let xd = x.data();
         let in_f = self.in_f;
-        // Backend check first: `current_threads()` would lazily spawn the
-        // global pool, which a naive/blocked forward never uses.
-        if self.backend == GemmBackend::Threaded
-            && n * in_f >= 1 << 15
-            && crate::pool::current_threads() > 1
-        {
-            // Pooled pack: contiguous bands of Xᵀ rows (= input features)
-            // per task, each a pure gather from the shared input — a
-            // disjoint scatter, so bit-identical to the serial pack. The
-            // first FC layer's pack is `N × 9216`-scale on the full net,
-            // worth fanning out before the (pool-banded) GEMM below.
-            let band = in_f.div_ceil(crate::pool::current_threads());
-            crate::pool::current().scatter_chunks(xt, band * n, |t, chunk| {
-                let j0 = t * band;
-                for (jj, row) in chunk.chunks_mut(n).enumerate() {
-                    for (i, r) in row.iter_mut().enumerate() {
-                        *r = xd[i * in_f + j0 + jj];
-                    }
-                }
-            });
-        } else {
-            for i in 0..n {
-                for (j, &v) in xd[i * in_f..(i + 1) * in_f].iter().enumerate() {
-                    xt[j * n + i] = v;
-                }
+        for (i, xi) in x.data().chunks(in_f).enumerate() {
+            for (j, &v) in xi.iter().enumerate() {
+                xt[j * n + i] = v;
             }
         }
+        let xt = &*xt;
+        // Where the pool's parallel rule allows a split, the output rows
+        // (= W rows) fan out in contiguous bands: each executor streams
+        // only its share of W against the shared, small Xᵀ, and every
+        // output element stays the one ascending-`in` dot product.
         let yt = LayerWs::reuse_buf(&mut ws.gemm_c, self.out_f * n);
-        self.backend
-            .matmul_into(yt, self.weight.value.data(), xt, self.out_f, self.in_f, n);
+        let (w, backend) = (self.weight.value.data(), self.backend);
+        let parts = crate::pool::split_parts(self.out_f * in_f * n, self.out_f);
+        if parts == 1 {
+            backend.matmul_into(yt, w, xt, self.out_f, in_f, n);
+        } else {
+            let band = self.out_f.div_ceil(parts);
+            crate::pool::current().scatter_chunks(yt, band * n, |t, yband| {
+                let rows = yband.len() / n;
+                let wband = &w[t * band * in_f..(t * band + rows) * in_f];
+                backend.matmul_into(yband, wband, xt, rows, in_f, n);
+            });
+        }
 
         let out = LayerWs::reuse(&mut ws.out, &[n, self.out_f]);
         let od = out.data_mut();
@@ -214,9 +206,8 @@ impl Linear {
     /// only when `input_grad` asks for it.
     ///
     /// The two halves share only read-only inputs (the gradient, the
-    /// cached input, the weights) and write disjoint buffers, so on a
-    /// single-threaded kernel (naive/blocked) with a multi-executor pool
-    /// a layer of at least `PAR_MIN_MACS` runs them as one
+    /// cached input, the weights) and write disjoint buffers, so where
+    /// the pool's parallel rule allows a split they run as one
     /// [`crate::pool::join2`]. Each half keeps its unchanged kernel and
     /// op sequence, so the overlap is bit-invisible.
     fn backward_into(
@@ -273,7 +264,7 @@ impl Linear {
             let gi = LayerWs::reuse(grad_in, &[n, in_f]);
             backend.matmul_into(gi.data_mut(), go, w, n, out_f, in_f);
         };
-        if n * out_f * in_f >= crate::backend::PAR_MIN_MACS && !backend.fans_out() {
+        if crate::pool::split_parts(n * out_f * in_f, 2) > 1 {
             crate::pool::join2(params, dx);
         } else {
             params();

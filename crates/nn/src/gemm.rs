@@ -33,7 +33,7 @@ use crate::tensor::Tensor;
 ///
 /// This is the **reference kernel**
 /// ([`crate::backend::GemmBackend::Naive`]); the blocked
-/// and threaded backends are proven bitwise-equal to it. There is
+/// backend is proven bitwise-equal to it. There is
 /// deliberately no skip of zero `A` entries: `0.0 × NaN` must produce
 /// `NaN` (and `-0.0` accumulation must round identically) on every
 /// backend, so the oracle performs every multiply-accumulate.
@@ -182,20 +182,25 @@ pub fn im2col_slice_into(
 
 /// [`im2col_slice_into`] writing the **transposed** patch matrix
 /// `[C·k·k, out_h·out_w]` (taps-major — the `B` operand layout of the
-/// forward product `W[out_c × taps] · colsᵀ`), fully overwritten.
+/// forward product `W[out_c × taps] · colsᵀ`) into columns
+/// `[col0, col0 + out_h·out_w)` of the row-major `[C·k·k × ld]` matrix
+/// `m`. Those columns are fully overwritten (padding taps become zeros);
+/// the rest of `m` is untouched.
 ///
-/// This is the per-sample kernel of the pooled batch-parallel conv
-/// forward: each pool task im2cols its own sample straight into the
-/// GEMM layout, with no shared transpose pass afterwards. Tap values
-/// are identical to [`im2col_slice_into`] — only the storage order
-/// differs — so the downstream dot products are bit-identical.
+/// The batched conv forward packs a slab of samples side by side with
+/// it, sample `i` of the slab at `col0 = i·positions`, straight into
+/// the GEMM layout with no transpose pass. Tap values are identical to
+/// [`im2col_slice_into`] — only the storage order differs — so the
+/// downstream dot products are bit-identical.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the geometry.
 #[allow(clippy::too_many_arguments)]
-pub fn im2col_t_slice_into(
+pub fn im2col_t_into(
     m: &mut [f32],
+    ld: usize,
+    col0: usize,
     x: &[f32],
     c: usize,
     h: usize,
@@ -209,25 +214,27 @@ pub fn im2col_t_slice_into(
     let out_h = (h + 2 * pad - k) / stride + 1;
     let out_w = (w + 2 * pad - k) / stride + 1;
     let positions = out_h * out_w;
-    let taps = c * k * k;
-    assert_eq!(m.len(), taps * positions, "im2col size mismatch");
-    m.fill(0.0);
+    assert!(col0 + positions <= ld, "im2col columns exceed the row");
+    assert_eq!(m.len(), c * k * k * ld, "im2col size mismatch");
     for ci in 0..c {
         for ky in 0..k {
             for kx in 0..k {
                 let tap = (ci * k + ky) * k + kx;
-                let row = &mut m[tap * positions..(tap + 1) * positions];
-                for oy in 0..out_h {
+                let row = &mut m[tap * ld + col0..tap * ld + col0 + positions];
+                for (oy, dst) in row.chunks_mut(out_w).enumerate() {
                     let iy = (oy * stride + ky) as isize - pad as isize;
                     if iy < 0 || iy >= h as isize {
+                        dst.fill(0.0);
                         continue;
                     }
-                    for ox in 0..out_w {
+                    let xrow = &x[(ci * h + iy as usize) * w..(ci * h + iy as usize + 1) * w];
+                    for (ox, d) in dst.iter_mut().enumerate() {
                         let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        row[oy * out_w + ox] = x[(ci * h + iy as usize) * w + ix as usize];
+                        *d = if ix < 0 || ix >= w as isize {
+                            0.0
+                        } else {
+                            xrow[ix as usize]
+                        };
                     }
                 }
             }
@@ -352,16 +359,23 @@ mod tests {
 
     #[test]
     fn im2col_t_is_the_transpose_of_im2col() {
+        // Written at a column offset inside wider rows: the sample's
+        // columns are the transpose, every other column is untouched.
         let x = rand_tensor(&[2, 6, 6], 5);
         let (m, positions, taps) = im2col(&x, 3, 2, 1);
-        let mut mt = vec![7.0f32; m.len()]; // dirty: kernel must overwrite
-        im2col_t_slice_into(&mut mt, x.data(), 2, 6, 6, 3, 2, 1);
-        for pos in 0..positions {
-            for t in 0..taps {
+        let (col0, ld) = (3usize, positions + 5);
+        let mut mt = vec![7.0f32; taps * ld]; // dirty: kernel must overwrite
+        im2col_t_into(&mut mt, ld, col0, x.data(), 2, 6, 6, 3, 2, 1);
+        for t in 0..taps {
+            for col in 0..ld {
+                let want = match col.checked_sub(col0) {
+                    Some(pos) if pos < positions => m[pos * taps + t],
+                    _ => 7.0,
+                };
                 assert_eq!(
-                    m[pos * taps + t].to_bits(),
-                    mt[t * positions + pos].to_bits(),
-                    "pos={pos} tap={t}"
+                    want.to_bits(),
+                    mt[t * ld + col].to_bits(),
+                    "col={col} tap={t}"
                 );
             }
         }

@@ -16,18 +16,19 @@
 //!   census byte-for-byte) and a width-scaled *micro* variant that keeps
 //!   the 5-conv + 5-FC topology but trains in seconds on a CPU;
 //! * pluggable GEMM backends ([`backend`]) behind every conv/FC matrix
-//!   product — a naive oracle, a cache-blocked kernel and a
-//!   multi-threaded one, selected via `NN_GEMM_BACKEND` /
+//!   product — a naive oracle, a cache-blocked kernel and an AVX2+FMA
+//!   lane kernel, selected via `NN_GEMM_BACKEND` /
 //!   [`Network::set_gemm_backend`] (see `docs/gemm_backends.md`);
 //! * a process-persistent deterministic worker [`pool`] behind every
-//!   parallel site in the stack (GEMM row bands, per-sample batched
-//!   conv passes, `VecEnv` lanes, concurrent agent forwards), sized by
-//!   `NN_POOL_THREADS` and bit-identical to serial execution at any
-//!   thread count (see `docs/threading.md`);
+//!   parallel site in the stack (the one parallel rule that splits a
+//!   large top-level float pass — conv sample slabs, FC row bands,
+//!   `dW ∥ dX`, SGD chunks — plus `VecEnv` lanes and concurrent agent
+//!   forwards), sized by `NN_POOL_THREADS` and bit-identical to serial
+//!   execution at any thread count (see `docs/threading.md`);
 //! * a batch-first 16-bit fixed-point inference **engine** ([`quant`])
 //!   mirroring the platform's Q8.8 datapath with wide MAC accumulation:
 //!   pluggable integer GEMM backends ([`qgemm`] — naive oracle,
-//!   blocked, pooled row bands, all bit-identical), Q8.8 im2col
+//!   blocked and SIMD kernels, all bit-identical), Q8.8 im2col
 //!   packing, and a caller-owned [`quant::QWorkspace`] mirroring the
 //!   float [`Workspace`] (see `docs/fixed_point.md`);
 //! * weight (de)serialisation for the transfer-learning hand-off.
@@ -122,10 +123,11 @@ mod tests {
 
     /// Knob-parser inputs: a mix of the tokens the parsers accept or
     /// nearly accept (numbers at the `usize` edge, signs, whitespace,
-    /// mixed case, backend and switch names) and arbitrary Unicode
-    /// scalars — the space a typo'd environment variable lives in.
+    /// mixed case, backend and switch names — the retired `threaded`
+    /// and `pooled` among them) and arbitrary Unicode scalars — the
+    /// space a typo'd environment variable lives in.
     fn knob_string() -> impl Strategy<Value = String> {
-        const TOKENS: [&str; 24] = [
+        const TOKENS: [&str; 26] = [
             "0",
             "1",
             "7",
@@ -145,6 +147,8 @@ mod tests {
             "naive",
             "Blocked",
             "THREADED",
+            "threaded",
+            "Pooled",
             "simd",
             "\u{0}",
             "é",
@@ -175,6 +179,12 @@ mod tests {
             }
             if let Some(be) = parse_backend_knob("K", &s) {
                 prop_assert_eq!(parse_backend_knob("K", be.name()), Some(be));
+            }
+            // The retired multi-core backends are near misses: rejected
+            // (warned, so `from_env` falls back to blocked), never a panic.
+            let token = s.trim().to_ascii_lowercase();
+            if token == "threaded" || token == "pooled" {
+                prop_assert_eq!(parse_backend_knob("K", &s), None);
             }
             if let Some(on) = parse_simd_knob(&s) {
                 prop_assert_eq!(parse_simd_knob(if on { "on" } else { "off" }), Some(on));

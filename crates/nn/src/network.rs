@@ -150,8 +150,9 @@ impl Network {
     }
 
     /// Routes every conv/FC matrix product through `backend`
-    /// ([`GemmBackend::Naive`] reference loops, cache-`Blocked`, or
-    /// `Threaded`); layers without matrix products are unaffected.
+    /// ([`GemmBackend::Naive`] reference loops, cache-`Blocked`, or the
+    /// `Simd` lane kernel); layers without matrix products are
+    /// unaffected.
     ///
     /// Freshly built networks start on
     /// [`crate::backend::default_backend`] (the `NN_GEMM_BACKEND` env
@@ -163,9 +164,9 @@ impl Network {
     /// use mramrl_nn::{GemmBackend, NetworkSpec, Tensor};
     ///
     /// let mut net = NetworkSpec::micro(8, 1, 5).build(0);
-    /// net.set_gemm_backend(GemmBackend::Threaded);
-    /// assert_eq!(net.gemm_backend(), Some(GemmBackend::Threaded));
-    /// let q = net.forward(&Tensor::zeros(&[1, 8, 8])); // same bits, faster
+    /// net.set_gemm_backend(GemmBackend::Naive);
+    /// assert_eq!(net.gemm_backend(), Some(GemmBackend::Naive));
+    /// let q = net.forward(&Tensor::zeros(&[1, 8, 8])); // same bits, slower
     /// assert_eq!(q.shape(), &[5]);
     /// ```
     pub fn set_gemm_backend(&mut self, backend: GemmBackend) {
@@ -310,20 +311,57 @@ impl Network {
     /// Applies one SGD update from gradients accumulated over `batch_size`
     /// images, then clears the accumulators.
     ///
+    /// One element-wise pass: every trainable parameter takes its step
+    /// and clears its accumulator as it reads it; frozen parameters only
+    /// have theirs cleared. Where the pool's parallel rule allows a split
+    /// ([`crate::pool`], `docs/threading.md`), the pass is cut into
+    /// executor-sized chunks across the parameters — element-wise, so
+    /// any cut gives the serial bits.
+    ///
     /// # Panics
     ///
     /// Panics if `batch_size` is zero.
     pub fn apply_sgd(&mut self, sgd: &Sgd, batch_size: usize) {
         assert!(batch_size > 0, "batch size must be positive");
+        let inv = 1.0 / batch_size as f32;
+        let mut slices: Vec<SgdSlice> = Vec::new();
         for (layer, &trainable) in self.layers.iter_mut().zip(&self.trainable) {
-            if !trainable {
-                continue;
-            }
             for p in layer.params_mut() {
-                sgd.step(p, batch_size);
+                slices.push(if trainable {
+                    let (value, grad, velocity) = sgd.parts(p);
+                    SgdSlice {
+                        value: Some(value),
+                        grad,
+                        velocity,
+                    }
+                } else {
+                    SgdSlice {
+                        value: None,
+                        grad: p.grad.data_mut(),
+                        velocity: None,
+                    }
+                });
             }
         }
-        self.zero_grads();
+        let total: usize = slices.iter().map(|s| s.grad.len()).sum();
+        let parts = crate::pool::split_parts(total, total);
+        if parts == 1 {
+            for s in slices {
+                s.run(sgd, inv);
+            }
+            return;
+        }
+        let chunk = total.div_ceil(parts);
+        let mut tasks: Vec<crate::pool::Task> = Vec::new();
+        for mut s in slices {
+            while s.grad.len() > chunk {
+                let (head, tail) = s.split_at(chunk);
+                tasks.push(Box::new(move || head.run(sgd, inv)));
+                s = tail;
+            }
+            tasks.push(Box::new(move || s.run(sgd, inv)));
+        }
+        crate::pool::current().run(tasks);
     }
 
     /// Copies all weights from another structurally-identical network (the
@@ -380,6 +418,44 @@ impl Network {
             .map(|p| p.grad.norm_sq())
             .sum::<f32>()
             .sqrt()
+    }
+}
+
+/// One parameter's share (or a chunk of it) of [`Network::apply_sgd`]'s
+/// pass. `value` is `None` for a frozen parameter, whose accumulator is
+/// only cleared.
+struct SgdSlice<'a> {
+    value: Option<&'a mut [f32]>,
+    grad: &'a mut [f32],
+    velocity: Option<&'a mut [f32]>,
+}
+
+impl<'a> SgdSlice<'a> {
+    /// Splits at element `mid` into two independent slices.
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (g0, g1) = self.grad.split_at_mut(mid);
+        let (w0, w1) = self.value.map(|w| w.split_at_mut(mid)).unzip();
+        let (v0, v1) = self.velocity.map(|v| v.split_at_mut(mid)).unzip();
+        (
+            Self {
+                value: w0,
+                grad: g0,
+                velocity: v0,
+            },
+            Self {
+                value: w1,
+                grad: g1,
+                velocity: v1,
+            },
+        )
+    }
+
+    /// The step (trainable) or the clear (frozen) over this slice.
+    fn run(self, sgd: &Sgd, inv: f32) {
+        match self.value {
+            Some(value) => sgd.update(value, self.grad, self.velocity, inv, true),
+            None => self.grad.fill(0.0),
+        }
     }
 }
 

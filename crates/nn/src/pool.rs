@@ -1,9 +1,10 @@
 //! Process-persistent deterministic worker pool.
 //!
-//! Every multi-core site in the stack — GEMM row bands
-//! ([`crate::backend`]), per-sample batched conv passes
-//! ([`crate::Conv2d`]), the `dW ∥ dX` halves of a naive/blocked layer
-//! backward, `VecEnv` lane stepping, the `QAgent`'s independent network
+//! Every multi-core site in the stack — the splits of a large top-level
+//! float pass (`split_parts`: conv sample slabs and FC output-row
+//! bands in [`crate::Conv2d`]/[`crate::Linear`] forwards, the `dW ∥ dX`
+//! halves of their backwards, the chunked [`crate::Network::apply_sgd`]
+//! step), `VecEnv` lane stepping, the `QAgent`'s independent network
 //! forwards — runs on **one** pool of workers that
 //! is spawned once and parked between jobs, instead of paying a
 //! `std::thread::spawn` per matrix product. See `docs/threading.md` for
@@ -19,11 +20,6 @@
 //!   each task owns one disjoint output chunk and computes it from
 //!   shared read-only inputs. No two tasks write the same element, so
 //!   scheduling cannot change any bit.
-//! * fixed-order reductions — cross-sample sums (the batched conv
-//!   `dW`/`db`) compute per-sample partials in parallel, then the
-//!   **caller** merges them serially in ascending index: the float-op
-//!   sequence of the merge is fixed no matter how the partials were
-//!   scheduled.
 //! * [`join2`] — two independent jobs; independence is the caller's
 //!   contract (disjoint `&mut` borrows enforce it at compile time).
 //!
@@ -42,11 +38,9 @@
 //! that reaches a pool call simply runs the tasks inline (same order,
 //! same bits), so layered code can parallelise at its own level without
 //! deadlock, and a nested call never picks up a sibling task of the
-//! submission it runs in. One consequence: a layer that overlaps two
-//! halves of its own work (the `dW ∥ dX` join in
-//! [`crate::Linear`]/[`crate::Conv2d`] backward) gets a second core
-//! only when it is reached at top level; inside an outer `join2` — the
-//! trainer's backward ∥ actor step — it runs its halves in order.
+//! submission it runs in. The parallel rule (`split_parts`) reads the
+//! same mark: a pass reached inside an outer task — the trainer's
+//! backward ∥ actor step, say — does not try to split at all.
 //!
 //! # Examples
 //!
@@ -354,7 +348,7 @@ impl PoolHandle {
         if tasks.is_empty() {
             return;
         }
-        if self.threads <= 1 || tasks.len() == 1 || IN_POOL.with(std::cell::Cell::get) {
+        if self.threads <= 1 || tasks.len() == 1 || in_pool() {
             // Keep `current()` resolving to the executing pool even on
             // the inline path, so sizing decisions inside tasks see the
             // right executor count.
@@ -459,6 +453,47 @@ pub fn current_threads() -> usize {
     INSTALLED
         .with(|s| s.borrow().last().map(PoolHandle::threads))
         .unwrap_or_else(|| global().threads())
+}
+
+/// `true` while the calling thread executes pool tasks — on a worker,
+/// or on a submitter draining its own submission. A pool call made here
+/// runs inline, so a pass that would fan out gains nothing by trying.
+pub(crate) fn in_pool() -> bool {
+    IN_POOL.with(std::cell::Cell::get)
+}
+
+/// Below this many multiply-accumulates a fan-out costs more than it
+/// saves, so [`split_parts`] keeps the pass serial.
+///
+/// Rationale, with numbers measured on the dev container: the blocked
+/// kernel sustains ≈ 10.5 GMAC/s single-core (64³ = 262 k MACs ≈ 23 µs),
+/// and one pool submit + latch round trip costs ≈ 0.4 µs queue-side
+/// plus a few µs of cross-core condvar wakeup on real multi-core
+/// hardware. At the `2^18`-MAC threshold a serial sweep is ~25 µs, so
+/// dispatch is ≲ 15 % and two cores already win; an order of magnitude
+/// lower the whole pass costs less than waking the workers.
+pub(crate) const PAR_MIN_MACS: usize = 1 << 18;
+
+/// The one parallel rule for float passes: into how many parts a pass
+/// of `macs` multiply-accumulates, divisible into at most `max_parts`
+/// independent pieces, splits over [`current`]. The answer is 1
+/// (serial) unless all three hold:
+///
+/// * the pass reaches [`PAR_MIN_MACS`];
+/// * the calling thread is not already inside a pool task (there the
+///   split would run inline — the outer fan-out owns the executors);
+/// * the current pool has more than one executor.
+///
+/// Otherwise it is the executor count, capped at `max_parts`. The size
+/// is tested first and the pool last, so a small pass never spawns the
+/// [`global`] pool. Every site splits along an axis whose parts are
+/// independent output blocks, each computed with the serial pass's op
+/// sequence, so the part count never changes a bit.
+pub(crate) fn split_parts(macs: usize, max_parts: usize) -> usize {
+    if macs < PAR_MIN_MACS || max_parts < 2 || in_pool() {
+        return 1;
+    }
+    current_threads().min(max_parts)
 }
 
 /// Runs two independent jobs, possibly concurrently, and returns both

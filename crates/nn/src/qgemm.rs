@@ -11,8 +11,14 @@
 //! |---------|--------|-----|
 //! | [`QGemmBackend::Naive`]   | reference triple loops over [`Acc32`] | correctness oracle |
 //! | [`QGemmBackend::Blocked`] | certified-no-overflow contiguous-dot tiles | default |
-//! | [`QGemmBackend::Pooled`]  | row bands on the persistent [`crate::pool`] over the blocked kernel | multi-core |
-//! | [`QGemmBackend::Simd`]    | explicit `pmaddwd` lanes ([`crate::simd`]) on certified rows, pooled bands | max throughput — still bit-identical |
+//! | [`QGemmBackend::Simd`]    | explicit `pmaddwd` lanes ([`crate::simd`]) on certified rows | max throughput — still bit-identical |
+//!
+//! Every integer kernel runs on the calling thread: Q8.8 passes never
+//! fan out over the [`crate::pool`]. Their callers already hold the
+//! cores — the serving plane runs one generator or worker thread per
+//! core outside the pool, and the trainer runs the Q8.8 actors inside a
+//! `join2` beside the learner — so a split there would oversubscribe,
+//! not speed up (`docs/threading.md`).
 //!
 //! # The `A·Bᵀ` contract
 //!
@@ -55,7 +61,7 @@
 //! the identical scalar chains as `Blocked`; hosts without AVX2 (or
 //! with `NN_SIMD=off`) fall back to the blocked kernel wholesale.
 //!
-//! The result is bit-for-bit identical across backends and pool sizes —
+//! The result is bit-for-bit identical across backends —
 //! `crates/nn/tests/quant_equivalence.rs` and
 //! `crates/nn/tests/simd_equivalence.rs` pin this. See
 //! `docs/fixed_point.md` for the full datapath writeup.
@@ -64,8 +70,8 @@
 //!
 //! Quantised layers default to the float stack's `NN_GEMM_BACKEND` knob
 //! through [`default_backend`] (`naive → Naive`, `blocked → Blocked`,
-//! `threaded → Pooled`, `simd → Simd`), so the CI backend × pool
-//! matrix exercises the integer kernels on every configuration.
+//! `simd → Simd`), so the CI backend × pool matrix exercises the
+//! integer kernels on every configuration.
 //!
 //! # Examples
 //!
@@ -99,14 +105,6 @@ const QJ: usize = 4;
 /// the float backend's `n < 8` naive fallback.
 const QMIN_N: usize = 4;
 
-/// Below this many multiply-accumulates a pooled launch costs more than
-/// it saves; [`QGemmBackend::Pooled`] falls back to the blocked kernel.
-/// The certified integer kernel sustains ≈ 10 GMAC/s per core on the
-/// dev container (pmaddwd-shaped dots), so `2^17` MACs ≈ 13 µs serial
-/// vs ≈ 0.4 µs submit + cross-core wakeup — the same ~3 % dispatch
-/// ceiling rationale as the float path's `PAR_MIN_MACS`.
-const QPAR_MIN_MACS: usize = 1 << 17;
-
 /// Which integer GEMM kernel the quantised inference engine uses.
 ///
 /// Selection is threaded through [`crate::quant::QuantizedNet`]
@@ -120,13 +118,9 @@ pub enum QGemmBackend {
     /// bound), exact saturating chains for the rest.
     #[default]
     Blocked,
-    /// Contiguous row bands of the output scattered over the persistent
-    /// [`crate::pool`], each band running the blocked kernel. Disjoint
-    /// scatter — bit-identical to serial at any pool size.
-    Pooled,
     /// The blocked kernel with certified rows on explicit
-    /// `_mm256_madd_epi16` lanes ([`crate::simd`]) and the same pooled
-    /// row-band scatter — **still bit-identical** to the oracle (the
+    /// `_mm256_madd_epi16` lanes ([`crate::simd`]) — **still
+    /// bit-identical** to the oracle (the
     /// certificate makes wrapping lane adds exact; uncertified rows
     /// keep the scalar saturating chain). Falls back to the blocked
     /// kernel when AVX2 is absent, `NN_SIMD=off`, or a
@@ -138,10 +132,9 @@ impl QGemmBackend {
     /// All backends, oracle first — for benches and equivalence tests.
     /// Unlike the float side, **every** integer backend (the `Simd`
     /// lane kernel included) is in the bitwise family.
-    pub const ALL: [QGemmBackend; 4] = [
+    pub const ALL: [QGemmBackend; 3] = [
         QGemmBackend::Naive,
         QGemmBackend::Blocked,
-        QGemmBackend::Pooled,
         QGemmBackend::Simd,
     ];
 
@@ -150,21 +143,18 @@ impl QGemmBackend {
         match self {
             QGemmBackend::Naive => "naive",
             QGemmBackend::Blocked => "blocked",
-            QGemmBackend::Pooled => "pooled",
             QGemmBackend::Simd => "simd",
         }
     }
 
     /// The integer backend matching a float [`crate::GemmBackend`]: the
-    /// naive oracle stays the oracle, `Threaded` maps to `Pooled` (both
-    /// put row bands on the persistent pool), `Simd` to `Simd` (both
-    /// explicit lane kernels — though only the float side trades bits
-    /// for it).
+    /// naive oracle stays the oracle, `Blocked` maps to `Blocked`, `Simd`
+    /// to `Simd` (both explicit lane kernels — though only the float
+    /// side trades bits for it).
     pub fn from_gemm(backend: crate::backend::GemmBackend) -> Self {
         match backend {
             crate::backend::GemmBackend::Naive => QGemmBackend::Naive,
             crate::backend::GemmBackend::Blocked => QGemmBackend::Blocked,
-            crate::backend::GemmBackend::Threaded => QGemmBackend::Pooled,
             crate::backend::GemmBackend::Simd => QGemmBackend::Simd,
         }
     }
@@ -204,8 +194,10 @@ impl QGemmBackend {
         match self {
             QGemmBackend::Naive => qmatmul_naive(c, a, bt, bias, m, k, n),
             QGemmBackend::Blocked => qmatmul_band(c, a, bt, bias, m, k, n),
-            QGemmBackend::Pooled => qmatmul_pooled(c, a, bt, bias, m, k, n),
-            QGemmBackend::Simd => qmatmul_simd(c, a, bt, bias, m, k, n),
+            QGemmBackend::Simd if crate::simd::simd_active() => {
+                qmatmul_band_simd(c, a, bt, bias, m, k, n)
+            }
+            QGemmBackend::Simd => qmatmul_band(c, a, bt, bias, m, k, n),
         }
     }
 }
@@ -217,10 +209,9 @@ impl FromStr for QGemmBackend {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(QGemmBackend::Naive),
             "blocked" => Ok(QGemmBackend::Blocked),
-            "pooled" => Ok(QGemmBackend::Pooled),
             "simd" => Ok(QGemmBackend::Simd),
             other => Err(format!(
-                "unknown integer GEMM backend {other:?} (expected naive|blocked|pooled|simd)"
+                "unknown integer GEMM backend {other:?} (expected naive|blocked|simd)"
             )),
         }
     }
@@ -473,80 +464,6 @@ fn qmatmul_band_simd(
     }
 }
 
-/// The `Simd` dispatch: [`qmatmul_band_simd`] over the same pooled
-/// row-band scatter (and the same thresholds) as [`qmatmul_pooled`];
-/// with the SIMD gate closed ([`crate::simd::simd_active`] false) the
-/// whole product runs the pooled blocked kernel — same bits either
-/// way, by the certificate argument.
-fn qmatmul_simd(
-    c: &mut [Q8_8],
-    a: &[Q8_8],
-    bt: &[Q8_8],
-    bias: &[Q8_8],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if !crate::simd::simd_active() {
-        qmatmul_pooled(c, a, bt, bias, m, k, n);
-        return;
-    }
-    let threads = crate::pool::current_threads().min(m.max(1));
-    if threads <= 1 || m * k * n < QPAR_MIN_MACS {
-        qmatmul_band_simd(c, a, bt, bias, m, k, n);
-        return;
-    }
-    let band_rows = m.div_ceil(threads);
-    crate::pool::current().scatter_chunks(c, band_rows * n, |t, cband| {
-        let rows = cband.len() / n;
-        let r0 = t * band_rows;
-        qmatmul_band_simd(
-            cband,
-            &a[r0 * k..(r0 + rows) * k],
-            bt,
-            &bias[r0..r0 + rows],
-            rows,
-            k,
-            n,
-        );
-    });
-}
-
-/// Pooled kernel: contiguous row bands of `C` scattered over the
-/// persistent [`crate::pool`], each band running [`qmatmul_band`] on its
-/// own rows of `A`/`bias`. Every output element is computed by exactly
-/// one band with the blocked kernel's MAC chain, so the scatter is
-/// disjoint and bit-identical to serial at any pool size.
-fn qmatmul_pooled(
-    c: &mut [Q8_8],
-    a: &[Q8_8],
-    bt: &[Q8_8],
-    bias: &[Q8_8],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let threads = crate::pool::current_threads().min(m.max(1));
-    if threads <= 1 || m * k * n < QPAR_MIN_MACS {
-        qmatmul_band(c, a, bt, bias, m, k, n);
-        return;
-    }
-    let band_rows = m.div_ceil(threads);
-    crate::pool::current().scatter_chunks(c, band_rows * n, |t, cband| {
-        let rows = cband.len() / n;
-        let r0 = t * band_rows;
-        qmatmul_band(
-            cband,
-            &a[r0 * k..(r0 + rows) * k],
-            bt,
-            &bias[r0..r0 + rows],
-            rows,
-            k,
-            n,
-        );
-    });
-}
-
 /// Quantised im2col: expands a `[C,H,W]` Q8.8 input into the
 /// `[out_h·out_w, C·k·k]` patch matrix (rows = output positions,
 /// columns = taps, fully overwritten; padding taps become
@@ -614,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_and_pooled_match_naive_bitwise() {
+    fn blocked_and_simd_match_naive_bitwise() {
         for (m, k, n) in [
             (1usize, 1usize, 1usize),
             (5, 7, 9),
@@ -628,11 +545,7 @@ mod tests {
             let bias = qfill(m, 3);
             let mut want = vec![Q8_8::ZERO; m * n];
             QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, m, k, n);
-            for be in [
-                QGemmBackend::Blocked,
-                QGemmBackend::Pooled,
-                QGemmBackend::Simd,
-            ] {
+            for be in [QGemmBackend::Blocked, QGemmBackend::Simd] {
                 let mut got = vec![Q8_8::MAX; m * n]; // dirty: must be overwritten
                 be.matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, m, k, n);
                 assert_eq!(
@@ -641,23 +554,6 @@ mod tests {
                     "{be} m={m} k={k} n={n}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn pooled_matches_naive_at_several_pool_sizes() {
-        let (m, k, n) = (16usize, 300usize, 40usize);
-        let a = qfill(m * k, 7);
-        let bt = qfill(n * k, 8);
-        let bias = qfill(m, 9);
-        let mut want = vec![Q8_8::ZERO; m * n];
-        QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, m, k, n);
-        for threads in [1usize, 2, 7] {
-            let pool = crate::pool::ThreadPool::new(threads);
-            let _g = pool.install();
-            let mut got = vec![Q8_8::ZERO; m * n];
-            QGemmBackend::Pooled.matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, m, k, n);
-            assert_eq!(want, got, "threads={threads}");
         }
     }
 
@@ -681,11 +577,7 @@ mod tests {
         let mut want = vec![Q8_8::ZERO; 4];
         QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, 1, k, 4);
         assert_eq!(want[0], Q8_8::MIN, "chain must end clamped, not cancelled");
-        for be in [
-            QGemmBackend::Blocked,
-            QGemmBackend::Pooled,
-            QGemmBackend::Simd,
-        ] {
+        for be in [QGemmBackend::Blocked, QGemmBackend::Simd] {
             let mut got = vec![Q8_8::ZERO; 4];
             be.matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, 1, k, 4);
             assert_eq!(want, got, "{be}");
@@ -710,11 +602,7 @@ mod tests {
         let bias = qfill(m, 23);
         let mut want = vec![Q8_8::ZERO; m * n];
         QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, m, k, n);
-        for be in [
-            QGemmBackend::Blocked,
-            QGemmBackend::Pooled,
-            QGemmBackend::Simd,
-        ] {
+        for be in [QGemmBackend::Blocked, QGemmBackend::Simd] {
             let mut got = vec![Q8_8::ZERO; m * n];
             be.matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, m, k, n);
             assert_eq!(
@@ -760,6 +648,7 @@ mod tests {
             assert_eq!(be.to_string(), be.name());
         }
         assert!("threaded".parse::<QGemmBackend>().is_err());
+        assert!("pooled".parse::<QGemmBackend>().is_err());
     }
 
     #[test]
@@ -774,21 +663,13 @@ mod tests {
             QGemmBackend::Blocked
         );
         assert_eq!(
-            QGemmBackend::from_gemm(GemmBackend::Threaded),
-            QGemmBackend::Pooled
-        );
-        assert_eq!(
             QGemmBackend::from_gemm(GemmBackend::Simd),
             QGemmBackend::Simd
         );
-        // Totality both ways: every float backend maps to some integer
-        // backend (the match is exhaustive by construction), and the
-        // names agree wherever both sides define them.
+        // Totality both ways: every float backend maps to the integer
+        // backend of the same name.
         for be in GemmBackend::ALL {
-            let q = QGemmBackend::from_gemm(be);
-            if be.name() != "threaded" {
-                assert_eq!(q.name(), be.name());
-            }
+            assert_eq!(QGemmBackend::from_gemm(be).name(), be.name());
         }
     }
 }

@@ -12,8 +12,8 @@
 //! `docs/fixed_point.md`):
 //!
 //! * quantised conv/FC layers are **one fused integer GEMM each**
-//!   ([`crate::qgemm::QGemmBackend`] — naive oracle, blocked, pooled
-//!   row-band kernels, all bit-identical), fed by Q8.8 im2col packing
+//!   ([`crate::qgemm::QGemmBackend`] — naive oracle, blocked and SIMD
+//!   kernels, all bit-identical), fed by Q8.8 im2col packing
 //!   ([`crate::qgemm::qim2col_slice_into`]; FC batches need no packing
 //!   at all under the `A·Bᵀ` contract);
 //! * [`QuantizedNet::forward_batch`] / [`QuantizedNet::q_values_batch`]
@@ -25,10 +25,11 @@
 //!   time").
 //!
 //! Batched output row `i` is **bit-identical** to the serial forward of
-//! sample `i`, on every backend and at any pool size — the integer MAC
-//! chain per output (bias seed, ascending contraction index, saturation
-//! per step, one re-quantisation) never changes, only how many outputs
-//! are in flight. `crates/nn/tests/quant_equivalence.rs` pins this.
+//! sample `i`, on every backend — the integer MAC chain per output
+//! (bias seed, ascending contraction index, saturation per step, one
+//! re-quantisation) never changes, only how many outputs are in
+//! flight. Every pass runs on the calling thread, so the pool size
+//! cannot change a bit either. `crates/nn/tests/quant_equivalence.rs` pins this.
 //!
 //! The tests also quantify the fidelity the paper's co-design relies on:
 //! the fixed-point Q-values track the float network closely enough that
@@ -390,70 +391,33 @@ impl QuantizedNet {
                 // slabs, concatenated — position rows are the
                 // contiguous tap vectors the weight rows dot against.
                 let cols_all = reuse_qbuf(&mut slot.cols, n * taps * positions);
-                // The two pool-scattering backends take batch-axis
-                // parallelism; the per-sample product keeps each one's
-                // own arithmetic engine (Simd stays on the lane
-                // kernel — nested pool calls run inline, and the bits
-                // are backend-invariant anyway).
-                let per_sample = match self.backend {
-                    QGemmBackend::Pooled => Some(QGemmBackend::Blocked),
-                    QGemmBackend::Simd => Some(QGemmBackend::Simd),
-                    _ => None,
-                };
-                if let (Some(sample_be), true) = (per_sample, n > 1) {
-                    // Batch-axis parallelism: one pool task per sample
-                    // packs its own slab and runs its own W·colsᵢᵀ
-                    // product straight into its disjoint out chunk —
-                    // the identical bias-seeded ascending-taps MAC
-                    // chain per output as the fused product below, so
-                    // the scatter is bit-identical at any pool size.
-                    let (in_c, out_c, k, stride, pad) = (*in_c, *out_c, *k, *stride, *pad);
-                    let mut tasks: Vec<crate::pool::Task> = Vec::with_capacity(n);
-                    for (i, (cols_i, out_i)) in cols_all
-                        .chunks_mut(taps * positions)
-                        .zip(out.chunks_mut(out_plane))
-                        .enumerate()
-                    {
-                        let x_i = &input[i * in_plane..(i + 1) * in_plane];
-                        tasks.push(Box::new(move || {
-                            qim2col_slice_into(cols_i, x_i, in_c, in_h, in_w, k, stride, pad);
-                            sample_be.matmul_bt_bias_requant_into(
-                                out_i, weight, cols_i, bias, out_c, taps, positions,
-                            );
-                        }));
-                    }
-                    crate::pool::current().run(tasks);
-                } else {
-                    // Fused path: one product for the whole batch,
-                    //   C[out_c × N·positions] = requant(b + W · colsᵀ),
-                    // sample i's positions occupying Bᵀ rows
-                    // [i·positions, (i+1)·positions).
-                    let big_n = n * positions;
-                    for (i, cols_i) in cols_all.chunks_mut(taps * positions).enumerate() {
-                        qim2col_slice_into(
-                            cols_i,
-                            &input[i * in_plane..(i + 1) * in_plane],
-                            *in_c,
-                            in_h,
-                            in_w,
-                            *k,
-                            *stride,
-                            *pad,
-                        );
-                    }
-                    let gc = reuse_qbuf(&mut slot.gemm_c, out_c * big_n);
-                    self.backend.matmul_bt_bias_requant_into(
-                        gc, weight, cols_all, bias, *out_c, taps, big_n,
+                // One product for the whole batch,
+                //   C[out_c × N·positions] = requant(b + W · colsᵀ),
+                // sample i's positions occupying Bᵀ rows
+                // [i·positions, (i+1)·positions).
+                let big_n = n * positions;
+                for (i, cols_i) in cols_all.chunks_mut(taps * positions).enumerate() {
+                    qim2col_slice_into(
+                        cols_i,
+                        &input[i * in_plane..(i + 1) * in_plane],
+                        *in_c,
+                        in_h,
+                        in_w,
+                        *k,
+                        *stride,
+                        *pad,
                     );
-                    // Reorder [out_c × N·positions] → [N, out_c, positions]
-                    // (a pure Q8.8 copy — no arithmetic, no bit changes).
-                    for i in 0..n {
-                        for oc in 0..*out_c {
-                            let src =
-                                &gc[oc * big_n + i * positions..oc * big_n + (i + 1) * positions];
-                            out[(i * out_c + oc) * positions..(i * out_c + oc + 1) * positions]
-                                .copy_from_slice(src);
-                        }
+                }
+                let gc = reuse_qbuf(&mut slot.gemm_c, out_c * big_n);
+                self.backend
+                    .matmul_bt_bias_requant_into(gc, weight, cols_all, bias, *out_c, taps, big_n);
+                // Reorder [out_c × N·positions] → [N, out_c, positions]
+                // (a pure Q8.8 copy — no arithmetic, no bit changes).
+                for i in 0..n {
+                    for oc in 0..*out_c {
+                        let src = &gc[oc * big_n + i * positions..oc * big_n + (i + 1) * positions];
+                        out[(i * out_c + oc) * positions..(i * out_c + oc + 1) * positions]
+                            .copy_from_slice(src);
                     }
                 }
                 vec![*out_c, out_h, out_w]

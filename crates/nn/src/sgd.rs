@@ -74,36 +74,58 @@ impl Sgd {
 
     /// Applies one update to `param` from a gradient summed over
     /// `batch_size` examples, then leaves the accumulator untouched (the
-    /// caller clears it — `Network::apply_sgd` does).
+    /// caller clears it — `Network::apply_sgd` does, in the same pass).
     pub fn step(&self, param: &mut ParamTensor, batch_size: usize) {
-        let inv = 1.0 / batch_size as f32;
+        let (value, grad, velocity) = self.parts(param);
+        self.update(value, grad, velocity, 1.0 / batch_size as f32, false);
+    }
+
+    /// `param`'s value, gradient and — under momentum — velocity
+    /// slices, allocating the velocity on first use.
+    pub(crate) fn parts<'p>(
+        &self,
+        param: &'p mut ParamTensor,
+    ) -> (&'p mut [f32], &'p mut [f32], Option<&'p mut [f32]>) {
         if self.momentum > 0.0 && param.velocity.is_none() {
             param.velocity = Some(Tensor::zeros(param.value.shape()));
         }
-        match &mut param.velocity {
-            Some(vel) if self.momentum > 0.0 => {
-                for ((w, g), v) in param
-                    .value
-                    .data_mut()
-                    .iter_mut()
-                    .zip(param.grad.data())
-                    .zip(vel.data_mut())
-                {
-                    let mut g = g * inv;
-                    if let Some(c) = self.grad_clip {
-                        g = g.clamp(-c, c);
-                    }
-                    *v = self.momentum * *v + g;
+        let velocity = match &mut param.velocity {
+            Some(vel) if self.momentum > 0.0 => Some(vel.data_mut()),
+            _ => None,
+        };
+        (param.value.data_mut(), param.grad.data_mut(), velocity)
+    }
+
+    /// The element-wise update over one slice of a parameter (`inv` =
+    /// 1 / batch size). Each element's arithmetic depends only on its
+    /// own value, gradient and velocity, so any chunking of a parameter
+    /// gives the same bits. With `clear`, each gradient element is
+    /// zeroed as it is read.
+    pub(crate) fn update(
+        &self,
+        value: &mut [f32],
+        grad: &mut [f32],
+        velocity: Option<&mut [f32]>,
+        inv: f32,
+        clear: bool,
+    ) {
+        let read = |g: &mut f32| {
+            let mut g = if clear { core::mem::take(g) } else { *g } * inv;
+            if let Some(c) = self.grad_clip {
+                g = g.clamp(-c, c);
+            }
+            g
+        };
+        match velocity {
+            Some(vel) => {
+                for ((w, g), v) in value.iter_mut().zip(grad).zip(vel) {
+                    *v = self.momentum * *v + read(g);
                     *w -= self.lr * *v;
                 }
             }
-            _ => {
-                for (w, g) in param.value.data_mut().iter_mut().zip(param.grad.data()) {
-                    let mut g = g * inv;
-                    if let Some(c) = self.grad_clip {
-                        g = g.clamp(-c, c);
-                    }
-                    *w -= self.lr * g;
+            None => {
+                for (w, g) in value.iter_mut().zip(grad) {
+                    *w -= self.lr * read(g);
                 }
             }
         }

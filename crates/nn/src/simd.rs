@@ -30,7 +30,7 @@
 //!   `(A row, B column)` pair, results are **bitwise invariant** under
 //!   batching, row banding, column tiling and pool size; only the
 //!   *fusion* (one rounding per multiply-add instead of two)
-//!   distinguishes it from the unfused naive/blocked/threaded family.
+//!   distinguishes it from the unfused naive/blocked family.
 //!
 //! # Detection, knob, fallback
 //!

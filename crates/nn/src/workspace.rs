@@ -38,16 +38,14 @@ use crate::tensor::Tensor;
 /// | `mask` | — | — | — | — | pass mask | — |
 /// | `argmax` | — | — | argmax indices | — | — | — |
 /// | `in_shape` | — | — | input shape | — | — | input shape |
-/// | `im2col` | per-sample patches | — | — | — | — | — |
-/// | `gemm_a` | packed GEMM operand | transposed x / grads | — | — | — | — |
+/// | `im2col` | one sample's patches (backward) | — | — | — | — | — |
+/// | `gemm_a` | packed GEMM operand | transposed x | — | — | — | — |
 /// | `gemm_c` | GEMM output | GEMM output | — | — | — | — |
-/// | `acc` | per-sample `dW` partials | — | — | — | — | — |
-/// | `acc2` | per-sample `db` partials | — | — | — | — | — |
+/// | `acc` | one sample's `dW` | batch `dW` | — | — | — | — |
 ///
-/// On the `Threaded` backend the conv buffers hold **all `N` samples'**
-/// chunks at once (one disjoint chunk per pool task); `acc`/`acc2` are
-/// the per-worker partial buffers of the fixed-order reduction that
-/// keeps batched `dW`/`db` bit-identical to serial (`docs/threading.md`).
+/// A forward that fans out over the pool writes disjoint slabs or
+/// bands of these same buffers, so the footprint does not depend on the
+/// pool size (`docs/threading.md`).
 #[derive(Debug, Clone, Default)]
 pub struct LayerWs {
     /// The layer's batched activation `[N, ...]` from the last
@@ -71,12 +69,9 @@ pub struct LayerWs {
     pub gemm_a: Vec<f32>,
     /// GEMM output scratch.
     pub gemm_c: Vec<f32>,
-    /// Per-sample reduction scratch (e.g. one sample's `dW`; on the
-    /// pooled path, all samples' `dW` partials).
+    /// Reduction scratch (e.g. one sample's `dW`, added into the
+    /// parameter's accumulator in ascending sample order).
     pub acc: Vec<f32>,
-    /// Secondary per-sample reduction scratch (e.g. the pooled path's
-    /// per-sample `db` partials).
-    pub acc2: Vec<f32>,
     /// Batch size `N` seen by the last `forward_batch` (0 = none yet —
     /// the marker `backward_batch` checks to reject ordering violations).
     pub batch: usize,
@@ -136,7 +131,6 @@ impl LayerWs {
             + self.gemm_a.capacity()
             + self.gemm_c.capacity()
             + self.acc.capacity()
-            + self.acc2.capacity()
     }
 }
 

@@ -205,9 +205,8 @@ proptest! {
 
 /// The batched ≡ serial contract survives pooled execution: the same
 /// forward/backward comparison as the proptests above, pinned under
-/// injected worker pools of 1, 2 and 7 executors (the per-sample conv
-/// scatter, pooled GEMM bands and fixed-order `dW` merges all engage on
-/// the threaded backend; the other backends must simply not care).
+/// injected worker pools of 1, 2 and 7 executors (the parallel rule's
+/// splits engage where a pass is large enough; no backend may care).
 #[test]
 fn pooled_execution_preserves_batched_equals_serial() {
     let spec = NetworkSpec::micro(12, 1, 5);
@@ -364,9 +363,8 @@ fn batched_conv_matches_direct_oracle_per_sample() {
 }
 
 /// `backward_batch_params` accumulates bit-identical `dW`/`db` to
-/// `backward_batch` and writes no input gradient — for `Linear`, and for
-/// `Conv2d` on both its fused path and (`Threaded`, N > 1) its
-/// per-sample pooled path, on every bitwise backend at batches 1–5.
+/// `backward_batch` and writes no input gradient — for `Linear` and
+/// `Conv2d`, on every bitwise backend at batches 1–5.
 #[test]
 fn params_only_backward_matches_full_backward() {
     use mramrl_nn::{Conv2d, Layer, LayerWs, Linear};

@@ -1,5 +1,5 @@
 //! Backend equivalence suite: the float summation-order family
-//! (`Blocked`, `Threaded`) vs the `Naive` oracle, plus the tolerance
+//! (`Blocked`) vs the `Naive` oracle, plus the tolerance
 //! tiers (`Simd` and the direct-convolution oracle).
 //!
 //! Generators, comparators and the direct-loop conv oracle come from the
@@ -20,9 +20,7 @@
 //!    lives in `simd_equivalence.rs`.
 
 use mramrl_nn::backend::GemmBackend;
-use mramrl_nn::difftest::{
-    assert_close, bits, conv_direct_backward, conv_direct_forward, fill, sweep_pools,
-};
+use mramrl_nn::difftest::{assert_close, bits, conv_direct_backward, conv_direct_forward, fill};
 use mramrl_nn::{Conv2d, Layer, LayerWs, Tensor};
 use proptest::prelude::*;
 
@@ -116,33 +114,10 @@ proptest! {
     }
 }
 
-/// The raw-kernel bitwise contract survives pooled execution, special
-/// values included: `Threaded` scatters its row bands over the
-/// persistent `mramrl_nn::pool`, so re-pin `matmul`/`matmul_at_b`
-/// against the oracle under injected pools of every
-/// [`mramrl_nn::difftest::POOL_SIZES`] width on shapes that force the
-/// fan-out (≥ `PAR_MIN_MACS` MACs).
-#[test]
-fn threaded_kernels_bitwise_equal_under_injected_pools() {
-    let (m, k, n) = (40usize, 80usize, 90usize);
-    assert!(m * k * n >= 1 << 18, "shape must force the fan-out");
-    let a = fill(m * k, 31, true);
-    let b = fill(k * n, 32, true);
-    let want = GemmBackend::Naive.matmul(&a, &b, m, k, n);
-    let bt = fill(m * n, 33, true);
-    let want_t = GemmBackend::Naive.matmul_at_b(&a, &bt, m, k, n);
-    sweep_pools(|pool_threads| {
-        let got = GemmBackend::Threaded.matmul(&a, &b, m, k, n);
-        assert_eq!(bits(&want), bits(&got), "matmul pool={pool_threads}");
-        let got_t = GemmBackend::Threaded.matmul_at_b(&a, &bt, m, k, n);
-        assert_eq!(bits(&want_t), bits(&got_t), "at_b pool={pool_threads}");
-    });
-}
-
 /// `0.0 × NaN` must be `NaN` on every backend: the reference kernels
 /// have no zero-skip, so an exact-zero row element cannot silently drop
-/// a `NaN` (or `-0.0` rounding contribution) that the blocked/threaded
-/// kernels would propagate.
+/// a `NaN` (or `-0.0` rounding contribution) that the blocked kernel
+/// would propagate.
 #[test]
 fn nan_and_signed_zero_propagate_identically() {
     // A has an exact 0.0 facing a NaN in B, and a -0.0 row.
@@ -165,11 +140,7 @@ fn nan_and_signed_zero_propagate_identically() {
     // rounds to +0.0 just like the unfused chain.
     let z = GemmBackend::Naive.matmul(&[-0.0f32], &[1.0f32], 1, 1, 1);
     assert_eq!(z[0].to_bits(), 0.0f32.to_bits());
-    for be in [
-        GemmBackend::Blocked,
-        GemmBackend::Threaded,
-        GemmBackend::Simd,
-    ] {
+    for be in [GemmBackend::Blocked, GemmBackend::Simd] {
         assert_eq!(
             be.matmul(&[-0.0f32], &[1.0f32], 1, 1, 1)[0].to_bits(),
             z[0].to_bits()

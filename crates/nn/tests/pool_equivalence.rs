@@ -1,21 +1,25 @@
 //! Pooled-execution equivalence suite: the persistent worker pool must
 //! never change a bit.
 //!
-//! The batched conv passes (per-sample pool tasks + fixed-order `dW`/`db`
-//! partial merges), the pooled GEMM row bands and the whole-network
-//! batched drivers are compared against the serial single-image oracle
-//! under injected pools of every [`mramrl_nn::difftest::POOL_SIZES`]
-//! width — the `NN_POOL_THREADS` sweep the issue demands, driven through
-//! `ThreadPool::install` so one process covers every size — on every
-//! GEMM backend, `Simd` included (its per-element FMA chains make
-//! pooled row-banding invisible, see `docs/gemm_backends.md`).
-//! Generators and comparators come from the shared
-//! [`mramrl_nn::difftest`] harness.
+//! A float pass fans out by one rule (`docs/threading.md`): at top
+//! level, on a pool of more than one executor, once it reaches
+//! `PAR_MIN_MACS`. The splits it makes — conv forwards in slabs of
+//! samples, FC forwards in bands of output rows, backwards as
+//! `dW ∥ dX`, the SGD step in chunks — and the whole-network batched
+//! drivers are compared against the serial schedule under injected
+//! pools of every [`mramrl_nn::difftest::POOL_SIZES`] width, driven
+//! through `ThreadPool::install` so one process covers every size, on
+//! every GEMM backend, `Simd` included (its per-element FMA chains make
+//! any split invisible, see `docs/gemm_backends.md`). Generators and
+//! comparators come from the shared [`mramrl_nn::difftest`] harness.
 
 use mramrl_nn::backend::GemmBackend;
 use mramrl_nn::difftest::{bits, sweep_backends, sweep_pools, POOL_SIZES};
 use mramrl_nn::pool::ThreadPool;
-use mramrl_nn::{Conv2d, Layer, LayerWs, NetworkSpec, Tensor, Workspace};
+use mramrl_nn::{
+    Conv2d, Flatten, Layer, LayerWs, Linear, Lrn, MaxPool2d, Network, NetworkSpec, Relu, Sgd,
+    Tensor, Workspace,
+};
 use proptest::prelude::*;
 
 /// Specials-free value stream (the pool contracts are about scheduling,
@@ -25,8 +29,8 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
 }
 
 proptest! {
-    /// Batched conv forward/backward — the pooled per-sample scatter with
-    /// its ascending-sample `dW`/`db` partial merge — is bit-identical to
+    /// Batched conv forward/backward — one fused GEMM over the batch and
+    /// the ascending-sample `dW`/`db` accumulation — is bit-identical to
     /// N serial single-image passes on every backend and pool size.
     #[test]
     fn pooled_conv_dw_batched_equals_serial(
@@ -131,38 +135,121 @@ fn pooled_network_pass_identical_across_pool_sizes() {
     });
 }
 
-/// Forced pooled GEMM fan-out (shapes above `PAR_MIN_MACS`) stays
-/// bitwise equal to the naive oracle at every pool size — the row-band
-/// scatter contract, now on the persistent pool instead of per-call
-/// spawned threads. (The `Simd` backend's own row-band sweep lives in
-/// `simd_equivalence.rs`, where the oracle is its serial self.)
+/// A conv + ReLU + LRN + max-pool + FC net sized so the rule fires:
+/// CONV1 reaches `PAR_MIN_MACS` from batch 2 on (147 456 MACs per
+/// sample) and FC1 at every batch (307 200 MACs per sample), so a
+/// top-level forward splits CONV1 into sample slabs and FC1 into
+/// output-row bands on every pool wider than one executor.
+fn rule_net(be: GemmBackend) -> Network {
+    let mut net = Network::new(vec![
+        Box::new(Conv2d::new("CONV1", 4, 16, 3, 1, 1, 3)),
+        Box::new(Relu::new("relu1")),
+        Box::new(Lrn::new("lrn1", 5, 1e-4, 0.75, 2.0)),
+        Box::new(MaxPool2d::new("pool1", 2, 2)),
+        Box::new(Flatten::new("flatten")),
+        Box::new(Linear::new("FC1", 16 * 8 * 8, 300, 4)),
+        Box::new(Relu::new("relu2")),
+        Box::new(Linear::new("FC2", 300, 5, 5)),
+    ]);
+    net.set_gemm_backend(be);
+    net
+}
+
+/// The one parallel rule on a top-level `Network::forward_batch`: on
+/// every backend, every batch (ragged slabs included) and pools
+/// {1, 2, 7}, the output bits and the workspace footprint equal the
+/// 1-executor pool's. The comparison is within each backend, so `Simd`
+/// is held against itself.
 #[test]
-fn pooled_gemm_bands_bitwise_equal_at_every_pool_size() {
-    for (m, k, n) in [(67usize, 70usize, 65usize), (20, 30, 600)] {
-        assert!(m * k * n >= 1 << 18, "shape must force the fan-out");
-        let a = fill(m * k, 1);
-        let b = fill(k * n, 2);
-        let want = GemmBackend::Naive.matmul(&a, &b, m, k, n);
-        sweep_pools(|pool_threads| {
-            let got = GemmBackend::Threaded.matmul(&a, &b, m, k, n);
-            assert_eq!(
-                bits(&want),
-                bits(&got),
-                "pool={pool_threads} m={m} k={k} n={n}"
-            );
-        });
+fn forward_split_rule_matches_pool_one() {
+    for be in GemmBackend::ALL {
+        let net = rule_net(be);
+        for n in [1usize, 2, 3, 7, 32] {
+            let x = Tensor::from_vec(&[n, 4, 16, 16], fill(n * 4 * 256, n as u64));
+            let mut reference: Option<(Vec<u32>, usize)> = None;
+            sweep_pools(|pool_threads| {
+                let mut ws = net.workspace();
+                let out = bits(net.forward_batch(&x, &mut ws).data());
+                let got = (out, ws.footprint());
+                match &reference {
+                    None => reference = Some(got),
+                    Some(want) => {
+                        assert!(want.0 == got.0, "{be} n={n} pool={pool_threads}: bits");
+                        assert_eq!(want.1, got.1, "{be} n={n} pool={pool_threads}: footprint");
+                    }
+                }
+            });
+        }
     }
-    for (m, k, n) in [(70usize, 67usize, 65usize), (600, 30, 20)] {
-        let a = fill(m * k, 3);
-        let b = fill(m * n, 4);
-        let want = GemmBackend::Naive.matmul_at_b(&a, &b, m, k, n);
+}
+
+/// Forced fan-out on ragged shapes, with an explicit 4-executor pool so
+/// the split runs even on a one-core host: FC forwards whose output-row
+/// bands end unevenly (and, at batch 600 > the kernel's column tile,
+/// cross a tile boundary inside each band), and a conv forward whose
+/// last slab is short, all bitwise equal to the naive oracle.
+#[test]
+fn forced_bands_and_slabs_are_bitwise_equal_to_naive() {
+    let run = |layer: &mut dyn Layer, be: GemmBackend, x: &Tensor, threads: usize| {
+        let pool = ThreadPool::new(threads);
+        let _installed = pool.install();
+        layer.set_gemm_backend(be);
+        let mut ws = LayerWs::new();
+        layer.forward_batch(x, &mut ws);
+        bits(ws.out.as_ref().expect("forward wrote out").data())
+    };
+    // (out_f, in_f, batch): out_f·in_f·batch ≥ PAR_MIN_MACS.
+    for (out_f, in_f, n) in [(67usize, 70usize, 65usize), (20, 30, 600), (129, 17, 130)] {
+        assert!(out_f * in_f * n >= 1 << 18, "shape must force the fan-out");
+        let x = Tensor::from_vec(&[n, in_f], fill(n * in_f, 2));
+        let mut fc = Linear::new("fc", in_f, out_f, 1);
+        let want = run(&mut fc, GemmBackend::Naive, &x, 1);
+        let got = run(&mut fc, GemmBackend::Blocked, &x, 4);
+        assert!(want == got, "fc out_f={out_f} in_f={in_f} n={n}");
+    }
+    // 7 samples over 4 executors: slabs of 2, 2, 2 and 1.
+    let x = Tensor::from_vec(&[7, 3, 20, 20], fill(7 * 3 * 400, 3));
+    let mut conv = Conv2d::new("c", 3, 24, 5, 1, 2, 7);
+    let want = run(&mut conv, GemmBackend::Naive, &x, 1);
+    let got = run(&mut conv, GemmBackend::Blocked, &x, 4);
+    assert!(want == got, "conv slabs");
+}
+
+/// `Network::apply_sgd` chunked over the pool ≡ the serial pass: with
+/// momentum and gradient clipping, over two updates (the second reads
+/// the first's velocity), a frozen first layer whose accumulator must
+/// only be cleared, and pools {1, 2, 7}. Values, velocities and the
+/// cleared accumulators all match the 1-executor pool's bits.
+#[test]
+fn chunked_sgd_step_matches_serial() {
+    let sgd = Sgd::new(0.05).with_momentum(0.9).with_grad_clip(0.01);
+    for be in GemmBackend::ALL {
+        let mut reference: Option<Vec<Vec<u32>>> = None;
         sweep_pools(|pool_threads| {
-            let got = GemmBackend::Threaded.matmul_at_b(&a, &b, m, k, n);
-            assert_eq!(
-                bits(&want),
-                bits(&got),
-                "at_b pool={pool_threads} m={m} k={k} n={n}"
-            );
+            let mut net = rule_net(be);
+            net.set_layer_trainable("CONV1", false)
+                .expect("layer exists");
+            let x = Tensor::from_vec(&[3, 4, 16, 16], fill(3 * 4 * 256, 9));
+            let grad = Tensor::from_vec(&[3, 5], fill(15, 10));
+            let mut ws = net.workspace();
+            for _ in 0..2 {
+                net.forward_batch(&x, &mut ws);
+                net.backward_batch(&grad, &mut ws).expect("forward ran");
+                net.apply_sgd(&sgd, 3);
+            }
+            assert_eq!(net.grad_norm(), 0.0, "accumulators cleared");
+            let state: Vec<Vec<u32>> = net
+                .layers()
+                .flat_map(|l| l.params())
+                .flat_map(|p| {
+                    let vel = p.velocity.as_ref().map_or(Vec::new(), |v| bits(v.data()));
+                    [bits(p.value.data()), bits(p.grad.data()), vel]
+                })
+                .collect();
+            match &reference {
+                None => reference = Some(state),
+                Some(want) => assert!(want == &state, "{be} pool={pool_threads}: bits differ"),
+            }
         });
     }
 }
@@ -171,7 +258,7 @@ fn pooled_gemm_bands_bitwise_equal_at_every_pool_size() {
 /// `Linear` and `Conv2d` backward — full and params-only — give the
 /// same `dW`, `db` and `dX` bits on pools of 2 and 7 executors as on
 /// the 1-executor pool. The shapes sit above `PAR_MIN_MACS`, so the
-/// single-threaded backends take the joined branch on the wider pools.
+/// backward takes the joined branch on the wider pools.
 /// Each layer runs two backwards, so the second accumulates onto
 /// non-zero gradients.
 #[test]

@@ -12,7 +12,7 @@
 //!    the two indistinguishable.
 //! 2. **Certificate boundary**: rows constructed to sit exactly at,
 //!    one unit below, and one unit above the [`row_safe`] L1
-//!    threshold flip the verdict at the right point, and all four
+//!    threshold flip the verdict at the right point, and all three
 //!    integer backends agree bitwise on either side of it.
 //! 3. **Forced fallback**: under [`mramrl_nn::simd::force_scalar`]
 //!    (the in-process face of the `NN_SIMD=off` knob) both datapaths
@@ -28,7 +28,7 @@
 use mramrl_fixed::Q8_8;
 use mramrl_nn::backend::GemmBackend;
 use mramrl_nn::difftest::{
-    assert_bitwise, assert_close, assert_ulp_close, bits, fill, fill01, qbits, qfill, sweep_pools,
+    assert_bitwise, assert_close, assert_ulp_close, fill, fill01, qbits, qfill, sweep_pools,
 };
 use mramrl_nn::qgemm::{row_safe, QGemmBackend};
 use mramrl_nn::{simd, NetworkSpec, Tensor, Workspace};
@@ -125,7 +125,7 @@ proptest! {
             // ±1 entries keep max|b| = 1 while exercising sign mixes.
             let bt: Vec<Q8_8> = (0..n * k).map(|i| Q8_8::from_raw(sign(i * 3))).collect();
             let want = qmm(QGemmBackend::Naive, arow, &bt, &[zero], 1, k, n);
-            for be in [QGemmBackend::Blocked, QGemmBackend::Pooled, QGemmBackend::Simd] {
+            for be in [QGemmBackend::Blocked, QGemmBackend::Simd] {
                 let got = qmm(be, arow, &bt, &[zero], 1, k, n);
                 prop_assert_eq!(
                     qbits(&want), qbits(&got),
@@ -136,15 +136,14 @@ proptest! {
     }
 }
 
-/// Contract 1 under the pool: a shape above `QPAR_MIN_MACS` forces the
-/// `Simd` row-band scatter at every pool width; the bits must be the
-/// oracle's at each of them. Saturating rows are mixed in (a handful of
-/// `-128.0` rows make the certificate fail genuinely) so both paths
-/// cross the band boundaries.
+/// Contract 1 on a mixed product: saturating rows sit among certified
+/// ones (a handful of `-128.0` rows make the certificate fail
+/// genuinely), so both paths run in one call, and the bits must be the
+/// oracle's under every pool width — Q8.8 kernels never fan out, so the
+/// pool must be invisible.
 #[test]
-fn qsimd_banded_matches_naive_at_every_pool_size() {
+fn qsimd_mixed_rows_match_naive_at_every_pool_size() {
     let (m, k, n) = (32usize, 64usize, 80usize);
-    assert!(m * k * n >= 1 << 17, "shape must force the fan-out");
     let mut a = qfill(m * k, 51);
     // Rows 3 and 17: all-extreme entries, so the certificate bound
     // L1 · max|b| ≈ 64 · 32768 · 32768 ≈ 2³⁶ overshoots i32::MAX and
@@ -209,8 +208,10 @@ fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
 /// Contract 4, self-consistency: within the `Simd` backend each output
 /// element's bits depend only on its own (row, column) operands — so a
 /// matmul over the full row block equals the concatenation of matmuls
-/// over arbitrary row splits (the property that makes pooled row
-/// banding and per-sample batching invisible).
+/// over arbitrary row splits (the property that makes the parallel
+/// rule's output-row bands and sample slabs invisible). The backward
+/// contraction (`matmul_at_b`, deliberately routed to the `Blocked`
+/// family) equals the naive oracle bitwise.
 #[test]
 fn f32_simd_is_invariant_under_row_splits() {
     let (m, k, n) = (13usize, 96, 40);
@@ -223,33 +224,12 @@ fn f32_simd_is_invariant_under_row_splits() {
         let stitched: Vec<f32> = top.into_iter().chain(bot).collect();
         assert_bitwise(&format!("split at {split}"), &full, &stitched);
     }
-}
-
-/// Contract 4 under the pool: at a fan-out shape (≥ `PAR_MIN_MACS`)
-/// the `Simd` forward bits are identical at every pool width, and the
-/// backward contraction (`matmul_at_b`, deliberately routed to the
-/// `Blocked` family) equals the naive oracle bitwise throughout.
-#[test]
-fn f32_simd_banded_bits_are_pool_invariant() {
-    let (m, k, n) = (40usize, 80, 90);
-    assert!(m * k * n >= 1 << 18, "shape must force the fan-out");
-    let a = fill(m * k, 81, false);
-    let b = fill(k * n, 82, false);
-    let bt = fill(m * n, 83, false);
-    let want_at_b = GemmBackend::Naive.matmul_at_b(&a, &bt, m, k, n);
-    let mut reference: Option<Vec<u32>> = None;
-    sweep_pools(|pool_threads| {
-        let got = bits(&GemmBackend::Simd.matmul(&a, &b, m, k, n));
-        match &reference {
-            None => reference = Some(got),
-            Some(r) => assert_eq!(r, &got, "forward pool={pool_threads}"),
-        }
-        assert_bitwise(
-            &format!("at_b pool={pool_threads}"),
-            &want_at_b,
-            &GemmBackend::Simd.matmul_at_b(&a, &bt, m, k, n),
-        );
-    });
+    let bt = fill(m * n, 73, false);
+    assert_bitwise(
+        "at_b ≡ naive",
+        &GemmBackend::Naive.matmul_at_b(&a, &bt, m, k, n),
+        &GemmBackend::Simd.matmul_at_b(&a, &bt, m, k, n),
+    );
 }
 
 /// Contract 4 end-to-end: a whole batched network forward on the

@@ -221,7 +221,7 @@ impl QAgent {
         self.net.set_gemm_backend(backend);
         self.target.set_gemm_backend(backend);
         // The snapshot mirrors the float backend choice (naive→naive,
-        // blocked→blocked, threaded→pooled); rebuild on next use.
+        // blocked→blocked, simd→simd); rebuild on next use.
         self.invalidate_quantized();
     }
 
@@ -359,10 +359,9 @@ impl QAgent {
     /// [`mramrl_nn::pool::join2`] puts them on both executors; the
     /// **backward half** (TD errors, loss gradient, online backward)
     /// touches only the online net, so the trainer overlaps it with the
-    /// Q8.8 actors' forward. Where the passes already fan out inside the
-    /// layers (the threaded and simd backends), or the pool has one executor,
-    /// everything runs sequentially instead. No schedule affects a
-    /// single bit of either result.
+    /// Q8.8 actors' forward. On a one-executor pool, or when called from
+    /// inside a pool task, the joins run their halves in order. No
+    /// schedule affects a single bit of either result.
     ///
     /// From zeroed gradient accumulators (the batch boundary,
     /// i.e. right after [`QAgent::apply_update`]), the accumulated
@@ -375,25 +374,15 @@ impl QAgent {
         self.td_backward(batch, fwd)
     }
 
-    /// `true` when a batched pass already spreads over the pool, or the
-    /// pool has a single executor: [`GemmBackend::fans_out`] for the
-    /// online net's backend. Either way a 2-way `join2` overlap buys
-    /// nothing. It gates both overlaps of a training round: the TD
-    /// forward pair here and the trainer's backward ‖ actor step.
-    pub(crate) fn passes_fan_out(&self) -> bool {
-        self.net.gemm_backend().unwrap_or_default().fans_out()
-    }
-
     /// The forward half of [`QAgent::accumulate_td_batch`]: the target
     /// net's forward over `next_states` and the online net's next pass,
-    /// overlapped on the pool unless [`QAgent::passes_fan_out`].
+    /// overlapped as one [`mramrl_nn::pool::join2`].
     /// Vanilla: the online pass runs over the *states*, and its
     /// activations stay in the online workspace for
     /// [`QAgent::td_backward`]. Double-DQN: the online net picks a* over
     /// the *next* states (the backward half re-runs the states forward,
     /// exactly as the serial path re-runs forward).
     pub(crate) fn td_forward(&mut self, batch: &TransitionBatch) -> TdForward {
-        let sequential = self.passes_fan_out();
         let Self {
             net,
             target,
@@ -401,19 +390,15 @@ impl QAgent {
             target_ws,
             ..
         } = self;
-        let mut run_target = || target.forward_batch(&batch.next_states, target_ws).clone();
-        let mut run_online = || {
+        let run_target = || target.forward_batch(&batch.next_states, target_ws).clone();
+        let run_online = || {
             if self.double_q {
                 net.forward_batch(&batch.next_states, ws).clone()
             } else {
                 net.forward_batch(&batch.states, ws).clone()
             }
         };
-        let (next_q, online_out) = if sequential {
-            (run_target(), run_online())
-        } else {
-            mramrl_nn::pool::join2(run_target, run_online)
-        };
+        let (next_q, online_out) = mramrl_nn::pool::join2(run_target, run_online);
         TdForward { next_q, online_out }
     }
 

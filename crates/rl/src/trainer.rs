@@ -23,18 +23,18 @@
 //! `run_vec`, and the merged shard order equals the serial
 //! interleaving's single buffer.
 //!
-//! With `TrainerConfig::backend = GemmBackend::Threaded` and more than
-//! one executor on the persistent `mramrl_nn::pool`, the whole vec-step
-//! runs multi-core: lane rendering fans out inside [`VecEnv::step`] /
-//! [`mramrl_env::step_fleets`], the TD batch's per-sample conv passes
-//! and GEMM row bands fan out inside the layers. On the serial-kernel
-//! backends the agent instead overlaps its independent target/online
-//! forwards, and in deployment-precision acting the trainer also
-//! overlaps the learner's float backward and update with the actors'
-//! Q8.8 forward (disjoint nets — the snapshot is frozen), so each of
-//! the round's two learner steps fills both executors. Every schedule
-//! is bit-identical to the serial one at any `NN_POOL_THREADS` (see
-//! `docs/threading.md`).
+//! With more than one executor on the persistent `mramrl_nn::pool`, the
+//! whole vec-step runs multi-core on every backend: lane rendering fans
+//! out inside [`VecEnv::step`] / [`mramrl_env::step_fleets`], the agent
+//! overlaps its independent target/online forwards, and in
+//! deployment-precision acting the trainer also overlaps the learner's
+//! float backward and update with the actors' Q8.8 forward (disjoint
+//! nets — the snapshot is frozen), so each of the round's two learner
+//! steps fills both executors. A float pass reached at top level — the
+//! end-to-end backward, the SGD step, the float actors' forward —
+//! splits inside its layers by the pool's one parallel rule. Every
+//! schedule is bit-identical to the serial one at any `NN_POOL_THREADS`
+//! (see `docs/threading.md`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -446,10 +446,9 @@ impl Trainer {
     ///
     /// Size the `VecEnv` with [`Trainer::build_vec_env`] (which reads
     /// [`TrainerConfig::num_envs`]); a hand-built `venv` also works —
-    /// its lane count wins. Lane stepping and (on the `Threaded`
-    /// backend) every batched network pass parallelise on the
-    /// persistent `mramrl_nn::pool` without changing a single bit of
-    /// the trajectory — determinism stays seed-only.
+    /// its lane count wins. Lane stepping and the batched network passes
+    /// parallelise on the persistent `mramrl_nn::pool` without changing
+    /// a single bit of the trajectory — determinism stays seed-only.
     ///
     /// This *is* [`Trainer::run_parallel`] with one fleet (the engines
     /// are literally the same function), so its trajectories are pinned
@@ -589,15 +588,14 @@ impl Trainer {
             //    each fill both executors: the TD forward pair (target ‖
             //    online, overlapped inside `Learner::forward` at top
             //    level), then the online backward and weight update ‖
-            //    the actors' forward. Where passes already fan out
-            //    (`QAgent::passes_fan_out`) both steps run sequentially.
-            //    Float acting needs the updated weights, so its phase
-            //    runs alone at top level, where each layer's `dW ∥ dX`
-            //    backward join gets both executors. Every schedule
+            //    the actors' forward. Float acting needs the updated
+            //    weights, so its phase runs alone at top level, where the
+            //    pool's parallel rule splits each pass inside its layers
+            //    (`dW ∥ dX` backwards, chunked SGD step, sample slabs and
+            //    row bands in the actors' forward). Every schedule
             //    produces identical bits.
             let synced = match &actor_snap {
                 Some(snap) => {
-                    let sequential = agent.passes_fan_out();
                     let t0 = Instant::now();
                     let fwd = learner.forward(agent, &replay, &idx);
                     stats.learner_ns += t0.elapsed().as_nanos() as u64;
@@ -608,16 +606,12 @@ impl Trainer {
                     };
                     let snap = Arc::clone(snap);
                     let (ws, qws) = (&mut ws, &mut qws);
-                    let mut actor = move || {
+                    let actor = move || {
                         let t0 = Instant::now();
                         ws.q.copy_from(snap.q_values_batch(&ws.obs, qws));
                         t0.elapsed().as_nanos() as u64
                     };
-                    let ((synced, learner_ns), actor_ns) = if sequential {
-                        (backward(), actor())
-                    } else {
-                        mramrl_nn::pool::join2(backward, actor)
-                    };
+                    let ((synced, learner_ns), actor_ns) = mramrl_nn::pool::join2(backward, actor);
                     stats.learner_ns += learner_ns;
                     stats.actor_ns += actor_ns;
                     synced

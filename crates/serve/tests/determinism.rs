@@ -303,7 +303,7 @@ fn live_service_coalesces_under_load() {
 
 #[test]
 fn live_service_pool_injection_changes_nothing() {
-    let backend = QGemmBackend::Pooled;
+    let backend = QGemmBackend::Blocked;
     let net = qnet(42, backend);
     let obs = obs_set(6);
     let expected = expected_actions(&net, &obs);
