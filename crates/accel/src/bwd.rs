@@ -1,15 +1,16 @@
 //! Per-layer backward-propagation costs (§V / Fig. 12(b)).
 //!
-//! The E2E baseline's accounting (the paper's Fig. 12(b)):
+//! Each FC row is costed from the layer's residency (the model's one
+//! per-layer [`LayerPlacement`] input):
 //!
-//! * **FC, SRAM-resident** (the last `sram_weight_tail` layers): two
-//!   streaming passes — one vector-transposed-matrix product for the input
-//!   gradient (Fig. 8) and one outer-product pass writing the weight-
-//!   gradient sums. Cost = `2 × forward`. Matches Fig. 12(b)'s FC3/FC4
-//!   within 1 %.
-//! * **FC, MRAM-resident** (FC1/FC2 in E2E): one more full weight stream
-//!   (the transposed traversal cannot reuse the forward-streamed layout).
-//!   Cost = `3 × forward`. Matches FC2 within 8 %.
+//! * **FC, SRAM-resident weights**: two streaming passes — one
+//!   vector-transposed-matrix product for the input gradient (Fig. 8) and
+//!   one outer-product pass writing the weight-gradient sums. Cost =
+//!   `2 × forward`. Matches Fig. 12(b)'s FC3/FC4 within 1 %.
+//! * **FC, MRAM-resident weights, gradient accumulator on-die** (FC2 in
+//!   E2E): one more full weight stream (the transposed traversal cannot
+//!   reuse the forward-streamed layout). Cost = `3 × forward`. Matches
+//!   FC2 within 8 %.
 //! * **FC with a spilled gradient accumulator** (FC1: its 75.5 MB sum
 //!   buffer exceeds the entire on-die budget): each image pays a
 //!   read-modify-write of the accumulator against the STT-MRAM stack at
@@ -19,9 +20,10 @@
 //! * **Conv (GEMM, §V-B)**: weight gradient ≈ forward MACs; input
 //!   gradient on the stride-dilated delta costs `(in_hw / out_hw) ×`
 //!   forward MACs (17× for CONV1's stride 4); im2col/col2im expansion
-//!   multiplies streaming by `gemm_expansion`. The `date19` profile pins
+//!   multiplies streaming by [`GEMM_EXPANSION`]. The `date19` profile pins
 //!   these to Fig. 12(b) (see the fidelity contract); `ideal` derives.
 
+use mramrl_mem::{LayerPlacement, StorageClass};
 use mramrl_nn::spec::NetworkSpec;
 use mramrl_systolic::{ConvMapping, FcMapping, RfPolicy};
 
@@ -31,66 +33,52 @@ use crate::fwd::{geometry, LayerGeom};
 use crate::params::SystemParams;
 use crate::power::PowerModel;
 
-/// Computes the Fig. 12(b) backward table (E2E accounting) for `spec`.
+/// GEMM im2col/col2im expansion factor for derived conv backward
+/// (extra streaming passes over the expanded matrices).
+const GEMM_EXPANSION: f64 = 2.5;
+
+/// Computes the Fig. 12(b) backward table for `spec`, one row per layer
+/// of `residency` (which lists `spec`'s parameterised layers in order).
 pub(crate) fn backward_costs(
     spec: &NetworkSpec,
     params: &SystemParams,
     calib: &Calibration,
+    residency: &[LayerPlacement],
 ) -> Vec<LayerCost> {
     let array = &params.array;
-    let power = PowerModel::new(calib.power);
+    let power = PowerModel::date19();
     let geoms = geometry(spec);
-    let n_layers = geoms.len();
-    let fc_count = geoms
-        .iter()
-        .filter(|g| matches!(g, LayerGeom::Fc { .. }))
-        .count();
-    // Gradient budget: whole buffer minus scratch; a layer spills only if
-    // its accumulator alone exceeds it (smaller accumulators time-share).
-    let grad_budget = params.global_buffer_bytes - params.scratchpad_bytes;
 
-    let mut out = Vec::with_capacity(n_layers);
+    let mut out = Vec::with_capacity(geoms.len());
     let mut conv_idx = 0usize;
-    for (i, geom) in geoms.iter().enumerate() {
-        let sram_resident = i + calib.sram_weight_tail >= n_layers && fc_count > 0;
+    for (geom, place) in geoms.iter().zip(residency) {
         match geom {
             LayerGeom::Fc { name, in_f, out_f } => {
                 let mapping = FcMapping::plan_transposed(array, *in_f, *out_f);
                 let fwd_ms = mapping.latency_ms(array.clock_ghz);
-                let grad_bytes = geom.weight_bytes();
-                let spilled = grad_bytes > grad_budget;
-                let mut latency_ms = 2.0 * fwd_ms;
-                let mut passes = 2.0;
-                if !sram_resident && !spilled && calib.mram_resident_extra_pass {
-                    latency_ms += fwd_ms;
-                    passes += 1.0;
-                }
+                let spilled = place.gradient_spilled();
+                let mram_resident = place.weights_in == StorageClass::Mram;
+                let passes = if mram_resident && !spilled { 3.0 } else { 2.0 };
+                let mut latency_ms = passes * fwd_ms;
+                let mut stream_bits = (mapping.weight_words * 16) as f64 * passes;
+                let mut nvm_write_mj = 0.0;
                 if spilled {
-                    let write_ms = grad_bytes as f64 / params.mram_write_gbytes_per_s() / 1.0e6;
-                    let read_ms = grad_bytes as f64 / params.mram_read_gbytes_per_s() / 1.0e6;
-                    latency_ms += write_ms + read_ms;
+                    let bytes = geom.weight_bytes() as f64;
+                    latency_ms += bytes / params.mram_write_gbytes_per_s() / 1.0e6
+                        + bytes / params.mram_read_gbytes_per_s() / 1.0e6;
+                    stream_bits += bytes * 16.0;
+                    // Explicit NVM write energy (Table 1: 4.5 pJ/bit).
+                    nvm_write_mj = bytes * 8.0 * params.mram.write_energy_pj_per_bit * 1e-9;
                 }
-                let stream_bits = (mapping.weight_words * 16) as f64 * passes
-                    + if spilled {
-                        grad_bytes as f64 * 16.0
-                    } else {
-                        0.0
-                    };
                 let stream = stream_bits / (latency_ms * 1e-3) / 1.0e9;
                 let power_mw = power.power_mw(mapping.active_pes, stream);
-                let mut energy_mj = power_mw * latency_ms * 1e-3;
-                if spilled {
-                    // Explicit NVM write energy (Table 1: 4.5 pJ/bit).
-                    energy_mj +=
-                        grad_bytes as f64 * 8.0 * params.mram.write_energy_pj_per_bit * 1e-9;
-                }
                 out.push(LayerCost {
                     name: name.clone(),
                     latency_ms,
                     active_pes: mapping.active_pes,
                     power_mw,
-                    energy_mj,
-                    nvm_write: !sram_resident || spilled,
+                    energy_mj: power_mw * latency_ms * 1e-3 + nvm_write_mj,
+                    nvm_write: mram_resident || spilled,
                     provenance: Provenance::Derived,
                 });
             }
@@ -108,7 +96,7 @@ pub(crate) fn backward_costs(
                 };
                 let dx_ratio =
                     f64::from(shape.in_h * shape.in_w) / f64::from(shape.out_h() * shape.out_w());
-                let derived_ms = fwd_ms * (1.0 + dx_ratio) * calib.gemm_expansion;
+                let derived_ms = fwd_ms * (1.0 + dx_ratio) * GEMM_EXPANSION;
                 let (latency_ms, provenance) = match &calib.conv_bwd_ms_override {
                     Some(ms) if conv_idx < ms.len() => (ms[conv_idx], Provenance::Anchored),
                     _ => (derived_ms, Provenance::Derived),
@@ -145,11 +133,10 @@ mod tests {
     use crate::paper;
 
     fn table(calib: Calibration) -> Vec<LayerCost> {
-        backward_costs(
-            &NetworkSpec::date19_alexnet(),
-            &SystemParams::date19(),
-            &calib,
-        )
+        let spec = NetworkSpec::date19_alexnet();
+        let params = SystemParams::date19();
+        let residency = paper::fig5_residency(&spec, &params);
+        backward_costs(&spec, &params, &calib, &residency)
     }
 
     #[test]

@@ -1,34 +1,10 @@
 //! Calibration profiles (see the crate-level fidelity contract).
 
-/// The fitted power line `P(mW) = p0 + p_pe·activePEs + e_stream·Gbit/s`.
-///
-/// Fitted once against the ten rows of Fig. 12(a)'s power column
-/// (residuals within ±15 %; FC rows within ±2 %):
-/// `p0 = 800 mW` (clock tree + buffer + control), `p_pe = 5.0 mW/PE`,
-/// `e_stream = 7.5 pJ/bit` of weight-stream traffic (SRAM/NVM read +
-/// wires + I/O).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerFit {
-    /// Static + control power, mW.
-    pub p0_mw: f64,
-    /// Per-active-PE power, mW.
-    pub p_pe_mw: f64,
-    /// Streaming energy, pJ/bit.
-    pub e_stream_pj_per_bit: f64,
-}
-
-impl PowerFit {
-    /// The Fig. 12 fit described above.
-    pub fn date19() -> Self {
-        Self {
-            p0_mw: 800.0,
-            p_pe_mw: 5.0,
-            e_stream_pj_per_bit: 7.5,
-        }
-    }
-}
-
-/// A calibration profile for the platform model.
+/// A calibration profile for the platform model: only the values the
+/// `ideal` and `date19` profiles set differently. Everything both would
+/// set alike (the power fit, the conv GEMM expansion, the frame load, one
+/// inference forward per frame) is a model constant, and what lives where
+/// on-die is the model's residency input, not a calibration value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Human-readable profile name.
@@ -37,35 +13,19 @@ pub struct Calibration {
     /// `None` = use the first-principles roofline.
     pub conv_fwd_ms_override: Option<[f64; 5]>,
     /// Conv backward latencies pinned to Fig. 12(b) (ms, CONV1..CONV5);
-    /// `None` = derive as `fwd × (1 + dX/fwd MACs) × gemm_expansion`.
+    /// `None` = derive as `fwd × (1 + dX/fwd MACs) × GEMM expansion`.
     pub conv_bwd_ms_override: Option<[f64; 5]>,
     /// Conv backward active PEs (Fig. 12(b) reports GEMM occupancies that
     /// differ from the forward mapping); `None` = reuse forward mapping.
     pub conv_bwd_active_pes: Option<[u32; 5]>,
-    /// GEMM im2col/col2im expansion factor for derived conv backward
-    /// (extra streaming passes over the expanded matrices).
-    pub gemm_expansion: f64,
-    /// Extra full weight-stream pass for backward through MRAM-resident
-    /// FC layers whose gradients still fit on-die (the FC2-in-E2E case:
-    /// Fig. 12(b) shows ≈3× the forward stream instead of 2×).
-    pub mram_resident_extra_pass: bool,
-    /// How many tail FC layers the deployed buffer plan keeps in SRAM
-    /// (Fig. 5: the last **three** — 12.6 MB weights plus 12.6 MB
-    /// gradients plus 4.2 MB scratch = 29.4 MB). Everything earlier is
-    /// MRAM-resident in the E2E baseline's accounting.
-    pub sram_weight_tail: usize,
-    /// Power model fit.
-    pub power: PowerFit,
     /// Fixed per-training-iteration overhead (batch assembly, control,
     /// DSP hand-off), ms. `date19` fits this single constant to the
-    /// Fig. 13(a) anchor `L4 @ batch 4 = 15 fps`.
+    /// Fig. 13(a) anchor `L4 @ batch 4 = 15 fps` without FC2's
+    /// write-back. On the paper's 30 MB buffer FC2 is MRAM-resident, so
+    /// L4's update also writes its 16.8 MB back (≈3.9 ms per iteration)
+    /// and the anchor reads ≈14.9 fps. Refitting would move every
+    /// Fig. 13(a) cell, so the constant stays as fitted.
     pub iteration_overhead_ms: f64,
-    /// Camera-frame DRAM→buffer load per frame, ms (derived: ~150 kB over
-    /// the DDR link, §III-A).
-    pub frame_load_ms: f64,
-    /// Count one inference forward per frame on top of the training
-    /// passes (the drone must act on every frame — Fig. 2's loop).
-    pub inference_per_frame: bool,
 }
 
 impl Calibration {
@@ -76,14 +36,7 @@ impl Calibration {
             conv_fwd_ms_override: None,
             conv_bwd_ms_override: None,
             conv_bwd_active_pes: None,
-            // One extra streaming traversal of the expanded matrices.
-            gemm_expansion: 2.5,
-            mram_resident_extra_pass: true,
-            sram_weight_tail: 3,
-            power: PowerFit::date19(),
             iteration_overhead_ms: 0.0,
-            frame_load_ms: 0.3,
-            inference_per_frame: true,
         }
     }
 
@@ -96,16 +49,10 @@ impl Calibration {
             conv_fwd_ms_override: Some([0.245, 1.087, 0.804, 1.28, 1.116]),
             conv_bwd_ms_override: Some([38.95, 5.518, 4.71, 5.579, 4.661]),
             conv_bwd_active_pes: Some([1024, 432, 260, 260, 208]),
-            gemm_expansion: 2.5,
-            mram_resident_extra_pass: true,
-            sram_weight_tail: 3,
-            power: PowerFit::date19(),
             // Solve 4 / (4·t_frame(L4) + F) = 15 fps with t_frame(L4) =
             // inference fwd (11.93) + train fwd (11.93) + train bwd FC2..5
             // (5.62) + frame load (0.3) ≈ 29.8 ms ⇒ F ≈ 147.5 ms.
             iteration_overhead_ms: 147.5,
-            frame_load_ms: 0.3,
-            inference_per_frame: true,
         }
     }
 }
@@ -126,7 +73,6 @@ mod tests {
         let date19 = Calibration::date19();
         assert!(ideal.conv_fwd_ms_override.is_none());
         assert!(date19.conv_fwd_ms_override.is_some());
-        assert_eq!(ideal.power, date19.power);
         assert_eq!(ideal.iteration_overhead_ms, 0.0);
         assert!(date19.iteration_overhead_ms > 100.0);
     }

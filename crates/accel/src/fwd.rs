@@ -93,7 +93,7 @@ pub(crate) fn forward_costs(
     array: &ArraySpec,
     calib: &Calibration,
 ) -> Vec<LayerCost> {
-    let power = PowerModel::new(calib.power);
+    let power = PowerModel::date19();
     let mut out = Vec::new();
     let mut conv_idx = 0usize;
     for geom in geometry(spec) {

@@ -23,13 +23,14 @@
 //!   public description (its conv utilisations vary 0.9–7.6 % with no
 //!   stated schedule). `date19` pins them to Fig. 12 and says so; `ideal`
 //!   reports the first-principles roofline instead.
-//! * **Fitted** (`date19` only): the power line `P = P₀ + p·PEs +
-//!   e·stream` (three constants fitted to Fig. 12's power column) and one
-//!   per-training-iteration overhead constant fitted to the Fig. 13(a)
-//!   `L4 @ batch 4 = 15 fps` anchor.
+//! * **Fitted**: the power line `P = P₀ + p·PEs + e·stream` (three
+//!   constants fitted to Fig. 12's power column, used by both profiles)
+//!   and, in `date19` only, one per-training-iteration overhead constant
+//!   fitted to the Fig. 13(a) `L4 @ batch 4 = 15 fps` anchor.
 //!
-//! EXPERIMENTS.md reports ours-vs-paper for every cell of every table
-//! under both profiles.
+//! `make_report` writes ours-vs-paper for every cell of every table under
+//! both profiles to `results/REPORT.md`; `tests/paper_claims.rs` pins
+//! each claim the paper makes.
 //!
 //! # Examples
 //!
@@ -58,7 +59,7 @@ mod power;
 mod report;
 mod training;
 
-pub use calib::{Calibration, PowerFit};
+pub use calib::Calibration;
 pub use cost::{IterationCost, LayerCost, PerImageCost};
 pub use params::SystemParams;
 pub use power::PowerModel;

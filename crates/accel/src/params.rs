@@ -1,7 +1,6 @@
 //! Aggregate system parameters (Fig. 4(b) + Table 1).
 
 use mramrl_mem::tech::TechParams;
-use mramrl_mem::{GlobalBuffer, HbmStack};
 use mramrl_systolic::ArraySpec;
 
 /// Everything Fig. 4(b) lists, in one place.
@@ -52,16 +51,6 @@ impl SystemParams {
             peak_tops_per_watt: 1.5,
             technology: "NanGate 15nm FreePDK",
         }
-    }
-
-    /// Builds the matching memory-substrate objects.
-    pub fn build_stack(&self) -> HbmStack {
-        HbmStack::date19()
-    }
-
-    /// Builds the matching global buffer.
-    pub fn build_buffer(&self) -> GlobalBuffer {
-        GlobalBuffer::new(self.global_buffer_bytes)
     }
 
     /// STT-MRAM stack read bandwidth, GB/s.
@@ -157,12 +146,5 @@ mod tests {
             .iter()
             .any(|(k, v)| k == "Number of PEs" && v.contains("1024")));
         assert!(t.iter().any(|(_, v)| v.contains("16 bit fixed-point")));
-    }
-
-    #[test]
-    fn built_substrates_match() {
-        let p = SystemParams::date19();
-        assert_eq!(p.build_stack().total_io_bits(), p.stack_io_bits);
-        assert_eq!(p.build_buffer().capacity_mb(), 30.0);
     }
 }

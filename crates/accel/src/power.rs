@@ -1,40 +1,46 @@
 //! The power model.
 
-use crate::calib::PowerFit;
-
-/// Evaluates the fitted power line and converts to energy.
+/// The fitted power line `P(mW) = p0 + p_pe·activePEs + e_stream·Gbit/s`.
+///
+/// Fitted once against the ten rows of Fig. 12(a)'s power column
+/// (residuals within ±15 %; FC rows within ±2 %):
+/// `p0 = 800 mW` (clock tree + buffer + control), `p_pe = 5.0 mW/PE`,
+/// `e_stream = 7.5 pJ/bit` of weight-stream traffic (SRAM/NVM read +
+/// wires + I/O). Both calibration profiles use this one fit.
 ///
 /// # Examples
 ///
 /// ```
-/// use mramrl_accel::{PowerModel, Calibration};
+/// use mramrl_accel::PowerModel;
 ///
-/// let pm = PowerModel::new(Calibration::date19().power);
+/// let pm = PowerModel::date19();
 /// // FC1: 1024 PEs streaming 128 Gb/s → ≈ 6.88 W (paper: 6.80 W).
 /// let p = pm.power_mw(1024, 128.0);
 /// assert!((p - 6799.0).abs() / 6799.0 < 0.02);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
-    fit: PowerFit,
+    /// Static + control power, mW.
+    pub p0_mw: f64,
+    /// Per-active-PE power, mW.
+    pub p_pe_mw: f64,
+    /// Streaming energy, pJ/bit.
+    pub e_stream_pj_per_bit: f64,
 }
 
 impl PowerModel {
-    /// Creates a model from a fit.
-    pub fn new(fit: PowerFit) -> Self {
-        Self { fit }
+    /// The Fig. 12 fit described above.
+    pub fn date19() -> Self {
+        Self {
+            p0_mw: 800.0,
+            p_pe_mw: 5.0,
+            e_stream_pj_per_bit: 7.5,
+        }
     }
 
     /// Power in mW for `active_pes` PEs streaming `stream_gbit_s` Gb/s.
     pub fn power_mw(&self, active_pes: u32, stream_gbit_s: f64) -> f64 {
-        self.fit.p0_mw
-            + self.fit.p_pe_mw * f64::from(active_pes)
-            + self.fit.e_stream_pj_per_bit * stream_gbit_s
-    }
-
-    /// Energy in mJ for a pass of `latency_ms` at the given occupancy.
-    pub fn energy_mj(&self, active_pes: u32, stream_gbit_s: f64, latency_ms: f64) -> f64 {
-        self.power_mw(active_pes, stream_gbit_s) * latency_ms * 1e-3
+        self.p0_mw + self.p_pe_mw * f64::from(active_pes) + self.e_stream_pj_per_bit * stream_gbit_s
     }
 }
 
@@ -44,7 +50,7 @@ mod tests {
     use crate::paper;
 
     fn pm() -> PowerModel {
-        PowerModel::new(PowerFit::date19())
+        PowerModel::date19()
     }
 
     #[test]
@@ -73,13 +79,6 @@ mod tests {
                 row.power_mw
             );
         }
-    }
-
-    #[test]
-    fn energy_scales_linearly_with_latency() {
-        let e1 = pm().energy_mj(1024, 128.0, 1.0);
-        let e2 = pm().energy_mj(1024, 128.0, 2.0);
-        assert!((e2 - 2.0 * e1).abs() < 1e-12);
     }
 
     #[test]

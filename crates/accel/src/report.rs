@@ -1,4 +1,5 @@
-//! Ours-vs-paper comparison helpers for the EXPERIMENTS.md report.
+//! Ours-vs-paper comparison helpers for `make_report`'s
+//! `results/REPORT.md`.
 
 use crate::cost::LayerCost;
 use crate::paper::PaperLayerRow;

@@ -1,19 +1,28 @@
 //! Training-iteration costs, supported fps and the Fig. 13 results.
 
+use mramrl_mem::{LayerPlacement, StorageClass};
 use mramrl_nn::spec::NetworkSpec;
 pub use mramrl_nn::Topology;
 
 use crate::bwd::backward_costs;
 use crate::calib::Calibration;
 use crate::cost::{IterationCost, LayerCost, PerImageCost};
-use crate::fwd::{forward_costs, geometry};
+use crate::fwd::forward_costs;
+use crate::paper::fig5_residency;
 use crate::params::SystemParams;
+use crate::power::PowerModel;
+
+/// Camera-frame DRAM→buffer load per frame, ms (derived: ~150 kB over the
+/// DDR link, §III-A).
+const FRAME_LOAD_MS: f64 = 0.3;
 
 /// The end-to-end platform cost model.
 ///
 /// Owns the per-layer forward/backward tables (Fig. 12) and derives
 /// per-image costs, weight-update costs, training-iteration latency/energy
-/// and the supported frame rate per batch size (Fig. 13).
+/// and the supported frame rate per batch size (Fig. 13). What is
+/// resident where is one input, a [`LayerPlacement`] per parameterised
+/// layer: the backward table and the weight update both read it.
 ///
 /// # Examples
 ///
@@ -32,6 +41,7 @@ pub struct PlatformModel {
     params: SystemParams,
     calib: Calibration,
     spec: NetworkSpec,
+    residency: Vec<LayerPlacement>,
     fwd: Vec<LayerCost>,
     bwd: Vec<LayerCost>,
 }
@@ -44,17 +54,44 @@ impl PlatformModel {
     }
 
     /// Builds the model for an arbitrary network spec (e.g. the
-    /// micro-AlexNet, or an architecture sweep).
+    /// micro-AlexNet, or an architecture sweep) under the paper's own
+    /// accounting: the [`fig5_residency`] memory map.
     pub fn with_spec(spec: NetworkSpec, params: SystemParams, calib: Calibration) -> Self {
+        let residency = fig5_residency(&spec, &params);
+        Self::for_placement(spec, params, calib, &residency)
+    }
+
+    /// Builds the model that costs a given placement — typically a solved
+    /// [`mramrl_mem::PlacementPlan`]'s `placements()` — so the fps and
+    /// energy of a design read the same residency as its NVM write
+    /// stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the placement's layers (names and weight bytes) are not
+    /// `spec`'s parameterised layers in forward order.
+    pub fn for_placement(
+        spec: NetworkSpec,
+        params: SystemParams,
+        calib: Calibration,
+        placement: &[LayerPlacement],
+    ) -> Self {
         let fwd = forward_costs(&spec, &params.array, &calib);
-        let bwd = backward_costs(&spec, &params, &calib);
-        Self {
+        let bwd = backward_costs(&spec, &params, &calib, placement);
+        let model = Self {
             params,
             calib,
             spec,
+            residency: placement.to_vec(),
             fwd,
             bwd,
-        }
+        };
+        assert_eq!(
+            model.layer_weight_bytes(),
+            model.spec.layer_weight_bytes(),
+            "placement layers must be the spec's parameterised layers in order"
+        );
+        model
     }
 
     /// The calibration in use.
@@ -77,10 +114,8 @@ impl PlatformModel {
     /// biases), parameterised layers in forward order — the same
     /// accounting the `mramrl_mem` placement planner consumes.
     pub fn layer_weight_bytes(&self) -> Vec<(String, u64)> {
-        geometry(&self.spec)
-            .iter()
-            .map(|g| (g.name().to_string(), g.weight_bytes()))
-            .collect()
+        let layer = |p: &LayerPlacement| (p.name.clone(), p.weight_bytes);
+        self.residency.iter().map(layer).collect()
     }
 
     /// Cross-checks this cost model against a Q8.8 engine snapshot
@@ -118,7 +153,8 @@ impl PlatformModel {
         &self.fwd
     }
 
-    /// The Fig. 12(b) backward table (E2E accounting).
+    /// The Fig. 12(b) backward table: every layer's backward (E2E
+    /// accounting) under this model's residency.
     pub fn backward_table(&self) -> &[LayerCost] {
         &self.bwd
     }
@@ -133,12 +169,12 @@ impl PlatformModel {
         self.fwd.iter().map(|c| c.energy_mj).sum()
     }
 
-    /// Indices of backward-table rows a topology trains.
-    fn trainable_rows(&self, topo: Topology) -> std::ops::Range<usize> {
-        match topo.tail() {
-            Some(k) => self.bwd.len().saturating_sub(k)..self.bwd.len(),
-            None => 0..self.bwd.len(),
-        }
+    /// Backward-table rows a topology trains.
+    fn trainable_rows(&self, topo: Topology) -> impl Iterator<Item = &LayerCost> + Clone {
+        let n = self.bwd.len();
+        (0..n)
+            .filter(move |&i| topo.trains(i, n))
+            .map(|i| &self.bwd[i])
     }
 
     /// Per-image training cost for a topology (Fig. 13(b)): full forward
@@ -146,8 +182,8 @@ impl PlatformModel {
     /// exactly as the paper does.
     pub fn per_image(&self, topo: Topology) -> PerImageCost {
         let rows = self.trainable_rows(topo);
-        let backward_ms = self.bwd[rows.clone()].iter().map(|c| c.latency_ms).sum();
-        let backward_mj = self.bwd[rows].iter().map(|c| c.energy_mj).sum();
+        let backward_ms = rows.clone().map(|c| c.latency_ms).sum();
+        let backward_mj = rows.map(|c| c.energy_mj).sum();
         PerImageCost {
             forward_ms: self.forward_ms(),
             backward_ms,
@@ -156,30 +192,24 @@ impl PlatformModel {
         }
     }
 
-    /// Weight-update cost per training iteration: SRAM traffic for
-    /// on-die layers, plus the full MRAM write-back (at the 30 ns-pulse
-    /// bandwidth) for MRAM-resident trainable layers — the E2E tax.
+    /// Weight-update cost per training iteration: SRAM traffic for every
+    /// trained layer, plus the full MRAM write-back (at the 30 ns-pulse
+    /// bandwidth) for the trained layers whose weights are MRAM-resident
+    /// — the E2E tax, and the price of a tail that does not fit on-die.
     pub fn update_cost(&self, topo: Topology) -> (f64, f64) {
-        let geoms = geometry(&self.spec);
-        let n = geoms.len();
-        let trainable_from = match topo.tail() {
-            Some(k) => n.saturating_sub(k),
-            None => 0,
-        };
-        let sram_from = n.saturating_sub(self.calib.sram_weight_tail.max(topo.tail().unwrap_or(0)));
+        let n = self.residency.len();
         let mut ms = 0.0;
         let mut mj = 0.0;
         let sram_bw = 512.0; // GB/s: 4096-bit port at 1 GHz
-        for (i, g) in geoms.iter().enumerate() {
-            if i < trainable_from {
+        for (i, place) in self.residency.iter().enumerate() {
+            if !topo.trains(i, n) {
                 continue;
             }
-            let bytes = g.weight_bytes() as f64;
+            let bytes = place.weight_bytes as f64;
             // Read gradient sum + read weights + write weights on-die.
             ms += 3.0 * bytes / sram_bw / 1.0e6;
             mj += 3.0 * bytes * 8.0 * 0.08 * 1e-9; // SRAM pJ/bit
-            let mram_resident = i < sram_from;
-            if mram_resident {
+            if place.weights_in == StorageClass::Mram {
                 // Write updated weights back to the stack.
                 ms += bytes / self.params.mram_write_gbytes_per_s() / 1.0e6;
                 mj += bytes * 8.0 * self.params.mram.write_energy_pj_per_bit * 1e-9;
@@ -201,17 +231,12 @@ impl PlatformModel {
     pub fn iteration(&self, topo: Topology, n: usize) -> IterationCost {
         assert!(n > 0, "batch must be positive");
         let img = self.per_image(topo);
-        let infer = if self.calib.inference_per_frame {
-            1.0
-        } else {
-            0.0
-        };
-        let per_frame_ms = infer * self.forward_ms() + img.total_ms() + self.calib.frame_load_ms;
-        let per_frame_mj = infer * self.forward_mj() + img.total_mj();
+        let per_frame_ms = self.forward_ms() + img.total_ms() + FRAME_LOAD_MS;
+        let per_frame_mj = self.forward_mj() + img.total_mj();
         let (update_ms, update_mj) = self.update_cost(topo);
         let fixed_ms = update_ms + self.calib.iteration_overhead_ms;
         let total_ms = n as f64 * per_frame_ms + fixed_ms;
-        let overhead_mj = self.calib.iteration_overhead_ms * self.calib.power.p0_mw * 1e-3;
+        let overhead_mj = self.calib.iteration_overhead_ms * PowerModel::date19().p0_mw * 1e-3;
         IterationCost {
             batch: n,
             per_frame_ms,
@@ -256,6 +281,8 @@ impl PlatformModel {
 
 #[cfg(test)]
 mod tests {
+    use mramrl_mem::{PlacementPlan, PlacementRequest};
+
     use super::*;
     use crate::paper;
 
@@ -335,8 +362,62 @@ mod tests {
         let (l4_ms, l4_mj) = m.update_cost(Topology::L4);
         // ~99.8 MB at 4.27 GB/s ≈ 23.4 ms.
         assert!(e2e_ms > 20.0 && e2e_ms < 28.0, "{e2e_ms}");
-        assert!(l4_ms < 1.0, "{l4_ms}");
-        assert!(e2e_mj > 20.0 * l4_mj, "{e2e_mj} vs {l4_mj}");
+
+        // On the paper's map FC2 stays MRAM-resident, so L4's update adds
+        // exactly FC2's 16.78 MB write-back to the on-die traffic.
+        let mut on_die = m.residency.to_vec();
+        on_die[6].weights_in = StorageClass::Sram;
+        let sram_only = PlatformModel::for_placement(
+            m.spec().clone(),
+            m.params().clone(),
+            m.calibration().clone(),
+            &on_die,
+        );
+        let fc2_bytes = m.residency[6].weight_bytes;
+        assert_eq!(
+            (m.residency[6].name.as_str(), fc2_bytes),
+            ("FC2", 16_781_312)
+        );
+        let write_back_ms = fc2_bytes as f64 / m.params().mram_write_gbytes_per_s() / 1.0e6;
+        let extra_ms = l4_ms - sram_only.update_cost(Topology::L4).0;
+        assert!(
+            (extra_ms - write_back_ms).abs() < 1e-9,
+            "{extra_ms} vs {write_back_ms}"
+        );
+
+        // A 63 MB buffer holds FC2–FC5 with their gradients: no write-back.
+        let spec = NetworkSpec::date19_alexnet();
+        let n = spec.param_layer_names().len();
+        let layers = spec
+            .layer_weight_bytes()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (name, bytes))| (name, bytes, Topology::L4.trains(i, n)))
+            .collect();
+        let req = PlacementRequest::new(layers, 4_200_000, 63_000_000, 128_000_000);
+        let plan = PlacementPlan::solve(&req).unwrap();
+        let roomy = PlatformModel::for_placement(
+            spec,
+            SystemParams::date19(),
+            Calibration::date19(),
+            plan.placements(),
+        );
+        let (roomy_ms, roomy_mj) = roomy.update_cost(Topology::L4);
+        assert!(roomy_ms < 1.0, "{roomy_ms}");
+        assert!(e2e_mj > 20.0 * roomy_mj, "{e2e_mj} vs {roomy_mj}");
+        assert!(l4_mj > roomy_mj);
+    }
+
+    #[test]
+    #[should_panic(expected = "placement layers")]
+    fn placement_for_another_net_is_rejected() {
+        // Same layer names as the paper's net, different sizes.
+        PlatformModel::for_placement(
+            NetworkSpec::micro(40, 1, 5),
+            SystemParams::date19(),
+            Calibration::ideal(),
+            &model().residency,
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn main() {
     a.print();
     a.save("fig13a_fps");
     println!(
-        "Paper anchors at batch 4: L4 = {} fps (ours {:.1}), E2E = {} fps (ours {:.1}; deviation documented in EXPERIMENTS.md)\n",
+        "Paper anchors at batch 4: L4 = {} fps (ours {:.1}), E2E = {} fps (ours {:.1}; deviation documented in tests/paper_claims.rs)\n",
         paper::FPS_L4_BATCH4,
         model.max_fps(Topology::L4, 4),
         paper::FPS_E2E_BATCH4,
@@ -54,7 +54,7 @@ fn main() {
         paper::ENERGY_REDUCTION_PCT,
     );
     println!(
-        "Velocity gain L4/E2E at batch 4: {:.1}x (paper: >3x; our E2E fps is ~2x the paper's, see EXPERIMENTS.md)",
+        "Velocity gain L4/E2E at batch 4: {:.1}x (paper: >3x; our E2E fps is ~2x the paper's, see results/REPORT.md)",
         h.velocity_gain
     );
 }

@@ -1,6 +1,6 @@
 //! Assembles the hardware-track ours-vs-paper comparison into one
-//! markdown report (`results/REPORT.md`) — the machine-generated
-//! counterpart of EXPERIMENTS.md.
+//! markdown report (`results/REPORT.md`); `tests/paper_claims.rs` pins
+//! the same claims as tests.
 
 use std::fmt::Write as _;
 

@@ -21,7 +21,7 @@ pub const PAPER_DESIGN_POINTS: [(Topology, f64, f64); 4] = [
 
 /// A concrete embedded design: the full DATE-19 AlexNet placed into an
 /// SRAM + stacked-STT-MRAM hierarchy sized for a training topology, with
-/// the cost model attached.
+/// the cost model of that placement attached.
 ///
 /// # Examples
 ///
@@ -55,7 +55,8 @@ impl Platform {
     ///
     /// Returns [`CoreError::Placement`] if the network cannot be placed
     /// (e.g. E2E gradient accumulators exceeding the stack) and
-    /// [`CoreError::InvalidConfig`] for non-positive capacities.
+    /// [`CoreError::InvalidConfig`] for capacities that are not positive
+    /// (NaN included).
     pub fn new(topology: Topology, sram_mb: f64, mram_mb: f64) -> Result<Self, CoreError> {
         Self::with_system(
             topology,
@@ -81,7 +82,7 @@ impl Platform {
         params: SystemParams,
         calib: Calibration,
     ) -> Result<Self, CoreError> {
-        if sram_mb <= 0.0 || mram_mb <= 0.0 {
+        if !(sram_mb > 0.0 && mram_mb > 0.0) {
             return Err(CoreError::InvalidConfig {
                 reason: format!("capacities must be positive (sram {sram_mb}, mram {mram_mb})"),
             });
@@ -92,13 +93,7 @@ impl Platform {
             .layer_weight_bytes()
             .into_iter()
             .enumerate()
-            .map(|(i, (name, bytes))| {
-                let trainable = match topology.tail() {
-                    Some(k) => i + k >= n,
-                    None => true,
-                };
-                (name, bytes, trainable)
-            })
+            .map(|(i, (name, bytes))| (name, bytes, topology.trains(i, n)))
             .collect();
         let req = PlacementRequest::new(
             layers,
@@ -107,7 +102,7 @@ impl Platform {
             (mram_mb * 1.0e6) as u64,
         );
         let placement = PlacementPlan::solve(&req)?;
-        let model = PlatformModel::with_spec(spec, params, calib);
+        let model = PlatformModel::for_placement(spec, params, calib, placement.placements());
         Ok(Self {
             topology,
             placement,
@@ -230,12 +225,13 @@ mod tests {
 
     #[test]
     fn l4_needs_the_bigger_sram() {
-        assert!(Platform::new(Topology::L4, 63.0, 128.0)
-            .unwrap()
-            .is_nvm_write_free(Topology::L4));
-        // In 30 MB, FC2 cannot keep weights+gradients on-die.
+        let roomy = Platform::new(Topology::L4, 63.0, 128.0).unwrap();
+        assert!(roomy.is_nvm_write_free(Topology::L4));
+        // In 30 MB, FC2 cannot keep weights+gradients on-die, and the
+        // cost model charges the placement it was given.
         let tight = Platform::new(Topology::L4, 30.0, 128.0).unwrap();
         assert!(!tight.is_nvm_write_free(Topology::L4));
+        assert!(tight.max_fps(4) < roomy.max_fps(4));
     }
 
     #[test]
@@ -289,5 +285,18 @@ mod tests {
             Platform::new(Topology::L2, 0.0, 128.0),
             Err(CoreError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn nan_capacity_is_an_invalid_config() {
+        for (sram, mram) in [(f64::NAN, 128.0), (30.0, f64::NAN)] {
+            assert!(
+                matches!(
+                    Platform::new(Topology::L3, sram, mram),
+                    Err(CoreError::InvalidConfig { .. })
+                ),
+                "{sram}/{mram}"
+            );
+        }
     }
 }

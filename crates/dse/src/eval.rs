@@ -40,9 +40,10 @@ pub struct DseResult {
     pub lifetime_years: Option<f64>,
 }
 
-/// Scores one configuration with the analytic cost model. Pure: no
-/// global state, no RNG, no clock — the same config always produces the
-/// same bits.
+/// Scores one configuration with the analytic cost model of its solved
+/// placement. Pure: no global state, no RNG, no clock — the same config
+/// always produces the same bits. A zero batch sustains no training
+/// iteration, so it scores like an unplaceable point.
 pub fn evaluate(cfg: &DseConfig) -> DseResult {
     let mut params = SystemParams::date19();
     params.mram = tech_params(cfg.tech);
@@ -64,8 +65,8 @@ pub fn evaluate(cfg: &DseConfig) -> DseResult {
         params,
         Calibration::date19(),
     ) {
-        Ok(p) => p,
-        Err(_) => return unplaceable,
+        Ok(p) if cfg.batch > 0 => p,
+        _ => return unplaceable,
     };
 
     let fps = platform.max_fps(cfg.batch);
@@ -202,6 +203,18 @@ mod tests {
         assert!(!r.placeable);
         assert_eq!(r.fps, 0.0);
         assert_eq!(r.sram_used_mb, 0.0);
+    }
+
+    #[test]
+    fn zero_batch_scores_like_an_unplaceable_point() {
+        let space = DesignSpace {
+            batches: vec![0, 4],
+            ..DesignSpace::tiny()
+        };
+        let results = sweep(&space);
+        let (zero, four): (Vec<_>, Vec<_>) = results.iter().partition(|r| r.config.batch == 0);
+        assert!(zero.iter().all(|r| !r.placeable && r.fps == 0.0));
+        assert!(four.iter().any(|r| r.placeable && r.fps > 0.0));
     }
 
     #[test]

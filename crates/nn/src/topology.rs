@@ -48,6 +48,15 @@ impl Topology {
         }
     }
 
+    /// `true` if parameterised layer `i` (forward order) of a network
+    /// with `n` such layers trains online under this topology.
+    pub fn trains(self, i: usize, n: usize) -> bool {
+        match self.tail() {
+            Some(k) => i + k >= n,
+            None => true,
+        }
+    }
+
     /// Applies the freezing pattern to a network.
     pub fn apply(self, net: &mut Network) {
         match self.tail() {
@@ -84,6 +93,16 @@ mod tests {
         assert_eq!(Topology::L3.tail(), Some(3));
         assert_eq!(Topology::L4.tail(), Some(4));
         assert_eq!(Topology::E2E.tail(), None);
+    }
+
+    #[test]
+    fn trains_the_tail_of_the_layer_list() {
+        let trained = |t: Topology| (0..10).filter(|&i| t.trains(i, 10)).collect::<Vec<_>>();
+        assert_eq!(trained(Topology::L2), vec![8, 9]);
+        assert_eq!(trained(Topology::L4), vec![6, 7, 8, 9]);
+        assert_eq!(trained(Topology::E2E), (0..10).collect::<Vec<_>>());
+        // A tail longer than the network trains all of it.
+        assert!(Topology::L4.trains(0, 3));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Integration tests pinning every quantitative claim the paper makes to
-//! the reproduction's outputs (the executable EXPERIMENTS.md).
+//! the reproduction's outputs (the executable counterpart of
+//! `make_report`'s `results/REPORT.md`).
 
 use mramrl::accel::{paper, PlatformModel};
 use mramrl::dse::{DesignSpace, DseResult, ScenarioMix};
@@ -176,6 +177,37 @@ fn claim_30mb_sram_trains_l2_and_l3_write_free() {
     assert!(l4.placeable && !l4.nvm_write_free);
     assert!(l4.nvm_write_bytes_per_s > 0.0);
     assert!(!point(&row, Topology::E2E).placeable);
+}
+
+#[test]
+fn claim_write_free_capacity_buys_fps_and_energy() {
+    // Figs. 5 and 13: keeping the trained tail on-die is what buys the
+    // frame rate. A capacity that places the tail but writes the stack
+    // (MRAM-resident weights written back per update, spilled gradients
+    // read-modify-written per image) is slower and costlier per frame
+    // than the capacity that keeps it write-free.
+    let grid = codesign_grid(&[8.0, 12.7, 30.0, 63.0]);
+    let at = |topo, sram| {
+        grid.iter()
+            .find(|r| r.config.topology == topo && r.config.sram_mb == sram)
+            .expect("point in grid")
+    };
+    for (topo, tight, roomy) in [
+        (Topology::L2, 8.0, 12.7),
+        (Topology::L3, 12.7, 30.0),
+        (Topology::L4, 30.0, 63.0),
+    ] {
+        let (t, r) = (at(topo, tight), at(topo, roomy));
+        assert!(t.placeable && !t.nvm_write_free, "{topo} @ {tight}");
+        assert!(r.nvm_write_free, "{topo} @ {roomy}");
+        assert!(t.fps < r.fps, "{topo}: {} vs {} fps", t.fps, r.fps);
+        assert!(
+            t.energy_per_frame_mj > r.energy_per_frame_mj,
+            "{topo}: {} vs {} mJ",
+            t.energy_per_frame_mj,
+            r.energy_per_frame_mj
+        );
+    }
 }
 
 #[test]
