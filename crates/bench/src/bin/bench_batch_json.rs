@@ -20,8 +20,9 @@
 //! A **quantised-inference cell family** rides along (modes
 //! `infer-f32` / `infer-q8.8` / `infer-q8.8-serial`): the Q8.8
 //! deployment engine (`mramrl_nn::quant`, `docs/fixed_point.md`) at
-//! batch 1/8/32 per integer backend (naive/blocked/simd) and pool
-//! size, next to the float forward on the same weights and frames. The
+//! batch 1/8/32 per integer backend (naive/blocked; the `simd` float
+//! backend maps to `blocked` and adds no Q8.8 cells) and pool size,
+//! next to the float forward on the same weights and frames. The
 //! JSON records the per-backend `q8.8 batched(32) / serial(32)` speedup
 //! (bar: ≥ 4× on blocked) and the float-vs-Q8.8 throughput ratio.
 //!
@@ -39,10 +40,12 @@
 //! A **raw certified-GEMM cell family** (mode `qgemm-conv1`) times the
 //! integer kernel alone on the paper's CONV1 product (96×363×3025 —
 //! the full-size AlexNet's first im2col GEMM; 32×363×256 under
-//! `--tiny`) on the `blocked` and `simd` integer backends, recording
-//! GMAC/s and the `speedup_qgemm_simd_vs_blocked` key (bar: ≥ 1.5× on
-//! AVX2 hosts; honestly recorded either way — on non-x86 hosts `simd`
-//! falls back to the blocked kernel and the ratio documents that).
+//! `--tiny`) on the blocked pair tile, once with its lanes forced off
+//! (`simd::force_scalar`, cells labelled `blocked`) and once on its
+//! `pmaddwd` lanes (labelled `simd`), recording GMAC/s and the
+//! `speedup_qgemm_simd_vs_blocked` key (bar: ≥ 1.5× on AVX2 hosts;
+//! honestly recorded either way — on non-x86 hosts both runs take the
+//! scalar tile and the ratio documents that).
 //!
 //! Flags: `--reps N` (timed repetitions per cell, default 10),
 //! `--backend <name>` narrows to one backend, `--pool-threads N` sets
@@ -168,9 +171,14 @@ fn main() {
         // the same weights and frames, plus the serial-32 baseline
         // (32 × the batch-of-1 wrapper, workspace churn included — the
         // pre-engine per-image deployment pattern).
-        for &be in &backends {
+        for (bi, &be) in backends.iter().enumerate() {
             let qnet = batch_td_qnet(&spec, be);
             let qbe = qnet.backend();
+            // `simd` maps onto the `blocked` integer backend: time each
+            // integer backend once.
+            let q_new = backends[..bi]
+                .iter()
+                .all(|&b| mramrl_nn::QGemmBackend::from_gemm(b) != qbe);
             let mut fnet = spec.build(42);
             fnet.set_gemm_backend(be);
             for n in BATCH_TD_SIZES {
@@ -186,6 +194,9 @@ fn main() {
                     threads,
                     ns_per_transition: ns,
                 });
+                if !q_new {
+                    continue;
+                }
                 let mut qws = QWorkspace::for_net(&qnet);
                 let ns = time_ns(reps, || {
                     let _ = qnet.forward_batch(&obs, &mut qws);
@@ -197,6 +208,9 @@ fn main() {
                     threads,
                     ns_per_transition: ns,
                 });
+            }
+            if !q_new {
+                continue;
             }
             let singles: Vec<mramrl_nn::Tensor> =
                 (0..ts.len()).map(|i| (*ts[i].state).clone()).collect();
@@ -215,8 +229,9 @@ fn main() {
         }
 
         // Raw certified-GEMM cell family: the integer kernel alone on
-        // the paper's CONV1 im2col product, blocked vs simd — the
-        // head-to-head the SIMD tier's acceptance bar is read from.
+        // the paper's CONV1 im2col product, the blocked tile with its
+        // lanes forced off (`blocked`) vs on (`simd`) — the head-to-head
+        // the SIMD tier's acceptance bar is read from.
         // `ns_per_transition` holds ns per whole GEMM call here.
         let (qm, qk, qn) = if tiny {
             (32usize, 363usize, 256usize)
@@ -227,15 +242,14 @@ fn main() {
         let qbt = mramrl_nn::difftest::qfill(qn * qk, 1002);
         let qbias = mramrl_nn::difftest::qfill(qm, 1003);
         let mut qc = vec![mramrl_fixed::Q8_8::from_raw(0); qm * qn];
-        for qbe in [
-            mramrl_nn::QGemmBackend::Blocked,
-            mramrl_nn::QGemmBackend::Simd,
-        ] {
+        for (label, lanes) in [("blocked", false), ("simd", true)] {
+            let _scalar = (!lanes).then(mramrl_nn::simd::force_scalar);
             let ns = time_ns(reps, || {
-                qbe.matmul_bt_bias_requant_into(&mut qc, &qa, &qbt, &qbias, qm, qk, qn);
+                mramrl_nn::QGemmBackend::Blocked
+                    .matmul_bt_bias_requant_into(&mut qc, &qa, &qbt, &qbias, qm, qk, qn);
             });
             cells.push(Cell {
-                backend: qbe.name(),
+                backend: label,
                 mode: "qgemm-conv1",
                 batch: qm,
                 threads,
@@ -350,8 +364,11 @@ fn main() {
     // Quantised acceptance bar: batched(32) engine inference over the
     // serial-32 batch-of-1 wrapper, per integer backend, single thread
     // (the ≥ 4× bar is on the blocked backend).
-    let mut q_speedups = Vec::new();
+    let mut q_speedups: Vec<(String, f64)> = Vec::new();
     for &be in &backends {
+        if q_speedups.iter().any(|(name, _)| name == qname(be)) {
+            continue;
+        }
         if let (Some(b32), Some(s32)) = (
             ns_of(qname(be), "infer-q8.8", 1),
             ns_of(qname(be), "infer-q8.8-serial", 1),

@@ -504,6 +504,7 @@ mod tests {
     fn simd_forced_fallback_is_blocked_bitwise() {
         // Under a force_scalar guard the Simd backend *is* the blocked
         // kernel — both GEMM shapes, all elements, to the bit.
+        let _lock = crate::simd::gate_lock();
         let _g = crate::simd::force_scalar();
         let (m, k, n) = (13usize, 57usize, 33usize);
         let a = fill(m * k, 5);

@@ -12,8 +12,8 @@
 //! `docs/fixed_point.md`):
 //!
 //! * quantised conv/FC layers are **one fused integer GEMM each**
-//!   ([`crate::qgemm::QGemmBackend`] — naive oracle, blocked and SIMD
-//!   kernels, all bit-identical), fed by Q8.8 im2col packing
+//!   ([`crate::qgemm::QGemmBackend`] — the naive oracle and the blocked
+//!   pair tile, bit-identical), fed by Q8.8 im2col packing
 //!   ([`crate::qgemm::qim2col_slice_into`]; FC batches need no packing
 //!   at all under the `A·Bᵀ` contract);
 //! * [`QuantizedNet::forward_batch`] / [`QuantizedNet::q_values_batch`]

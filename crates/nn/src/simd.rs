@@ -1,26 +1,31 @@
 //! Explicit SIMD kernel tier: runtime feature detection, the `NN_SIMD`
 //! knob, and the `core::arch` lane kernels behind
-//! [`crate::GemmBackend::Simd`] and [`crate::QGemmBackend::Simd`].
+//! [`crate::GemmBackend::Simd`] and the Q8.8 pair tile of
+//! [`crate::QGemmBackend::Blocked`].
 //!
 //! # What lives here and why
 //!
 //! The blocked kernels on both datapaths are written so the *scalar*
-//! code already has the lane-friendly shape — contiguous-`k` dots for
-//! Q8.8 (the `pmaddwd` pairing of `docs/fixed_point.md`), `MR×NR`
-//! register tiles for f32. This module is the explicit-lane realisation
-//! of those same shapes:
+//! code already has the lane-friendly shape — the pair-packed 4×16
+//! tile for Q8.8 (the `pmaddwd` pairing of `docs/fixed_point.md`),
+//! `MR×NR` register tiles for f32. This module is the explicit-lane
+//! realisation of those same shapes:
 //!
-//! * **Q8.8** (`qdot4`, `qdot1`): AVX2 `_mm256_madd_epi16` dot
-//!   products for rows that hold the `row_safe` overflow certificate.
-//!   `pmaddwd` multiplies signed 16-bit lanes into 32-bit products and
-//!   adds adjacent pairs; every add in the kernel (lane adds, the
-//!   horizontal reduce, the bias seed, the scalar tail) is **wrapping
-//!   mod 2³²**. Wrapping adds are associative, so any lane grouping
-//!   computes the same value mod 2³² — and the certificate bounds every
-//!   partial sum (under *any* association, by the L1 triangle
-//!   inequality) below `i32::MAX`, so that value **is** the true sum:
-//!   the saturating oracle chain's exact bits. Uncertified rows never
-//!   reach this module.
+//! * **Q8.8** (`qtile`): the lanes of the blocked kernel's 4×16 pair
+//!   tile ([`crate::qgemm`]) for rows that hold the `row_safe` overflow
+//!   certificate. Each weight row's `(a[2p], a[2p+1])` pair is
+//!   broadcast as one `i32` against a pair-packed `Bᵀ` panel, and
+//!   `_mm256_madd_epi16` multiplies signed 16-bit lanes into 32-bit
+//!   products and adds adjacent pairs; every add in the kernel (the
+//!   pair adds, the lane adds, the bias seed) is **wrapping mod 2³²**.
+//!   Wrapping adds are associative, so any lane grouping computes the
+//!   same value mod 2³² — and the certificate bounds every partial sum
+//!   (under *any* association, by the L1 triangle inequality) below
+//!   `i32::MAX`, so that value **is** the true sum: the saturating
+//!   oracle chain's exact bits. The re-quantisation runs in lanes too,
+//!   as `(s >> 8) + ((s >> 7) & 1)` — `(s + 128) >> 8` without the add
+//!   that could overflow — and `packs_epi32` saturates to Q8.8.
+//!   Uncertified rows never reach this module.
 //! * **f32** (`matmul_band_f32`): an AVX2+FMA band kernel under the
 //!   **documented tolerance tier** of `docs/gemm_backends.md`. Every
 //!   output element is one accumulator chain — `acc ← fma(a·b, acc)` in
@@ -39,9 +44,9 @@
 //! must not be `off` ([`env_simd_knob`] — unknown values warn on stderr
 //! and fall back to `auto`, mirroring [`crate::pool::env_thread_knob`]),
 //! and no [`force_scalar`] guard may be live. When the gate is closed
-//! the `Simd` backends run the blocked scalar kernels — the fallback
-//! *is* the oracle, so disabling SIMD can only change speed, never
-//! (for Q8.8) bits.
+//! the float `Simd` backend runs the blocked scalar kernel and the Q8.8
+//! tile runs on scalar wrapping adds — for Q8.8 the same arithmetic, so
+//! disabling SIMD can only change speed, never bits.
 //!
 //! # Unsafe policy
 //!
@@ -62,6 +67,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use mramrl_fixed::Q8_8;
+
+use crate::qgemm::{QMR, QNR};
 
 /// Vector width of the f32 micro-tile: one AVX2 register of output
 /// columns (mirrors the blocked kernel's `NR`).
@@ -141,6 +148,16 @@ pub(crate) fn parse_simd_knob(v: &str) -> Option<bool> {
     }
 }
 
+/// Serialises the unit tests that take a [`force_scalar`] guard or
+/// compare [`simd_active`] across time: the guard is process-wide, so
+/// two such tests running at once would see each other's guard.
+#[cfg(test)]
+pub(crate) fn gate_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Cached verdict of [`env_simd_knob`] (`true` when unset).
 fn env_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
@@ -165,71 +182,73 @@ fn raw_lanes(q: &[Q8_8]) -> &[i16] {
     unsafe { core::slice::from_raw_parts(q.as_ptr().cast::<i16>(), q.len()) }
 }
 
-/// Four certified Q8.8 dot products sharing one A-row stream:
-/// raw accumulators for output columns `j..j+4`, each
-/// `seed +Σₖ a[kk]·b[kk]` computed with wrapping adds.
+/// The Q8.8 pair tile on `pmaddwd` lanes: `out[r][j]` is the
+/// re-quantised `seeds[r] + Σₖ arows[r][k]·b[j, k]` for the panel's 16
+/// columns, every add wrapping mod 2³². `panel` is the pair-packed `Bᵀ`
+/// panel of [`crate::qgemm`] (`⌈k/2⌉` pair rows of 16 `i32` words).
 ///
-/// **Caller contract:** all five slices have equal length, the caller
-/// has gated on [`simd_active`], and the A row holds the `row_safe`
-/// certificate over this Bᵀ — which is what makes the wrapping-add
-/// value the true (and therefore oracle-exact) sum. See the module
-/// docs for the full bit-identity argument.
-pub(crate) fn qdot4(
-    arow: &[Q8_8],
-    b0: &[Q8_8],
-    b1: &[Q8_8],
-    b2: &[Q8_8],
-    b3: &[Q8_8],
-    seed: i32,
-) -> [i32; 4] {
-    debug_assert!(
-        [b0, b1, b2, b3].iter().all(|b| b.len() == arow.len()),
-        "qdot4 operand lengths"
+/// **Caller contract:** the caller has gated on [`simd_active`], and
+/// every row holds the `row_safe` certificate over the panel's `Bᵀ` —
+/// which is what makes the wrapping-add value the true (and therefore
+/// oracle-exact) sum. See the module docs for the full bit-identity
+/// argument.
+///
+/// # Panics
+///
+/// Panics without AVX2, or unless every A row has the same length `k`
+/// and `panel` holds `⌈k/2⌉·16` words.
+pub(crate) fn qtile(
+    out: &mut [[Q8_8; QNR]; QMR],
+    panel: &[i32],
+    arows: [&[Q8_8]; QMR],
+    seeds: [i32; QMR],
+) {
+    let k = arows[0].len();
+    assert!(
+        arows.iter().all(|r| r.len() == k) && panel.len() == k.div_ceil(2) * QNR,
+        "qtile operand lengths"
     );
     #[cfg(target_arch = "x86_64")]
     {
-        debug_assert!(available());
-        // SAFETY: `available()` (checked by the caller via
-        // `simd_active()`) proves AVX2 is supported at runtime, which is
-        // the only precondition of the `#[target_feature]` function.
-        unsafe {
-            x86::qdot4_avx2(
-                raw_lanes(arow),
-                raw_lanes(b0),
-                raw_lanes(b1),
-                raw_lanes(b2),
-                raw_lanes(b3),
-                seed,
-            )
-        }
+        assert!(available(), "qtile needs AVX2");
+        // SAFETY: `available()` proves AVX2 is supported at runtime, the
+        // `#[target_feature]` function's only precondition beyond the
+        // lengths asserted above.
+        unsafe { x86::qtile_avx2(out, panel, arows.map(raw_lanes), seeds) }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         // Unreachable in practice (`simd_active()` is false off
-        // x86-64) but kept correct: the same wrapping chains, scalar.
-        [b0, b1, b2, b3].map(|b| qdot1(arow, b, seed))
+        // x86-64) but kept correct: the same tile, scalar.
+        crate::qgemm::qtile_scalar(out, panel, arows, seeds)
     }
 }
 
-/// One certified Q8.8 dot product (the column tail of the `Simd`
-/// kernel): `seed + Σₖ a[kk]·b[kk]` with wrapping adds. Same caller
-/// contract as [`qdot4`].
-pub(crate) fn qdot1(arow: &[Q8_8], brow: &[Q8_8], seed: i32) -> i32 {
-    debug_assert_eq!(arow.len(), brow.len(), "qdot1 operand lengths");
+/// Packs the whole 8-pair blocks of a full 16-column pair panel from
+/// `bt` (`QNR × k`): word `panel[p·QNR + j]` becomes column `j`'s pair
+/// `(b[j, 2p], b[j, 2p+1])` for every `p < 8·⌊k/16⌋`, by 8×8 word
+/// transposes. Returns that pair count; the caller packs the pairs
+/// after it.
+///
+/// # Panics
+///
+/// Panics without AVX2, or unless `bt` holds `16·k` lanes and `panel`
+/// `⌈k/2⌉·16` words.
+pub(crate) fn pack_pairs(panel: &mut [i32], bt: &[Q8_8], k: usize) -> usize {
+    assert!(
+        bt.len() == QNR * k && panel.len() == k.div_ceil(2) * QNR,
+        "pack_pairs operand lengths"
+    );
     #[cfg(target_arch = "x86_64")]
     {
-        debug_assert!(available());
-        // SAFETY: AVX2 support is proven by the caller's
-        // `simd_active()` gate (see `qdot4`).
-        unsafe { x86::qdot1_avx2(raw_lanes(arow), raw_lanes(brow), seed) }
+        assert!(available(), "pack_pairs needs AVX2");
+        // SAFETY: `available()` proves AVX2 is supported at runtime; the
+        // lengths are asserted above.
+        unsafe { x86::pack_pairs_avx2(panel, raw_lanes(bt), k) }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let mut acc = seed;
-        for (&av, &bv) in arow.iter().zip(brow) {
-            acc = acc.wrapping_add(i32::from(av.raw()) * i32::from(bv.raw()));
-        }
-        acc
+        0
     }
 }
 
@@ -303,118 +322,131 @@ mod x86 {
 
     use core::arch::x86_64::*;
 
-    use super::{MR, NC, NR};
+    use mramrl_fixed::Q8_8;
 
-    /// Wrapping horizontal sum of the eight i32 lanes.
+    use super::{MR, NC, NR, QMR, QNR};
+
+    /// The pair tile: eight accumulators (4 rows × 2 registers of 8
+    /// columns) seeded with the rows' bias, one `pmaddwd` + add per
+    /// register per `k`-pair, then the lane re-quantisation.
     ///
     /// # Safety
     ///
-    /// AVX2 must be supported (guaranteed by the callers' own
-    /// `target_feature` contract).
+    /// AVX2 must be supported at runtime; every A row has length `k`
+    /// and `panel` holds `⌈k/2⌉·QNR` words (asserted by the safe
+    /// wrapper).
     #[target_feature(enable = "avx2")]
-    unsafe fn hsum_epi32(v: __m256i) -> i32 {
-        // Pure register ops, no memory access — safe to call here
-        // because this function's own target_feature set covers them.
-        let lo = _mm256_castsi256_si128(v);
-        let hi = _mm256_extracti128_si256::<1>(v);
-        let s = _mm_add_epi32(lo, hi); // 4 lanes
-        let s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s)); // 2 lanes
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<1>(s)); // 1 lane
-        _mm_cvtsi128_si32(s)
+    pub(super) unsafe fn qtile_avx2(
+        out: &mut [[Q8_8; QNR]; QMR],
+        panel: &[i32],
+        a: [&[i16]; QMR],
+        seeds: [i32; QMR],
+    ) {
+        let k = a[0].len();
+        let mut acc = seeds.map(|s| [_mm256_set1_epi32(s); 2]);
+        let bp = panel.as_ptr();
+        for p in 0..k.div_ceil(2) {
+            // SAFETY: pair row `p < ⌈k/2⌉` spans words
+            // `QNR·p .. QNR·(p + 1)`, inside the panel.
+            let (b0, b1) = unsafe {
+                (
+                    _mm256_loadu_si256(bp.add(QNR * p).cast()),
+                    _mm256_loadu_si256(bp.add(QNR * p + QNR / 2).cast()),
+                )
+            };
+            for (sums, row) in acc.iter_mut().zip(a) {
+                let w = if 2 * p + 1 < k {
+                    // SAFETY: `2p + 1 < k`, so both halves of the
+                    // 4-byte read lie inside the row.
+                    unsafe { row.as_ptr().add(2 * p).cast::<i32>().read_unaligned() }
+                } else {
+                    // Odd `k`'s last pair: the high half is zero, as
+                    // it is in the panel.
+                    i32::from(row[2 * p] as u16)
+                };
+                let w = _mm256_set1_epi32(w);
+                sums[0] = _mm256_add_epi32(sums[0], _mm256_madd_epi16(w, b0));
+                sums[1] = _mm256_add_epi32(sums[1], _mm256_madd_epi16(w, b1));
+            }
+        }
+        let one = _mm256_set1_epi32(1);
+        for (row, sums) in out.iter_mut().zip(acc) {
+            let q = sums.map(|s| {
+                _mm256_add_epi32(
+                    _mm256_srai_epi32::<8>(s),
+                    _mm256_and_si256(_mm256_srli_epi32::<7>(s), one),
+                )
+            });
+            // `packs` saturates to i16 per 128-bit half; the permute
+            // restores column order 0..16.
+            let packed = _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_packs_epi32(q[0], q[1]));
+            // SAFETY: a row of QNR `Q8_8`s is 32 bytes of `i16` lanes
+            // (`Q` is `repr(transparent)` over `i16`).
+            unsafe { _mm256_storeu_si256(row.as_mut_ptr().cast(), packed) };
+        }
     }
 
-    /// Four `pmaddwd` dot products over one shared A row. All adds —
-    /// `pmaddwd`'s internal pair adds, the lane adds, the horizontal
-    /// reduce, the seed and the scalar tail — are wrapping mod 2³²,
-    /// so the result equals the true sum whenever the caller's
-    /// `row_safe` certificate holds (see the module docs).
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be supported at runtime; all slices must have equal
-    /// length (debug-asserted by the safe wrapper).
+    /// Transposes an 8×8 block of `i32` words: row `t` of the result
+    /// holds word `t` of each input row.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn qdot4_avx2(
-        a: &[i16],
-        b0: &[i16],
-        b1: &[i16],
-        b2: &[i16],
-        b3: &[i16],
-        seed: i32,
-    ) -> [i32; 4] {
-        let k = a.len();
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let mut acc2 = _mm256_setzero_si256();
-        let mut acc3 = _mm256_setzero_si256();
-        let mut kk = 0usize;
-        while kk + 16 <= k {
-            // SAFETY: `kk + 16 <= k` and every slice has length `k`
-            // (wrapper contract), so each 32-byte unaligned load reads
-            // entirely in bounds.
-            unsafe {
-                let va = _mm256_loadu_si256(a.as_ptr().add(kk).cast());
-                let v0 = _mm256_loadu_si256(b0.as_ptr().add(kk).cast());
-                let v1 = _mm256_loadu_si256(b1.as_ptr().add(kk).cast());
-                let v2 = _mm256_loadu_si256(b2.as_ptr().add(kk).cast());
-                let v3 = _mm256_loadu_si256(b3.as_ptr().add(kk).cast());
-                acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va, v0));
-                acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(va, v1));
-                acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(va, v2));
-                acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(va, v3));
-            }
-            kk += 16;
-        }
-        // SAFETY: register-only reduction; AVX2 enabled by this
-        // function's target_feature contract.
-        let mut out = unsafe {
-            [
-                seed.wrapping_add(hsum_epi32(acc0)),
-                seed.wrapping_add(hsum_epi32(acc1)),
-                seed.wrapping_add(hsum_epi32(acc2)),
-                seed.wrapping_add(hsum_epi32(acc3)),
-            ]
-        };
-        // Scalar tail (k % 16): same wrapping chain, safe indexing.
-        while kk < k {
-            let av = i32::from(a[kk]);
-            out[0] = out[0].wrapping_add(av * i32::from(b0[kk]));
-            out[1] = out[1].wrapping_add(av * i32::from(b1[kk]));
-            out[2] = out[2].wrapping_add(av * i32::from(b2[kk]));
-            out[3] = out[3].wrapping_add(av * i32::from(b3[kk]));
-            kk += 1;
-        }
-        out
+    fn transpose8x8(v: [__m256i; 8]) -> [__m256i; 8] {
+        let t0 = _mm256_unpacklo_epi32(v[0], v[1]);
+        let t1 = _mm256_unpackhi_epi32(v[0], v[1]);
+        let t2 = _mm256_unpacklo_epi32(v[2], v[3]);
+        let t3 = _mm256_unpackhi_epi32(v[2], v[3]);
+        let t4 = _mm256_unpacklo_epi32(v[4], v[5]);
+        let t5 = _mm256_unpackhi_epi32(v[4], v[5]);
+        let t6 = _mm256_unpacklo_epi32(v[6], v[7]);
+        let t7 = _mm256_unpackhi_epi32(v[6], v[7]);
+        // Words 0..4 of each 128-bit half, four rows per register.
+        let u0 = _mm256_unpacklo_epi64(t0, t2);
+        let u1 = _mm256_unpackhi_epi64(t0, t2);
+        let u2 = _mm256_unpacklo_epi64(t1, t3);
+        let u3 = _mm256_unpackhi_epi64(t1, t3);
+        let u4 = _mm256_unpacklo_epi64(t4, t6);
+        let u5 = _mm256_unpackhi_epi64(t4, t6);
+        let u6 = _mm256_unpacklo_epi64(t5, t7);
+        let u7 = _mm256_unpackhi_epi64(t5, t7);
+        [
+            _mm256_permute2x128_si256::<0x20>(u0, u4),
+            _mm256_permute2x128_si256::<0x20>(u1, u5),
+            _mm256_permute2x128_si256::<0x20>(u2, u6),
+            _mm256_permute2x128_si256::<0x20>(u3, u7),
+            _mm256_permute2x128_si256::<0x31>(u0, u4),
+            _mm256_permute2x128_si256::<0x31>(u1, u5),
+            _mm256_permute2x128_si256::<0x31>(u2, u6),
+            _mm256_permute2x128_si256::<0x31>(u3, u7),
+        ]
     }
 
-    /// One `pmaddwd` dot product (the column tail of the Q8.8 kernel).
+    /// The 8-pair-block panel pack: each row's 16 lanes at `2p₀` are
+    /// eight pair words, and a transpose of eight rows' blocks gives
+    /// eight pair rows of eight columns.
     ///
     /// # Safety
     ///
-    /// AVX2 must be supported at runtime; both slices must have equal
-    /// length (debug-asserted by the safe wrapper).
+    /// AVX2 must be supported at runtime; `bt` holds `QNR × k` lanes and
+    /// `panel` `⌈k/2⌉·QNR` words (asserted by the safe wrapper).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn qdot1_avx2(a: &[i16], b: &[i16], seed: i32) -> i32 {
-        let k = a.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut kk = 0usize;
-        while kk + 16 <= k {
-            // SAFETY: `kk + 16 <= k` keeps both 32-byte loads in
-            // bounds (wrapper contract: equal lengths `k`).
-            unsafe {
-                let va = _mm256_loadu_si256(a.as_ptr().add(kk).cast());
-                let vb = _mm256_loadu_si256(b.as_ptr().add(kk).cast());
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
+    pub(super) unsafe fn pack_pairs_avx2(panel: &mut [i32], bt: &[i16], k: usize) -> usize {
+        let blocks = k / 16;
+        let (src, dst) = (bt.as_ptr(), panel.as_mut_ptr());
+        for p0 in (0..blocks).map(|b| 8 * b) {
+            for g in 0..QNR / 8 {
+                let mut v = [_mm256_setzero_si256(); 8];
+                for (t, row) in v.iter_mut().enumerate() {
+                    // SAFETY: row `8g + t < QNR` spans lanes
+                    // `(8g + t)·k ..` of `bt`, and `2p₀ + 16 ≤ k`.
+                    *row = unsafe { _mm256_loadu_si256(src.add((8 * g + t) * k + 2 * p0).cast()) };
+                }
+                for (t, row) in transpose8x8(v).into_iter().enumerate() {
+                    // SAFETY: pair row `p₀ + t < ⌊k/2⌋` has its words
+                    // `8g .. 8g + 8` inside the panel.
+                    unsafe { _mm256_storeu_si256(dst.add((p0 + t) * QNR + 8 * g).cast(), row) };
+                }
             }
-            kk += 16;
         }
-        // SAFETY: register-only reduction (AVX2 enabled).
-        let mut out = seed.wrapping_add(unsafe { hsum_epi32(acc) });
-        while kk < k {
-            out = out.wrapping_add(i32::from(a[kk]) * i32::from(b[kk]));
-            kk += 1;
-        }
-        out
+        8 * blocks
     }
 
     /// The f32 FMA band kernel: the blocked kernel's GotoBLAS loop
@@ -525,14 +557,6 @@ mod tests {
             .collect()
     }
 
-    fn wrapping_dot(a: &[Q8_8], b: &[Q8_8], seed: i32) -> i32 {
-        let mut acc = seed;
-        for (&av, &bv) in a.iter().zip(b) {
-            acc = acc.wrapping_add(i32::from(av.raw()) * i32::from(bv.raw()));
-        }
-        acc
-    }
-
     #[test]
     fn knob_parses_and_warns() {
         for on in ["on", "1", "true", "auto", " ON ", "Auto"] {
@@ -547,6 +571,7 @@ mod tests {
 
     #[test]
     fn force_scalar_guard_nests_and_restores() {
+        let _lock = gate_lock();
         let before = simd_active();
         {
             let _g1 = force_scalar();
@@ -561,37 +586,66 @@ mod tests {
     }
 
     #[test]
-    fn qdots_match_scalar_wrapping_chain() {
+    fn qtile_matches_scalar_tile() {
+        // Lanes ≡ the scalar tile on any input, certified or not: both
+        // wrap every add mod 2³² and round the same way, so the
+        // all-`i16::MIN` rows (whose pair sums wrap at 2³¹) must agree
+        // too. Odd `k` exercises the zero-high-half last pair.
         if !available() {
             return; // honest skip: no lane kernels to test on this host
         }
-        for k in [0usize, 1, 7, 15, 16, 17, 33, 64, 363] {
-            let a = qfill(k, 1);
-            let bs: Vec<Vec<Q8_8>> = (0..4).map(|j| qfill(k, 10 + j)).collect();
-            let seed = 12345;
-            let got = qdot4(&a, &bs[0], &bs[1], &bs[2], &bs[3], seed);
-            for j in 0..4 {
-                assert_eq!(got[j], wrapping_dot(&a, &bs[j], seed), "k={k} j={j}");
-                assert_eq!(qdot1(&a, &bs[j], seed), got[j], "k={k} j={j}");
+        for k in [1usize, 2, 7, 16, 25, 33, 64, 363] {
+            for extreme in [false, true] {
+                let fill = |seed: u32| -> Vec<Q8_8> {
+                    if extreme {
+                        vec![Q8_8::from_raw(i16::MIN); k]
+                    } else {
+                        qfill(k, seed)
+                    }
+                };
+                let rows: Vec<Vec<Q8_8>> = (0..QMR as u32).map(fill).collect();
+                let panel: Vec<i32> = (0..k.div_ceil(2) * QNR)
+                    .map(|i| {
+                        if extreme {
+                            i32::MIN | 0x8000
+                        } else {
+                            (i as i32).wrapping_mul(0x3D09_0977)
+                        }
+                    })
+                    .collect();
+                let arows: [&[Q8_8]; QMR] = std::array::from_fn(|r| &rows[r][..]);
+                let seeds = [12345, -7, i32::MAX - 100, i32::MIN + 3];
+                let mut want = [[Q8_8::ZERO; QNR]; QMR];
+                crate::qgemm::qtile_scalar(&mut want, &panel, arows, seeds);
+                let mut got = [[Q8_8::MAX; QNR]; QMR];
+                qtile(&mut got, &panel, arows, seeds);
+                assert_eq!(want, got, "k={k} extreme={extreme}");
             }
         }
     }
 
     #[test]
-    fn qdots_wrap_like_scalar_even_out_of_range() {
-        // Off-contract on purpose (no certificate): the kernels must
-        // still agree with the scalar wrapping chain mod 2³², which is
-        // what the bit-identity argument needs.
+    fn pack_pairs_matches_the_scalar_layout() {
         if !available() {
             return;
         }
-        let k = 4096;
-        let a = vec![Q8_8::from_raw(i16::MAX); k];
-        let b = vec![Q8_8::from_raw(i16::MAX); k];
-        let want = wrapping_dot(&a, &b, -7);
-        assert_eq!(qdot1(&a, &b, -7), want);
-        let got = qdot4(&a, &b, &b, &b, &b, -7);
-        assert_eq!(got, [want; 4]);
+        for k in [1usize, 15, 16, 17, 32, 33, 72, 216] {
+            let bt = qfill(QNR * k, k as u32);
+            let mut panel = vec![i32::MIN; k.div_ceil(2) * QNR];
+            let done = pack_pairs(&mut panel, &bt, k);
+            assert_eq!(done, 8 * (k / 16), "k={k}");
+            for p in 0..done {
+                for j in 0..QNR {
+                    let (lo, hi) = (bt[j * k + 2 * p].raw(), bt[j * k + 2 * p + 1].raw());
+                    let want = i32::from(lo as u16) | (i32::from(hi) << 16);
+                    assert_eq!(panel[p * QNR + j], want, "k={k} p={p} j={j}");
+                }
+            }
+            assert!(
+                panel[done * QNR..].iter().all(|&w| w == i32::MIN),
+                "k={k}: wrote past its blocks"
+            );
+        }
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //!
 //! Generators and comparators come from the shared
 //! [`mramrl_nn::difftest`] harness. Pins, on **every** integer GEMM
-//! backend ([`QGemmBackend::ALL`] — `Simd` included, the whole integer
-//! datapath is bitwise) and under worker pools of every
+//! backend ([`QGemmBackend::ALL`] — the whole integer datapath is
+//! bitwise, the blocked tile's lanes included) and under worker pools
+//! of every
 //! [`mramrl_nn::difftest::POOL_SIZES`] width:
 //!
 //! 1. `QuantizedNet::forward_batch` over `[N, ...]` is **bit-identical**
 //!    to `N` serial `QuantizedNet::forward` calls — and to the `Naive`
 //!    oracle — row for row. Integer saturation makes the MAC chain
-//!    order-sensitive, so this is a real constraint on the blocked,
-//!    pooled and SIMD kernels, not a free property.
+//!    order-sensitive, so this is a real constraint on the blocked
+//!    tile, not a free property.
 //! 2. Greedy-action agreement between float and Q8.8 Q-values on random
 //!    nets stays above a pinned threshold (the paper's argmax-fidelity
 //!    claim, quantified instead of assumed).
@@ -100,10 +101,8 @@ proptest! {
 }
 
 /// The batched ≡ serial contract survives pooled execution: the same
-/// bitwise comparison pinned under every injected pool width (the
-/// per-sample conv scatter and the pooled FC row bands engage on the
-/// `Pooled` and `Simd` backends; the other backends must simply not
-/// care).
+/// bitwise comparison pinned under every injected pool width (Q8.8
+/// passes never fan out, so the backends must simply not care).
 #[test]
 fn pooled_execution_preserves_batched_equals_serial() {
     let spec = NetworkSpec::micro(12, 1, 5);

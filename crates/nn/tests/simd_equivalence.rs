@@ -1,29 +1,38 @@
 //! SIMD-tier equivalence suite — the named CI gate for the lane
 //! kernels (`cargo test -p mramrl_nn --test simd_equivalence`).
 //!
-//! Four contracts, all driven through the shared
+//! Five contracts, all driven through the shared
 //! [`mramrl_nn::difftest`] harness (see `docs/gemm_backends.md` and
 //! `docs/fixed_point.md`):
 //!
-//! 1. **Q8.8 bitwise**: `QGemmBackend::Simd` equals the `Naive`
+//! 1. **Q8.8 bitwise**: `QGemmBackend::Blocked` equals the `Naive`
 //!    saturating oracle to the bit on every shape, pool width and
-//!    batch — certified rows ride `pmaddwd` lanes, uncertified rows
-//!    the scalar saturating chain, and the certificate is what keeps
-//!    the two indistinguishable.
-//! 2. **Certificate boundary**: rows constructed to sit exactly at,
+//!    batch — certified rows ride the 4×16 pair tile (`pmaddwd` lanes
+//!    where the host has them), uncertified rows the scalar saturating
+//!    chain, and the certificate is what keeps the two
+//!    indistinguishable.
+//! 2. **Tile edges**: every `k` parity, partial panels and short row
+//!    groups, an uncertified row inside a tile and a certified sum
+//!    within 128 of `i32::MAX` (the re-quantisation's rounding add)
+//!    produce the oracle's bits, with the lanes on and under
+//!    [`mramrl_nn::simd::force_scalar`].
+//! 3. **Certificate boundary**: rows constructed to sit exactly at,
 //!    one unit below, and one unit above the [`row_safe`] L1
-//!    threshold flip the verdict at the right point, and all three
-//!    integer backends agree bitwise on either side of it.
-//! 3. **Forced fallback**: under [`mramrl_nn::simd::force_scalar`]
-//!    (the in-process face of the `NN_SIMD=off` knob) both datapaths
-//!    collapse onto their scalar kernels bitwise — so the fallback
-//!    path is CI-gated even on AVX2 hosts, and the CI matrix's
-//!    `NN_SIMD=off` leg re-runs this whole suite with the env knob.
-//! 4. **f32 tolerance tier**: `GemmBackend::Simd` matches the naive
+//!    threshold flip the verdict at the right point, and both integer
+//!    backends agree bitwise on either side of it.
+//! 4. **Forced fallback**: under [`mramrl_nn::simd::force_scalar`]
+//!    (the in-process face of the `NN_SIMD=off` knob) the float `Simd`
+//!    backend collapses onto `Blocked` bitwise and the Q8.8 tile runs on
+//!    scalar wrapping adds with the oracle's bits — so the fallback path
+//!    is CI-gated even on AVX2 hosts, and the CI matrix's `NN_SIMD=off`
+//!    leg re-runs this whole suite with the env knob.
+//! 5. **f32 tolerance tier**: `GemmBackend::Simd` matches the naive
 //!    oracle to the documented FMA tolerance, while staying bitwise
 //!    self-consistent across batch splits and pool widths (each
 //!    output element is one FMA chain regardless of banding), with
 //!    the backward contraction bitwise on the `Blocked` family.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mramrl_fixed::Q8_8;
 use mramrl_nn::backend::GemmBackend;
@@ -33,6 +42,24 @@ use mramrl_nn::difftest::{
 use mramrl_nn::qgemm::{row_safe, QGemmBackend};
 use mramrl_nn::{simd, NetworkSpec, Tensor, Workspace};
 use proptest::prelude::*;
+
+/// Serialises the tests that take a [`simd::force_scalar`] guard or
+/// need the float `Simd` kernel's lanes to stay as they are across
+/// several calls: the guard is process-wide, so a test holding it would
+/// otherwise switch the lanes off under a concurrent one.
+fn gate_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` with the Q8.8 tile's lanes as the host allows, then with
+/// the scalar tile forced.
+fn lanes_and_scalar(mut f: impl FnMut(&str)) {
+    let _lock = gate_lock();
+    f("lanes");
+    let _scalar = simd::force_scalar();
+    f("scalar");
+}
 
 /// Runs one integer GEMM on the given backend into a fresh buffer.
 fn qmm(
@@ -50,9 +77,10 @@ fn qmm(
 }
 
 proptest! {
-    /// Contract 1 at property scale: random ragged shapes (vector
-    /// bodies, scalar tails, sub-`QMIN_N` columns, empty dims), random
-    /// operands, `Simd` vs the saturating oracle, bit for bit.
+    /// Contract 1 at property scale: random ragged shapes (whole and
+    /// partial panels, odd `k`, short row groups, sub-`QMIN_N` columns,
+    /// empty dims), random operands, `Blocked` vs the saturating oracle,
+    /// bit for bit.
     #[test]
     fn qsimd_matches_naive_bitwise(
         m in 0usize..10,
@@ -64,11 +92,11 @@ proptest! {
         let bt = qfill(n * k, seed ^ 0xBEEF);
         let bias = qfill(m, seed ^ 0xB1A5);
         let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
-        let got = qmm(QGemmBackend::Simd, &a, &bt, &bias, m, k, n);
+        let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, m, k, n);
         prop_assert_eq!(qbits(&want), qbits(&got), "m={} k={} n={}", m, k, n);
     }
 
-    /// Contract 4 at property scale: the `Simd` float kernel agrees
+    /// Contract 5 at property scale: the `Simd` float kernel agrees
     /// with the naive oracle to the documented FMA tolerance (each
     /// unfused step rounds one product, so the gap is bounded by
     /// ~`k` product-roundings), and on positive — cancellation-free —
@@ -94,7 +122,7 @@ proptest! {
         assert_ulp_close("simd vs naive (positive)", &wantp, &gotp, 4 * k as u64 + 4);
     }
 
-    /// Contract 2: certificate-boundary rows. With `bias = 0` and
+    /// Contract 3: certificate-boundary rows. With `bias = 0` and
     /// `max|b| = 1` the [`row_safe`] bound *is* the row's L1 norm, so
     /// rows of 32767-magnitude entries (signs randomised — L1 sees
     /// magnitudes only) land the bound exactly on `i32::MAX - 1`
@@ -102,8 +130,9 @@ proptest! {
     /// `i32::MAX + 1` (uncertified): the verdict flips exactly at the
     /// strict `< i32::MAX` comparison, and every integer backend
     /// produces the oracle's bits on both sides of the flip — the
-    /// lane kernel must take the saturating chain the moment the
-    /// certificate fails.
+    /// tile must hand the row to the saturating chain the moment the
+    /// certificate fails. The certified row's all-positive draws sum
+    /// to within 128 of `i32::MAX`.
     #[test]
     fn certificate_boundary_flips_exactly_and_all_backends_agree(seed in 0u64..1 << 40) {
         // 65538 × 32767 = 2_147_483_646 = i32::MAX - 1.
@@ -119,56 +148,140 @@ proptest! {
         prop_assert!(!row_safe(&at, zero, 1), "at the bound must not certify");
         prop_assert!(!row_safe(&above, zero, 1), "above the bound must not certify");
 
-        let n = 4usize; // = QMIN_N: the smallest width the lane path accepts
+        let n = 4usize; // = QMIN_N: the smallest width the tile accepts
         for arow in [&base, &at, &above] {
             let k = arow.len();
             // ±1 entries keep max|b| = 1 while exercising sign mixes.
             let bt: Vec<Q8_8> = (0..n * k).map(|i| Q8_8::from_raw(sign(i * 3))).collect();
             let want = qmm(QGemmBackend::Naive, arow, &bt, &[zero], 1, k, n);
-            for be in [QGemmBackend::Blocked, QGemmBackend::Simd] {
-                let got = qmm(be, arow, &bt, &[zero], 1, k, n);
-                prop_assert_eq!(
-                    qbits(&want), qbits(&got),
-                    "{} k={} L1-case", be, k
-                );
+            let mut got = Vec::new();
+            lanes_and_scalar(|_| got.push(qmm(QGemmBackend::Blocked, arow, &bt, &[zero], 1, k, n)));
+            for (path, got) in ["lanes", "scalar"].iter().zip(&got) {
+                prop_assert_eq!(qbits(&want), qbits(got), "{} k={} L1-case", path, k);
             }
         }
     }
 }
 
 /// Contract 1 on a mixed product: saturating rows sit among certified
-/// ones (a handful of `-128.0` rows make the certificate fail
-/// genuinely), so both paths run in one call, and the bits must be the
-/// oracle's under every pool width — Q8.8 kernels never fan out, so the
-/// pool must be invisible.
+/// ones (two all-`-128.0` rows against a `Bᵀ` holding one `-128.0`
+/// entry make the certificate fail genuinely), so both paths run in
+/// one call, and the bits must be the oracle's under every pool width —
+/// Q8.8 kernels never fan out, so the pool must be invisible.
 #[test]
 fn qsimd_mixed_rows_match_naive_at_every_pool_size() {
     let (m, k, n) = (32usize, 64usize, 80usize);
     let mut a = qfill(m * k, 51);
     // Rows 3 and 17: all-extreme entries, so the certificate bound
-    // L1 · max|b| ≈ 64 · 32768 · 32768 ≈ 2³⁶ overshoots i32::MAX and
+    // L1 · max|b| = 64 · 32768 · 32768 = 2³⁶ overshoots i32::MAX and
     // those rows genuinely take the saturating chain.
     for row in [3usize, 17] {
         for v in &mut a[row * k..(row + 1) * k] {
             *v = Q8_8::from_raw(i16::MIN);
         }
     }
-    let bt = qfill(n * k, 52);
+    let mut bt = qfill(n * k, 52);
+    bt[5] = Q8_8::from_raw(i16::MIN);
     let bias = qfill(m, 53);
+    assert!(!row_safe(&a[3 * k..4 * k], bias[3], 32768));
+    assert!(row_safe(&a[..k], bias[0], 32768));
     let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
     sweep_pools(|pool_threads| {
-        let got = qmm(QGemmBackend::Simd, &a, &bt, &bias, m, k, n);
+        let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, m, k, n);
         assert_eq!(qbits(&want), qbits(&got), "pool={pool_threads}");
     });
 }
 
-/// Contract 3: under [`simd::force_scalar`] the SIMD tier is inert —
+/// Contract 2: the tile's edges. Every `k` parity (1, 2, CONV1's 25,
+/// CONV2's 72), panels that are partial, whole, and whole plus one
+/// column, row groups short of four, whole and one over — all equal to
+/// the oracle, with the lanes on and with the scalar tile forced.
+#[test]
+fn tile_edges_match_naive_with_lanes_and_scalar() {
+    for k in [1usize, 2, 25, 72] {
+        for n in [4usize, 5, 15, 16, 17, 33] {
+            for m in [1usize, 3, 4, 5, 9] {
+                let seed = (k * 1000 + n * 10 + m) as u64;
+                let a = qfill(m * k, seed);
+                let bt = qfill(n * k, seed ^ 0xBEEF);
+                let bias = qfill(m, seed ^ 0xB1A5);
+                let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
+                lanes_and_scalar(|path| {
+                    let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, m, k, n);
+                    assert_eq!(qbits(&want), qbits(&got), "{path} m={m} k={k} n={n}");
+                });
+            }
+        }
+    }
+}
+
+/// Contract 2: one 4-row tile whose second row fails the certificate.
+/// The certified rows 0, 2 and 3 share a tile, the uncertified row
+/// takes the saturating chain, and no row's output lands in another's.
+#[test]
+fn uncertified_row_inside_a_tile_matches_naive() {
+    let (m, k, n) = (4usize, 25usize, 17usize);
+    let mut a = qfill(m * k, 81);
+    for v in &mut a[k..2 * k] {
+        *v = Q8_8::from_raw(i16::MAX);
+    }
+    let mut bt = qfill(n * k, 82);
+    bt[k + 3] = Q8_8::from_raw(i16::MAX);
+    let bias = qfill(m, 83);
+    let max_b = i64::from(i16::MAX);
+    assert!(!row_safe(&a[k..2 * k], bias[1], max_b), "row 1 must fail");
+    for row in [0usize, 2, 3] {
+        assert!(row_safe(&a[row * k..(row + 1) * k], bias[row], max_b));
+    }
+    let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
+    lanes_and_scalar(|path| {
+        let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, m, k, n);
+        assert_eq!(qbits(&want), qbits(&got), "{path}");
+    });
+}
+
+/// Contract 2: certified sums within 128 of `i32::MAX`, where the
+/// oracle's rounding add `sum + 128` no longer fits `i32`. With
+/// `max|b| = 1` and all-positive draws the certificate bound *is* the
+/// sum: an even `k` ending at `i32::MAX - 1`, and an odd `k` (its last
+/// pair half-empty) plus a bias seed ending at `i32::MAX - 67`. Each
+/// sits in row 1 of a 4-row tile, over a partial panel.
+#[test]
+fn requant_near_i32_max_matches_naive() {
+    let n = 17usize;
+    for (k, last, bias_raw) in [(65538usize, 32767i16, 0i16), (65537, 32700, 128)] {
+        let mut hot: Vec<Q8_8> = vec![Q8_8::from_raw(32767); k];
+        hot[k - 1] = Q8_8::from_raw(last);
+        let sum: i64 =
+            hot.iter().map(|q| i64::from(q.raw())).sum::<i64>() + 256 * i64::from(bias_raw);
+        assert!(
+            sum < i64::from(i32::MAX) && sum >= i64::from(i32::MAX) - 128,
+            "sum {sum}"
+        );
+        let bias_hot = Q8_8::from_raw(bias_raw);
+        assert!(row_safe(&hot, bias_hot, 1), "the hot row must certify");
+
+        let small: Vec<Q8_8> = (0..k).map(|i| Q8_8::from_raw((i % 3) as i16 - 1)).collect();
+        let a: Vec<Q8_8> = [&small[..], &hot, &small, &small].concat();
+        let bias = [Q8_8::from_raw(5), bias_hot, Q8_8::from_raw(-5), Q8_8::ZERO];
+        let bt = vec![Q8_8::from_raw(1); n * k];
+        let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, 4, k, n);
+        assert_eq!(want[n], Q8_8::MAX, "the hot row saturates high");
+        lanes_and_scalar(|path| {
+            let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, 4, k, n);
+            assert_eq!(qbits(&want), qbits(&got), "{path} k={k}");
+        });
+    }
+}
+
+/// Contract 4: under [`simd::force_scalar`] the SIMD tier is inert —
 /// `simd_active()` reports off, the f32 backend produces `Blocked`'s
-/// bits and the integer backend the oracle's — and activity resumes
-/// when the guard drops. This is the in-process twin of the CI
+/// bits and the integer tile, on scalar adds, the oracle's — and
+/// activity resumes when the guard drops. This is the in-process twin of the CI
 /// matrix's `NN_SIMD=off` leg, runnable on any host.
 #[test]
 fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
+    let _lock = gate_lock();
     let was_active = simd::simd_active();
     {
         let _guard = simd::force_scalar();
@@ -194,7 +307,7 @@ fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
         let qbias = qfill(m, 66);
         assert_eq!(
             qbits(&qmm(QGemmBackend::Naive, &qa, &qbt, &qbias, m, k, n)),
-            qbits(&qmm(QGemmBackend::Simd, &qa, &qbt, &qbias, m, k, n)),
+            qbits(&qmm(QGemmBackend::Blocked, &qa, &qbt, &qbias, m, k, n)),
             "fallback qgemm ≡ oracle"
         );
     }
@@ -205,7 +318,7 @@ fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
     );
 }
 
-/// Contract 4, self-consistency: within the `Simd` backend each output
+/// Contract 5, self-consistency: within the `Simd` backend each output
 /// element's bits depend only on its own (row, column) operands — so a
 /// matmul over the full row block equals the concatenation of matmuls
 /// over arbitrary row splits (the property that makes the parallel
@@ -214,6 +327,7 @@ fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
 /// family) equals the naive oracle bitwise.
 #[test]
 fn f32_simd_is_invariant_under_row_splits() {
+    let _lock = gate_lock();
     let (m, k, n) = (13usize, 96, 40);
     let a = fill(m * k, 71, false);
     let b = fill(k * n, 72, false);
@@ -232,12 +346,13 @@ fn f32_simd_is_invariant_under_row_splits() {
     );
 }
 
-/// Contract 4 end-to-end: a whole batched network forward on the
+/// Contract 5 end-to-end: a whole batched network forward on the
 /// `Simd` backend is bit-identical to its own serial single-image
 /// passes at every pool width (batched ≡ serial holds *within* the
 /// tolerance tier, not just within the bitwise family).
 #[test]
 fn simd_network_batched_equals_serial_at_every_pool_size() {
+    let _lock = gate_lock();
     let spec = NetworkSpec::micro(16, 1, 5);
     let n = 3usize;
     let data = fill(n * 256, 91, false);

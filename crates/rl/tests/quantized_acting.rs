@@ -63,7 +63,6 @@ fn quantised_acting_matches_engine_bitwise() {
             agent2.set_gemm_backend(match be {
                 QGemmBackend::Naive => mramrl_nn::GemmBackend::Naive,
                 QGemmBackend::Blocked => mramrl_nn::GemmBackend::Blocked,
-                QGemmBackend::Simd => mramrl_nn::GemmBackend::Simd,
             });
             assert_eq!(
                 agent2.greedy_actions(&obs),

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -78,6 +78,8 @@ struct StatsInner {
 enum SlotState {
     Waiting,
     Done(Decision),
+    /// The worker dropped the request without deciding it.
+    Failed,
 }
 
 struct Slot {
@@ -93,25 +95,57 @@ impl Slot {
         }
     }
 
-    fn fulfill(&self, d: Decision) {
-        *self.state.lock().expect("slot poisoned") = SlotState::Done(d);
+    /// Settles a waiting slot and wakes its client; a settled slot
+    /// keeps its first outcome.
+    fn settle(&self, outcome: SlotState) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if matches!(*st, SlotState::Waiting) {
+            *st = outcome;
+        }
         self.cv.notify_one();
     }
 
     fn wait(&self) -> Decision {
-        let mut st = self.state.lock().expect("slot poisoned");
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             match *st {
                 SlotState::Done(d) => return d,
-                SlotState::Waiting => st = self.cv.wait(st).expect("slot wait"),
+                SlotState::Failed => {
+                    drop(st);
+                    panic!(
+                        "serving worker dropped this request undecided \
+                         (it panicked mid-flush or exited with the request queued)"
+                    );
+                }
+                SlotState::Waiting => {
+                    st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
             }
         }
     }
 }
 
+/// The worker's end of a request's slot. A flush fulfils it; if the
+/// worker drops it first — a panic mid-flush unwinds through the batch,
+/// or the worker exits with the request still queued — the slot fails,
+/// so its client wakes and panics instead of parking forever.
+struct Pending(Arc<Slot>);
+
+impl Pending {
+    fn fulfill(self, d: Decision) {
+        self.0.settle(SlotState::Done(d));
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        self.0.settle(SlotState::Failed);
+    }
+}
+
 struct Submission {
     req: ObsRequest,
-    slot: Arc<Slot>,
+    slot: Pending,
 }
 
 /// A long-lived serving loop: one worker thread owns the engine
@@ -227,8 +261,10 @@ impl ServiceClient {
     ///
     /// Panics if `obs` does not match the served net's input shape
     /// (validated here, in the caller's thread, so a malformed request
-    /// can never take down the shared worker), or if the service worker
-    /// has terminated.
+    /// can never take down the shared worker), if the service worker
+    /// has terminated, or if the worker drops this request undecided —
+    /// for example when a snapshot with a different input shape is
+    /// published while the request waits, and the worker's flush panics.
     pub fn decide(&self, drone_id: u64, obs: mramrl_nn::Tensor) -> Decision {
         let expected = self.store.input_shape();
         assert_eq!(
@@ -240,7 +276,7 @@ impl ServiceClient {
         self.tx
             .send(Submission {
                 req: ObsRequest { drone_id, obs },
-                slot: Arc::clone(&slot),
+                slot: Pending(Arc::clone(&slot)),
             })
             .expect("serving worker terminated");
         slot.wait()
@@ -284,10 +320,12 @@ fn flush(store: &SnapshotStore, ws: &mut QWorkspace, pending: Vec<Submission>, s
     // One snapshot load per flush: the generation stamped below is the
     // snapshot every decision in this batch was computed with.
     let (net, generation) = store.snapshot();
-    let (reqs, slots): (Vec<ObsRequest>, Vec<Arc<Slot>>) =
+    // A panic in the engine pass drops `slots` undecided, which fails
+    // every client of this batch (see `Pending`).
+    let (reqs, slots): (Vec<ObsRequest>, Vec<Pending>) =
         pending.into_iter().map(|s| (s.req, s.slot)).unzip();
     let decisions = decide_batch(&net, generation, &reqs, ws);
-    for (slot, decision) in slots.iter().zip(decisions) {
+    for (slot, decision) in slots.into_iter().zip(decisions) {
         slot.fulfill(decision);
     }
 }
