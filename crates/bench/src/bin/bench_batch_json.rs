@@ -2,7 +2,11 @@
 //!
 //! Times one replay batch of Bellman updates on the Fig. 3(a)-
 //! proportioned micro AlexNet ([`mramrl_bench::batch_td_spec`]) per
-//! (backend × batch size × pool threads) cell — batched
+//! (backend × batch size × pool threads) cell. The f32 backend
+//! columns are the naive oracle, then `Blocked` with its AVX2 lanes
+//! forced off (`blocked`, `simd::force_scalar`) and on (`simd`) —
+//! the same bits, so the two columns time the lanes alone. Each cell
+//! is batched
 //! (`QAgent::accumulate_td_batch`, N ∈ {1, 8, 32}) and the serial-32
 //! baseline (32 × `accumulate_td`) — prints the table, saves the CSV,
 //! and emits `BENCH_batch.json` so future PRs have a perf trajectory to
@@ -20,8 +24,8 @@
 //! A **quantised-inference cell family** rides along (modes
 //! `infer-f32` / `infer-q8.8` / `infer-q8.8-serial`): the Q8.8
 //! deployment engine (`mramrl_nn::quant`, `docs/fixed_point.md`) at
-//! batch 1/8/32 per integer backend (naive/blocked; the `simd` float
-//! backend maps to `blocked` and adds no Q8.8 cells) and pool size,
+//! batch 1/8/32 per integer backend (naive/blocked, timed once each, in
+//! a column with lanes on) and pool size,
 //! next to the float forward on the same weights and frames. The
 //! JSON records the per-backend `q8.8 batched(32) / serial(32)` speedup
 //! (bar: ≥ 4× on blocked) and the float-vs-Q8.8 throughput ratio.
@@ -79,6 +83,15 @@ fn time_ns(reps: u64, mut work: impl FnMut()) -> f64 {
     t0.elapsed().as_nanos() as f64 / reps as f64
 }
 
+/// The f32 backend columns of the cell matrix as `(label, backend,
+/// lanes)`: the oracle, then `Blocked` on its scalar tile and on its
+/// AVX2 lanes.
+const COLUMNS: [(&str, GemmBackend, bool); 3] = [
+    ("naive", GemmBackend::Naive, true),
+    ("blocked", GemmBackend::Blocked, false),
+    ("simd", GemmBackend::Blocked, true),
+];
+
 /// One measured cell of the (backend × mode × batch × threads) matrix.
 struct Cell {
     backend: &'static str,
@@ -117,11 +130,10 @@ fn main() {
     };
     let ts = batch_td_transitions(32, spec.input_shape[1]);
 
-    let backends: Vec<GemmBackend> = if explicit_backend {
-        vec![backend_filter]
-    } else {
-        GemmBackend::ALL.to_vec()
-    };
+    let columns: Vec<(&str, GemmBackend, bool)> = COLUMNS
+        .into_iter()
+        .filter(|&(_, be, _)| !explicit_backend || be == backend_filter)
+        .collect();
     let thread_counts: Vec<usize> = if multi > 1 { vec![1, multi] } else { vec![1] };
 
     let mut cells: Vec<Cell> = Vec::new();
@@ -129,7 +141,8 @@ fn main() {
     for &threads in &thread_counts {
         let pool = ThreadPool::new(threads);
         let _installed = pool.install();
-        for &be in &backends {
+        for &(label, be, lanes) in &columns {
+            let _scalar = (!lanes).then(mramrl_nn::simd::force_scalar);
             // Every backend is re-timed at every pool size: even
             // naive/blocked reach the pool through the agent's join2
             // overlap of the target/online forwards, so their cells are
@@ -143,7 +156,7 @@ fn main() {
                     a.net_mut().zero_grads();
                 }) / n as f64;
                 cells.push(Cell {
-                    backend: be.name(),
+                    backend: label,
                     mode: "batched",
                     batch: n,
                     threads,
@@ -158,7 +171,7 @@ fn main() {
                 a.net_mut().zero_grads();
             }) / ts.len() as f64;
             cells.push(Cell {
-                backend: be.name(),
+                backend: label,
                 mode: "serial",
                 batch: ts.len(),
                 threads,
@@ -171,14 +184,10 @@ fn main() {
         // the same weights and frames, plus the serial-32 baseline
         // (32 × the batch-of-1 wrapper, workspace churn included — the
         // pre-engine per-image deployment pattern).
-        for (bi, &be) in backends.iter().enumerate() {
+        for &(label, be, lanes) in &columns {
+            let _scalar = (!lanes).then(mramrl_nn::simd::force_scalar);
             let qnet = batch_td_qnet(&spec, be);
             let qbe = qnet.backend();
-            // `simd` maps onto the `blocked` integer backend: time each
-            // integer backend once.
-            let q_new = backends[..bi]
-                .iter()
-                .all(|&b| mramrl_nn::QGemmBackend::from_gemm(b) != qbe);
             let mut fnet = spec.build(42);
             fnet.set_gemm_backend(be);
             for n in BATCH_TD_SIZES {
@@ -188,13 +197,16 @@ fn main() {
                     let _ = fnet.forward_batch(&obs, &mut fws);
                 }) / n as f64;
                 cells.push(Cell {
-                    backend: be.name(),
+                    backend: label,
                     mode: "infer-f32",
                     batch: n,
                     threads,
                     ns_per_transition: ns,
                 });
-                if !q_new {
+                // `blocked` and `simd` share the `blocked` integer
+                // backend: each integer backend is timed once, in its
+                // column with lanes on.
+                if !lanes {
                     continue;
                 }
                 let mut qws = QWorkspace::for_net(&qnet);
@@ -209,7 +221,7 @@ fn main() {
                     ns_per_transition: ns,
                 });
             }
-            if !q_new {
+            if !lanes {
                 continue;
             }
             let singles: Vec<mramrl_nn::Tensor> =
@@ -272,7 +284,8 @@ fn main() {
             (1_500, 4, vec![2, 4, 8], 4)
         };
         let hw = spec.input_shape[1];
-        for &be in &backends {
+        for &(label, be, lanes) in &columns {
+            let _scalar = (!lanes).then(mramrl_nn::simd::force_scalar);
             for (topo, topo_name) in [(Topology::E2E, "E2E"), (Topology::L3, "L3")] {
                 let mut run_cell = |mode: &'static str, n_fleets: usize, q88: bool| {
                     let mut cfg = TrainerConfig::online(train_iters, 42);
@@ -289,7 +302,7 @@ fn main() {
                     let (_, stats) = trainer.run_parallel_timed(&mut agent, &mut fl, &mut ());
                     let ns = t0.elapsed().as_nanos() as f64 / stats.transitions as f64;
                     cells.push(Cell {
-                        backend: be.name(),
+                        backend: label,
                         mode,
                         batch: n_fleets * train_k,
                         threads,
@@ -298,7 +311,7 @@ fn main() {
                     let phase = (stats.learner_ns + stats.actor_ns + stats.env_ns).max(1) as f64;
                     regimes.push(TrainRegime {
                         topology: topo_name,
-                        backend: be.name(),
+                        backend: label,
                         mode,
                         threads,
                         fleets: n_fleets,
@@ -351,21 +364,18 @@ fn main() {
 
     // Speedup of batched(32) over serial(32), per backend, single thread.
     let mut speedups = Vec::new();
-    for &be in &backends {
-        if let (Some(b32), Some(s32)) = (
-            ns_of(be.name(), "batched", 1),
-            ns_of(be.name(), "serial", 1),
-        ) {
+    for &(label, _, _) in &columns {
+        if let (Some(b32), Some(s32)) = (ns_of(label, "batched", 1), ns_of(label, "serial", 1)) {
             let s = s32 / b32;
-            println!("speedup batched(32) vs serial(32) on {be}: {s:.2}x");
-            speedups.push((be.name().to_string(), s));
+            println!("speedup batched(32) vs serial(32) on {label}: {s:.2}x");
+            speedups.push((label.to_string(), s));
         }
     }
     // Quantised acceptance bar: batched(32) engine inference over the
     // serial-32 batch-of-1 wrapper, per integer backend, single thread
     // (the ≥ 4× bar is on the blocked backend).
     let mut q_speedups: Vec<(String, f64)> = Vec::new();
-    for &be in &backends {
+    for &(_, be, _) in &columns {
         if q_speedups.iter().any(|(name, _)| name == qname(be)) {
             continue;
         }
@@ -386,18 +396,17 @@ fn main() {
     // fixed-point inference's time — the software cost of modelling the
     // silicon datapath bit-exactly.
     let mut fq_ratios = Vec::new();
-    for &be in &backends {
+    for &(label, be, _) in &columns {
         if let (Some(qns), Some(fns)) = (
             ns_of(qname(be), "infer-q8.8", 1),
-            ns_of(be.name(), "infer-f32", 1),
+            ns_of(label, "infer-f32", 1),
         ) {
             let r = qns / fns;
             println!(
-                "float-vs-q8.8 throughput ratio, batched(32) on {}/{}: {r:.2}x",
-                be.name(),
+                "float-vs-q8.8 throughput ratio, batched(32) on {label}/{}: {r:.2}x",
                 qname(be)
             );
-            fq_ratios.push((be.name().to_string(), r));
+            fq_ratios.push((label.to_string(), r));
         }
     }
     // The SIMD acceptance bar: the raw certified-GEMM head-to-head on

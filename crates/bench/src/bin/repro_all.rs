@@ -3,8 +3,9 @@
 //! `--full` is passed (budget minutes for `--full`).
 //!
 //! Every flag is forwarded verbatim to each child binary, so
-//! `repro_all -- --backend simd` runs the NN-heavy experiments on the
-//! SIMD GEMM backend (see `docs/gemm_backends.md`).
+//! `repro_all -- --backend naive` runs the NN-heavy experiments on the
+//! naive oracle GEMM backend (see `docs/gemm_backends.md`); the
+//! blocked default's AVX2 lanes are switched by `NN_SIMD`.
 
 use std::path::Path;
 use std::process::Command;

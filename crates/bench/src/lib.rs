@@ -218,7 +218,7 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
 }
 
 /// Resolves the GEMM backend for a figure binary: `--backend <name>` or
-/// `--backend=<name>` (`naive|blocked|simd`) wins, else the
+/// `--backend=<name>` (`naive|blocked`) wins, else the
 /// `NN_GEMM_BACKEND` env knob (default `blocked`). The choice is
 /// exported back into `NN_GEMM_BACKEND` so every network built later in
 /// the process — and any child process — picks it up; call this
@@ -228,12 +228,14 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
 /// is a lenient default, the flag an explicit request).
 ///
 /// `repro_all` forwards its argv to every child binary, so
-/// `repro_all -- --backend simd` switches the whole suite.
+/// `repro_all -- --backend naive` switches the whole suite. Whether
+/// `blocked` runs its AVX2 lanes is the `NN_SIMD` knob's call, recorded
+/// as the `simd` key of [`knob_meta`].
 pub fn init_gemm_backend() -> mramrl_nn::GemmBackend {
     let args: Vec<String> = std::env::args().collect();
     let chosen: Option<String> = args.iter().position(|a| *a == "--backend").map(|i| {
         args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: --backend needs a value (naive|blocked|simd)");
+            eprintln!("error: --backend needs a value (naive|blocked)");
             std::process::exit(2);
         })
     });
@@ -367,7 +369,7 @@ pub fn batch_td_agent(
 
 /// The Q8.8 deployment-mode engine snapshot of the batch-TD workload
 /// net, on the integer backend matching `backend` (naive→naive,
-/// blocked→blocked, simd→simd) — what the
+/// blocked→blocked) — what the
 /// quantised-inference
 /// bench cells drive. Shares seed 42 with [`batch_td_agent`] so the
 /// float and fixed-point cells measure the same weights.

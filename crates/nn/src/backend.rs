@@ -8,8 +8,7 @@
 //! | Backend    | Kernel                                         | Use |
 //! |------------|------------------------------------------------|-----|
 //! | [`GemmBackend::Naive`]    | reference triple loops ([`crate::gemm::matmul`]) | correctness oracle |
-//! | [`GemmBackend::Blocked`]  | k-panel packed, `MR×NR` register-tiled kernel   | default |
-//! | [`GemmBackend::Simd`]     | explicit AVX2+FMA lane kernel ([`crate::simd`]), blocked fallback | max single-core throughput |
+//! | [`GemmBackend::Blocked`]  | `MR×NR` = 8×8 tile: AVX2 lanes ([`crate::simd`]) where [`crate::simd::simd_active`] holds, else the k-panel packed scalar tile | default |
 //!
 //! Every kernel here runs on the calling thread. Whether a pass spreads
 //! over the [`crate::pool`] is decided one level up, by the layers, with
@@ -19,13 +18,15 @@
 //!
 //! # Summation-order contract (exactness policy)
 //!
-//! The [`GemmBackend::BITWISE`] backends (naive/blocked) compute every
-//! output element with a **single accumulator** and add contributions
-//! in **ascending order of the contraction index** (`k` for `A·B`, the
+//! Every backend — the naive oracle, the blocked scalar tile and its
+//! AVX2 lanes — computes every output element with a **single
+//! accumulator** seeded at `+0.0` and adds the rounded products in
+//! **ascending order of the contraction index** (`k` for `A·B`, the
 //! shared row index `i` for `Aᵀ·B`). Rust never re-associates float
-//! arithmetic and no FMA contraction is emitted from safe code here, so
-//! the two backends are **bit-for-bit identical** — signed zeros
-//! included, and with `NaN`s in exactly the same positions. The single
+//! arithmetic, no FMA contraction is emitted from safe code here, and
+//! the lanes multiply and add in two separate instructions, so the
+//! backends are **bit-for-bit identical**, lanes on or off — signed
+//! zeros included, and with `NaN`s in exactly the same positions. The single
 //! carve-out: `NaN` *payload* bits are unspecified by IEEE-754 (LLVM
 //! may commute float operands), so only `NaN`-ness, not the payload, is
 //! guaranteed. The equivalence proptests in
@@ -33,26 +34,17 @@
 //! payload-canonicalised `f32::to_bits`. See `docs/gemm_backends.md`
 //! for the full blocking/packing writeup.
 //!
-//! [`GemmBackend::Simd`] keeps the same ascending-`k` single-chain
-//! contract but **fuses** each multiply-add (one rounding instead of
-//! two), so it sits in a documented *tolerance tier* relative to the
-//! bitwise family — equal to rounding, never to the bit — while
-//! remaining bitwise **self**-consistent across batch sizes, row
-//! bands and pool sizes (the chain of an output element depends only
-//! on its own row/column pair). See `docs/gemm_backends.md` for the
-//! tier policy and [`crate::simd`] for the kernels.
-//!
 //! # Environment knobs
 //!
-//! * `NN_GEMM_BACKEND` — `naive` | `blocked` | `simd`; the process-wide
+//! * `NN_GEMM_BACKEND` — `naive` | `blocked`; the process-wide
 //!   default returned by [`default_backend`] (default: `blocked`).
 //!   Parsed by [`env_backend_knob`], which warns on stderr for unknown
-//!   values — the retired `threaded` among them — instead of silently
-//!   defaulting.
+//!   values — the retired `threaded` and `simd` among them — and falls
+//!   back to `blocked` instead of silently defaulting.
 //! * `NN_SIMD` — `auto` (default) | `off`: forces
-//!   [`GemmBackend::Simd`] onto its blocked scalar fallback even where
-//!   feature detection would pick the lane kernels
-//!   ([`crate::simd::simd_active`]).
+//!   [`GemmBackend::Blocked`] onto its scalar tile even where feature
+//!   detection would pick the lanes ([`crate::simd::simd_active`]).
+//!   Only speed changes, never bits.
 //!
 //! `NN_GEMM_BACKEND` is read once and cached.
 //!
@@ -78,7 +70,8 @@ use std::sync::OnceLock;
 const MR: usize = 8;
 
 /// Micro-tile width: one SIMD vector of output columns per row (8 f32 =
-/// one AVX2 register); `MR×NR` accumulators = 8 vector registers.
+/// one AVX2 register); `MR×NR` accumulators = 8 vector registers, the
+/// shape of the lane tile in [`crate::simd`].
 const NR: usize = 8;
 
 /// Output-column tile width (multiple of `NR`): bounds the packed
@@ -96,35 +89,24 @@ pub enum GemmBackend {
     /// Reference triple-loop kernels — the correctness oracle every other
     /// backend is proven against.
     Naive,
-    /// Cache-blocked, k-panel-packed, `MR×NR` register-tiled kernel.
+    /// The `MR×NR` register-tiled kernel: AVX2 lanes where
+    /// [`crate::simd::simd_active`] holds, else the cache-blocked,
+    /// k-panel-packed scalar tile — the same bits either way.
     #[default]
     Blocked,
-    /// Explicit AVX2+FMA lane kernel ([`crate::simd`]) under the
-    /// documented FMA **tolerance tier** (equal to the bitwise family
-    /// to rounding, bitwise self-consistent across batch/band/pool).
-    /// Falls back to the blocked kernel — bit for bit — when the host
-    /// lacks AVX2+FMA, when `NN_SIMD=off`, or under a test's
-    /// [`crate::simd::force_scalar`] guard.
-    Simd,
 }
 
 impl GemmBackend {
-    /// All backends, oracle first — handy for benches and equivalence
-    /// tests.
-    pub const ALL: [GemmBackend; 3] = [GemmBackend::Naive, GemmBackend::Blocked, GemmBackend::Simd];
-
-    /// The backends under the bit-for-bit summation-order contract
-    /// (everything but the FMA tolerance tier) — the sweep cross-backend
-    /// bitwise tests run over. [`GemmBackend::Simd`] is excluded: it is
-    /// bitwise only against itself, and equal to these to rounding.
-    pub const BITWISE: [GemmBackend; 2] = [GemmBackend::Naive, GemmBackend::Blocked];
+    /// All backends, oracle first — the sweep every cross-backend
+    /// bitwise test runs over (every backend is under the
+    /// summation-order contract).
+    pub const ALL: [GemmBackend; 2] = [GemmBackend::Naive, GemmBackend::Blocked];
 
     /// Stable lowercase name (the `NN_GEMM_BACKEND` / `--backend` token).
     pub fn name(self) -> &'static str {
         match self {
             GemmBackend::Naive => "naive",
             GemmBackend::Blocked => "blocked",
-            GemmBackend::Simd => "simd",
         }
     }
 
@@ -160,11 +142,10 @@ impl GemmBackend {
         assert_eq!(c.len(), m * n, "C dimensions");
         match self {
             GemmBackend::Naive => crate::gemm::matmul_into(c, a, b, m, k, n),
-            GemmBackend::Blocked => matmul_blocked_into(c, a, b, m, k, n),
-            GemmBackend::Simd if crate::simd::simd_active() => {
-                crate::simd::matmul_band_f32(c, a, b, m, k, n)
+            GemmBackend::Blocked if crate::simd::simd_active() => {
+                crate::simd::matmul_f32(c, a, b, m, k, n)
             }
-            GemmBackend::Simd => matmul_blocked_into(c, a, b, m, k, n),
+            GemmBackend::Blocked => matmul_blocked_into(c, a, b, m, k, n),
         }
     }
 
@@ -200,13 +181,10 @@ impl GemmBackend {
         assert_eq!(c.len(), k * n, "C dimensions");
         match self {
             GemmBackend::Naive => crate::gemm::matmul_at_b_into(c, a, b, m, k, n),
-            // The backward contraction stays in the bitwise family:
-            // `Aᵀ·B` is a rank-1-update sweep (no contiguous dots to
-            // hand the FMA lanes without changing its ascending-`i`
-            // chain shape), so `Simd` runs the blocked kernel —
-            // batched-training gradients keep the bitwise family's
-            // exact bits, and only forwards ride the tolerance tier.
-            GemmBackend::Blocked | GemmBackend::Simd => at_b_blocked_into(c, a, b, m, k, n),
+            GemmBackend::Blocked if crate::simd::simd_active() => {
+                crate::simd::matmul_at_b_f32(c, a, b, m, k, n)
+            }
+            GemmBackend::Blocked => at_b_blocked_into(c, a, b, m, k, n),
         }
     }
 }
@@ -218,9 +196,8 @@ impl FromStr for GemmBackend {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(GemmBackend::Naive),
             "blocked" => Ok(GemmBackend::Blocked),
-            "simd" => Ok(GemmBackend::Simd),
             other => Err(format!(
-                "unknown GEMM backend {other:?} (expected naive|blocked|simd)"
+                "unknown GEMM backend {other:?} (expected naive|blocked)"
             )),
         }
     }
@@ -262,7 +239,8 @@ pub(crate) fn parse_backend_knob(var: &str, v: &str) -> Option<GemmBackend> {
     }
 }
 
-/// Blocked `A·B` over the whole output (single thread), into `c`.
+/// Blocked `A·B` on the scalar tile over the whole output (single
+/// thread), into `c` — the `NN_SIMD=off` and no-AVX2 path.
 fn matmul_blocked_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     // Mat-vec and skinny products gain nothing from packing; the reference
     // loops have the identical summation order, so this is invisible.
@@ -361,8 +339,9 @@ fn matmul_band(c: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n: us
 /// re-streamed once per group, so 8 rows cut output traffic 8×.
 const MR_ATB: usize = 8;
 
-/// Blocked `Aᵀ·B` over the whole output (single thread), into `c`
-/// (fully overwritten).
+/// Blocked `Aᵀ·B` on scalar rank-1 sweeps over the whole output (single
+/// thread), into `c` (fully overwritten) — the `NN_SIMD=off` and
+/// no-AVX2 path.
 ///
 /// The contraction runs over the *shared row index* `i`, so the natural
 /// kernel is a sequence of rank-1 updates; grouping `MR_ATB = 8` input
@@ -479,6 +458,7 @@ mod tests {
         );
         assert!("gpu".parse::<GemmBackend>().is_err());
         assert!("threaded".parse::<GemmBackend>().is_err());
+        assert!("simd".parse::<GemmBackend>().is_err());
     }
 
     #[test]
@@ -490,37 +470,18 @@ mod tests {
         for be in GemmBackend::ALL {
             assert_eq!(parse_backend_knob("K", be.name()), Some(be));
         }
-        assert_eq!(parse_backend_knob("K", " Simd "), Some(GemmBackend::Simd));
-        // The retired row-band backend warns and falls back to blocked
-        // (the `None` that `from_env` defaults), never a panic.
+        assert_eq!(
+            parse_backend_knob("K", " Blocked "),
+            Some(GemmBackend::Blocked)
+        );
+        // The retired row-band and FMA backends warn and fall back to
+        // blocked (the `None` that `from_env` defaults), never a panic.
         assert_eq!(parse_backend_knob("K", "threaded"), None);
         assert_eq!(parse_backend_knob("K", " Threaded "), None);
+        assert_eq!(parse_backend_knob("K", "simd"), None);
+        assert_eq!(parse_backend_knob("K", " Simd "), None);
         assert_eq!(parse_backend_knob("K", "gpu"), None);
         assert_eq!(parse_backend_knob("K", ""), None);
         assert_eq!(env_backend_knob("NN_TEST_BACKEND_KNOB_UNSET"), None);
-    }
-
-    #[test]
-    fn simd_forced_fallback_is_blocked_bitwise() {
-        // Under a force_scalar guard the Simd backend *is* the blocked
-        // kernel — both GEMM shapes, all elements, to the bit.
-        let _lock = crate::simd::gate_lock();
-        let _g = crate::simd::force_scalar();
-        let (m, k, n) = (13usize, 57usize, 33usize);
-        let a = fill(m * k, 5);
-        let b = fill(k * n, 6);
-        let want = GemmBackend::Blocked.matmul(&a, &b, m, k, n);
-        let got = GemmBackend::Simd.matmul(&a, &b, m, k, n);
-        assert_eq!(
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
-        let b2 = fill(m * n, 7);
-        let want = GemmBackend::Blocked.matmul_at_b(&a, &b2, m, k, n);
-        let got = GemmBackend::Simd.matmul_at_b(&a, &b2, m, k, n);
-        assert_eq!(
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
     }
 }

@@ -4,8 +4,8 @@
 //! Every backend this repo ships lands inside the same discipline: a
 //! **bitwise** contract against an oracle where the arithmetic permits
 //! it (the float summation-order family, the whole integer datapath),
-//! and a **documented tolerance tier** where it does not (different
-//! algorithm, or FMA fusion — see `docs/gemm_backends.md`). The suites
+//! and a **documented tolerance tier** where it does not (a different
+//! algorithm — see `docs/gemm_backends.md`). The suites
 //! that enforce this (`gemm_backends.rs`, `quant_equivalence.rs`,
 //! `pool_equivalence.rs`, `simd_equivalence.rs`) used to each carry
 //! their own copy of the value generators and comparators; this module
@@ -17,8 +17,8 @@
 //! * deterministic value streams ([`fill`], [`fill01`], [`qfill`]) —
 //!   hash-based, seedable, optionally salted with IEEE specials;
 //! * bit canonicalisers ([`bits`], [`qbits`]) and comparators: exact
-//!   ([`assert_bitwise`]), ULP-distance ([`max_ulp_diff`],
-//!   [`assert_ulp_close`]) and absolute+relative ([`assert_close`]) —
+//!   ([`assert_bitwise`]), ULP-distance ([`max_ulp_diff`]) and
+//!   absolute+relative ([`assert_close`]) —
 //!   all `NaN`/`±∞`-classification-aware;
 //! * sweep runners: [`POOL_SIZES`] with [`sweep_pools`] (installs a
 //!   [`crate::pool::ThreadPool`] per size), [`sweep_backends`] /
@@ -179,20 +179,6 @@ pub fn max_ulp_diff(want: &[f32], got: &[f32]) -> Option<u64> {
         max = max.max(line(a).abs_diff(line(b)));
     }
     Some(max)
-}
-
-/// Asserts two f32 slices agree to `max_ulp` units in the last place,
-/// with identical non-finite classification (via [`max_ulp_diff`]).
-///
-/// # Panics
-///
-/// Panics on classification mismatch or any element further apart than
-/// `max_ulp`.
-pub fn assert_ulp_close(tag: &str, want: &[f32], got: &[f32], max_ulp: u64) {
-    match max_ulp_diff(want, got) {
-        None => panic!("{tag}: length or NaN/∞ classification mismatch"),
-        Some(d) => assert!(d <= max_ulp, "{tag}: {d} ULP apart (allowed {max_ulp})"),
-    }
 }
 
 /// Asserts two f32 slices agree to `|a - b| ≤ atol + rtol·max(|a|,|b|)`

@@ -16,8 +16,9 @@
 //!   census byte-for-byte) and a width-scaled *micro* variant that keeps
 //!   the 5-conv + 5-FC topology but trains in seconds on a CPU;
 //! * pluggable GEMM backends ([`backend`]) behind every conv/FC matrix
-//!   product — a naive oracle, a cache-blocked kernel and an AVX2+FMA
-//!   lane kernel, selected via `NN_GEMM_BACKEND` /
+//!   product — a naive oracle and a register-tiled kernel on AVX2 lanes
+//!   (scalar without AVX2 or under `NN_SIMD=off`), bit-identical to
+//!   each other, selected via `NN_GEMM_BACKEND` /
 //!   [`Network::set_gemm_backend`] (see `docs/gemm_backends.md`);
 //! * a process-persistent deterministic worker [`pool`] behind every
 //!   parallel site in the stack (the one parallel rule that splits a

@@ -150,8 +150,8 @@ impl Network {
     }
 
     /// Routes every conv/FC matrix product through `backend`
-    /// ([`GemmBackend::Naive`] reference loops, cache-`Blocked`, or the
-    /// `Simd` lane kernel); layers without matrix products are
+    /// ([`GemmBackend::Naive`] reference loops or the register-tiled
+    /// `Blocked` kernel); layers without matrix products are
     /// unaffected.
     ///
     /// Freshly built networks start on

@@ -77,8 +77,8 @@
 //! # Backend selection
 //!
 //! Quantised layers default to the float stack's `NN_GEMM_BACKEND` knob
-//! through [`default_backend`] (`naive → Naive`, `blocked → Blocked`,
-//! `simd → Blocked`), so the CI backend × pool matrix exercises the
+//! through [`default_backend`] (`naive → Naive`, `blocked → Blocked`),
+//! so the CI backend × pool matrix exercises the
 //! integer kernels on every configuration.
 //!
 //! # Examples
@@ -155,16 +155,14 @@ impl QGemmBackend {
         }
     }
 
-    /// The integer backend matching a float [`crate::GemmBackend`]: the
-    /// naive oracle stays the oracle, and both `Blocked` and `Simd` map
-    /// to `Blocked`, whose tile already runs on lanes wherever
+    /// The integer backend matching a float [`crate::GemmBackend`]:
+    /// the naive oracle stays the oracle, and `Blocked` maps to
+    /// `Blocked`, whose tile runs on lanes wherever
     /// [`crate::simd::simd_active`] holds.
     pub fn from_gemm(backend: crate::backend::GemmBackend) -> Self {
         match backend {
             crate::backend::GemmBackend::Naive => QGemmBackend::Naive,
-            crate::backend::GemmBackend::Blocked | crate::backend::GemmBackend::Simd => {
-                QGemmBackend::Blocked
-            }
+            crate::backend::GemmBackend::Blocked => QGemmBackend::Blocked,
         }
     }
 
@@ -789,10 +787,6 @@ mod tests {
         );
         assert_eq!(
             QGemmBackend::from_gemm(GemmBackend::Blocked),
-            QGemmBackend::Blocked
-        );
-        assert_eq!(
-            QGemmBackend::from_gemm(GemmBackend::Simd),
             QGemmBackend::Blocked
         );
     }

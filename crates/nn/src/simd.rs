@@ -1,6 +1,7 @@
 //! Explicit SIMD kernel tier: runtime feature detection, the `NN_SIMD`
-//! knob, and the `core::arch` lane kernels behind
-//! [`crate::GemmBackend::Simd`] and the Q8.8 pair tile of
+//! knob, and the `core::arch` lane kernels behind the `Blocked`
+//! backend of both datapaths — the f32 lane tile of
+//! [`crate::GemmBackend::Blocked`] and the Q8.8 pair tile of
 //! [`crate::QGemmBackend::Blocked`].
 //!
 //! # What lives here and why
@@ -9,7 +10,8 @@
 //! code already has the lane-friendly shape — the pair-packed 4×16
 //! tile for Q8.8 (the `pmaddwd` pairing of `docs/fixed_point.md`),
 //! `MR×NR` register tiles for f32. This module is the explicit-lane
-//! realisation of those same shapes:
+//! realisation of those same shapes, and on both datapaths the lanes
+//! produce the scalar kernels' exact bits:
 //!
 //! * **Q8.8** (`qtile`): the lanes of the blocked kernel's 4×16 pair
 //!   tile ([`crate::qgemm`]) for rows that hold the `row_safe` overflow
@@ -26,27 +28,30 @@
 //!   as `(s >> 8) + ((s >> 7) & 1)` — `(s + 128) >> 8` without the add
 //!   that could overflow — and `packs_epi32` saturates to Q8.8.
 //!   Uncertified rows never reach this module.
-//! * **f32** (`matmul_band_f32`): an AVX2+FMA band kernel under the
-//!   **documented tolerance tier** of `docs/gemm_backends.md`. Every
-//!   output element is one accumulator chain — `acc ← fma(a·b, acc)` in
-//!   ascending-`k` order, seeded at `0.0` — whether it runs in a vector
-//!   lane, in the `mul_add` column/row tails, or in the skinny `n < 8`
-//!   scalar path. Because the chain depends only on the element's own
-//!   `(A row, B column)` pair, results are **bitwise invariant** under
-//!   batching, row banding, column tiling and pool size; only the
-//!   *fusion* (one rounding per multiply-add instead of two)
-//!   distinguishes it from the unfused naive/blocked family.
+//! * **f32** (`matmul_f32`, `matmul_at_b_f32`): one `MR×NR` = 8×8
+//!   lane tile serves both products. Every output element is one
+//!   accumulator chain seeded at `+0.0` that adds `a·b` in ascending
+//!   contraction order (`k` for `A·B`, the shared row index `i` for
+//!   `Aᵀ·B`), as `_mm256_mul_ps` then `_mm256_add_ps`: a rounded
+//!   product, then a rounded sum, never a fused multiply-add. That is
+//!   the op sequence of the scalar blocked kernels and of the naive
+//!   oracle, so the lanes are **bit-identical** to both (the
+//!   summation-order contract of [`crate::backend`]). A short row
+//!   block repeats its last valid row in the spare accumulators and
+//!   never stores them; a short column block runs on masked loads and
+//!   stores. No element leaves the lanes, and no element's chain
+//!   depends on the elements around it.
 //!
 //! # Detection, knob, fallback
 //!
 //! [`simd_active`] gates every entry: the target must be x86-64 with
-//! AVX2+FMA detected at runtime ([`available`]), the `NN_SIMD` env knob
+//! AVX2 detected at runtime ([`available`]), the `NN_SIMD` env knob
 //! must not be `off` ([`env_simd_knob`] — unknown values warn on stderr
 //! and fall back to `auto`, mirroring [`crate::pool::env_thread_knob`]),
 //! and no [`force_scalar`] guard may be live. When the gate is closed
-//! the float `Simd` backend runs the blocked scalar kernel and the Q8.8
-//! tile runs on scalar wrapping adds — for Q8.8 the same arithmetic, so
-//! disabling SIMD can only change speed, never bits.
+//! the f32 products run the blocked scalar kernels and the Q8.8 tile
+//! runs on scalar wrapping adds — on both datapaths the same
+//! arithmetic, so disabling SIMD can only change speed, never bits.
 //!
 //! # Unsafe policy
 //!
@@ -55,7 +60,8 @@
 //! owning all intrinsics, and a `SAFETY:` comment on every unsafe
 //! block. The only unsafe operations are (a) calling
 //! `#[target_feature]` functions after runtime detection, (b) unaligned
-//! vector loads/stores within slice bounds, and (c) reinterpreting
+//! and masked vector loads/stores whose live lanes lie within slice
+//! bounds, and (c) reinterpreting
 //! `&[Q8_8]` as `&[i16]`, sound by `Q`'s `#[repr(transparent)]` layout
 //! guarantee.
 
@@ -70,26 +76,31 @@ use mramrl_fixed::Q8_8;
 
 use crate::qgemm::{QMR, QNR};
 
-/// Vector width of the f32 micro-tile: one AVX2 register of output
+/// Vector width of the f32 lane tile: one AVX2 register of output
 /// columns (mirrors the blocked kernel's `NR`).
 const NR: usize = 8;
 
-/// Output rows per f32 micro-tile: 8 independent FMA chains in flight
-/// (mirrors the blocked kernel's `MR`).
+/// Output rows per f32 lane tile: 8 independent add chains in flight
+/// (mirrors the blocked kernel's `MR`, which divides every conv
+/// layer's `out_c`).
 const MR: usize = 8;
 
-/// Output-column tile width for the packed B panel (mirrors the blocked
-/// kernel's `NC`).
+/// Widest column strip of `B` the f32 row blocks sweep together
+/// (mirrors the blocked kernel's `NC`).
 const NC: usize = 512;
 
+/// Floats of `B` one column strip may span (128 KiB): every row block
+/// re-reads the strip, so it should stay cache-resident.
+const STRIP: usize = 32 * 1024;
+
 /// `true` when the host ISA supports the lane kernels: x86-64 with
-/// AVX2 and FMA detected at runtime. On every other architecture this
-/// is compile-time `false` and the `Simd` backends always take their
-/// blocked scalar fallback.
+/// AVX2 detected at runtime. On every other architecture this is
+/// compile-time `false` and both datapaths always run their scalar
+/// kernels.
 pub fn available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+        std::is_x86_feature_detected!("avx2")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -114,7 +125,7 @@ impl Drop for ScalarGuard {
     }
 }
 
-/// Forces the `Simd` backends onto their blocked scalar fallback for
+/// Forces both datapaths onto their scalar kernels for
 /// the lifetime of the returned guard — the in-process equivalent of
 /// `NN_SIMD=off`, used by tests to exercise and CI-gate the fallback
 /// path on hosts where detection would pick the lane kernels. Guards
@@ -164,10 +175,10 @@ fn env_enabled() -> bool {
     *ENABLED.get_or_init(|| env_simd_knob().unwrap_or(true))
 }
 
-/// The gate every `Simd` dispatch checks: ISA support
+/// The gate every lane dispatch checks: ISA support
 /// ([`available`]) ∧ `NN_SIMD` not `off` ∧ no live [`force_scalar`]
-/// guard. When `false`, the `Simd` backends run the blocked scalar
-/// kernels instead.
+/// guard. When `false`, the `Blocked` backends run their scalar
+/// kernels instead, with the same bits.
 pub fn simd_active() -> bool {
     env_enabled() && FORCE_SCALAR.load(Ordering::SeqCst) == 0 && available()
 }
@@ -252,64 +263,141 @@ pub(crate) fn pack_pairs(panel: &mut [i32], bt: &[Q8_8], k: usize) -> usize {
     }
 }
 
-/// f32 `C[rows×n] = A[rows×k] · B[k×n]` over a row band, every element
-/// one ascending-`k` **FMA chain** (the `Simd` tolerance tier's
-/// defining op sequence — see the module docs). Skinny outputs
-/// (`n < 8`) run the identical chains in scalar `mul_add`, so the
-/// per-element bits never depend on the shape around it.
+/// f32 `C[m×n] = A[m×k] · B[k×n]` on the lane tile, with the scalar
+/// kernels' bits: every element is one chain seeded at `+0.0` that
+/// adds the rounded product `a[i, p]·b[p, j]` for `p` ascending (see
+/// the module docs).
 ///
-/// **Caller contract:** slice lengths match the dimensions and the
-/// caller has gated on [`simd_active`].
-pub(crate) fn matmul_band_f32(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), rows * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), rows * n);
-    if n < NR {
-        // Scalar fused chains: `f32::mul_add` is the same
-        // correctly-rounded fusedMultiplyAdd the vector lanes perform,
-        // so batch-of-1 (n = 1) reproduces a batch-of-32 column bit
-        // for bit.
-        for i in 0..rows {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for (kk, &av) in arow.iter().enumerate() {
-                    acc = av.mul_add(b[kk * n + j], acc);
-                }
-                c[i * n + j] = acc;
+/// **Caller contract:** the caller has gated on [`simd_active`].
+///
+/// # Panics
+///
+/// Panics without AVX2, or if a slice length does not match the
+/// dimensions.
+pub(crate) fn matmul_f32(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    assert!(
+        a.len() == m * k && b.len() == k * n && c.len() == m * n,
+        "matmul_f32 dimensions"
+    );
+    sweep_f32(c, a, b, [m, k, n], [k, 1]);
+}
+
+/// f32 `C[k×n] = A[m×k]ᵀ · B[m×n]` on the same lane tile: output row
+/// `kk` takes column `kk` of A as its left operand, so every element
+/// is one chain seeded at `+0.0` that adds the rounded product
+/// `a[i, kk]·b[i, j]` for the shared row `i` ascending — the scalar
+/// rank-1 sweep's order, so its bits.
+///
+/// **Caller contract:** the caller has gated on [`simd_active`].
+///
+/// # Panics
+///
+/// Panics without AVX2, or if a slice length does not match the
+/// dimensions.
+pub(crate) fn matmul_at_b_f32(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    assert!(
+        a.len() == m * k && b.len() == m * n && c.len() == k * n,
+        "matmul_at_b_f32 dimensions"
+    );
+    sweep_f32(c, a, b, [k, m, n], [1, k]);
+}
+
+/// The one loop nest behind both products: `C[rows × n]`, where
+/// element `(i, j)` is the chain over `p < kc` of
+/// `a[i·ra + p·sa] · b[p·n + j]`, swept in `MR × NR` lane tiles.
+fn sweep_f32(c: &mut [f32], a: &[f32], b: &[f32], [rows, kc, n]: [usize; 3], [ra, sa]: [usize; 2]) {
+    let nc = (STRIP / kc.max(1)).clamp(NR, NC) / NR * NR;
+    let mut panel = Vec::new();
+    for jc in (0..n).step_by(nc) {
+        let w = nc.min(n - jc);
+        // A strip narrower than `B` is packed into contiguous rows of
+        // `w`: at `B`'s own stride, a power-of-two row length would map
+        // every row of the strip onto the same cache sets.
+        let (strip, ldb) = if w == n {
+            (b, n)
+        } else {
+            panel.clear();
+            panel.reserve_exact(kc * w);
+            for row in b.chunks_exact(n) {
+                panel.extend_from_slice(&row[jc..jc + w]);
+            }
+            (&panel[..], w)
+        };
+        for i in (0..rows).step_by(MR) {
+            let live = MR.min(rows - i);
+            // Tile row `r` reads A's row `i + r`; a short block repeats
+            // its last row.
+            let arows = std::array::from_fn(|r| (i + r.min(live - 1)) * ra);
+            for j in (0..w).step_by(NR) {
+                let tile = Tile {
+                    c0: i * n + jc + j,
+                    ldc: n,
+                    arows,
+                    sa,
+                    b0: j,
+                    ldb,
+                    kc,
+                    rows: live,
+                    cols: NR.min(w - j),
+                };
+                lane_tile(c, a, strip, &tile);
             }
         }
-        return;
     }
+}
+
+/// Where one `MR × NR` lane tile reads and writes. Its element
+/// `(r, j)` is stored to `c[c0 + r·ldc + j]` for `r < rows` and
+/// `j < cols`, and is the chain over `p < kc` of
+/// `a[arows[r] + p·sa] · b[b0 + p·ldb + j]`. Rows from `rows` up
+/// repeat a valid row's offset and are computed but never stored;
+/// columns from `cols` up are masked off.
+struct Tile {
+    c0: usize,
+    ldc: usize,
+    arows: [usize; MR],
+    sa: usize,
+    b0: usize,
+    ldb: usize,
+    kc: usize,
+    rows: usize,
+    cols: usize,
+}
+
+/// Runs one lane tile after checking that every element it touches
+/// lies inside its slice.
+///
+/// # Panics
+///
+/// Panics without AVX2, or if the tile reaches outside `c`, `a` or `b`.
+fn lane_tile(c: &mut [f32], a: &[f32], b: &[f32], t: &Tile) {
+    let last = t.kc.saturating_sub(1);
+    let amax = t.arows.iter().max().copied().unwrap_or(0);
+    assert!(
+        (1..=MR).contains(&t.rows)
+            && (1..=NR).contains(&t.cols)
+            && t.c0 + (t.rows - 1) * t.ldc + t.cols <= c.len()
+            && (t.kc == 0
+                || (amax + last * t.sa < a.len() && t.b0 + last * t.ldb + t.cols <= b.len())),
+        "lane tile out of bounds"
+    );
     #[cfg(target_arch = "x86_64")]
     {
-        debug_assert!(available());
-        // SAFETY: AVX2+FMA support is proven by the caller's
-        // `simd_active()` gate; that is the `#[target_feature]`
-        // function's only precondition (its internal pointer accesses
-        // carry their own safety comments).
-        unsafe { x86::band_f32_avx2_fma(c, a, b, rows, k, n) }
+        assert!(available(), "the f32 lane tile needs AVX2");
+        // SAFETY: `available()` proves AVX2 is supported at runtime, and
+        // the assert above bounds every element the tile reads or
+        // writes — the function's only preconditions.
+        unsafe {
+            if t.cols == NR {
+                x86::tile_f32_avx2::<true>(c, a, b, t)
+            } else {
+                x86::tile_f32_avx2::<false>(c, a, b, t)
+            }
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        // Unreachable in practice; same chains, scalar.
-        for i in 0..rows {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for (kk, &av) in arow.iter().enumerate() {
-                    acc = av.mul_add(b[kk * n + j], acc);
-                }
-                c[i * n + j] = acc;
-            }
-        }
+        unreachable!("`simd_active()` is false off x86-64, so no caller gets here");
     }
 }
 
@@ -324,7 +412,7 @@ mod x86 {
 
     use mramrl_fixed::Q8_8;
 
-    use super::{MR, NC, NR, QMR, QNR};
+    use super::{Tile, MR, QMR, QNR};
 
     /// The pair tile: eight accumulators (4 rows × 2 registers of 8
     /// columns) seeded with the rows' bias, one `pmaddwd` + add per
@@ -449,96 +537,62 @@ mod x86 {
         8 * blocks
     }
 
-    /// The f32 FMA band kernel: the blocked kernel's GotoBLAS loop
-    /// structure (packed `k×nc` B panel, k-major packed `MR×k` A
-    /// panel, `MR×NR` register tile) with `vfmadd` lanes. Every output
-    /// element is one ascending-`k` FMA chain regardless of which path
-    /// (vector tile, column tail, row tail) produces it; `mul_add` in
-    /// the tails is the identical correctly-rounded operation.
+    /// The f32 lane tile: eight accumulators (one per row, eight
+    /// columns each) seeded at `+0.0`; per contraction step one load
+    /// of `B`'s row, then per row a broadcast of its `A` element, a
+    /// `mul` and an `add` — two roundings, as in the scalar chain.
+    /// `FULL` tiles use plain loads and stores; the others mask the
+    /// columns from `t.cols` up.
     ///
     /// # Safety
     ///
-    /// AVX2 and FMA must be supported at runtime; slice lengths must
-    /// match the dimensions (debug-asserted by the safe wrapper) and
-    /// the wrapper must have routed `n < NR` away (the packed panels
-    /// assume at least one full vector of columns exists per tile
-    /// sweep — narrower tiles fall through to the safe tail loops,
-    /// which hold for any `nc`).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn band_f32_avx2_fma(
+    /// AVX2 must be supported at runtime, and every element the tile
+    /// reaches (see [`Tile`]) must lie inside its slice (asserted by
+    /// the safe wrapper).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tile_f32_avx2<const FULL: bool>(
         c: &mut [f32],
         a: &[f32],
         b: &[f32],
-        rows: usize,
-        k: usize,
-        n: usize,
+        t: &Tile,
     ) {
-        let mut apanel = vec![0.0f32; MR * k.max(1)];
-        let mut bpanel = vec![0.0f32; NC.min(n) * k.max(1)];
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            // Pack the B column block [k × nc] into contiguous rows.
-            for kk in 0..k {
-                bpanel[kk * nc..(kk + 1) * nc].copy_from_slice(&b[kk * n + jc..kk * n + jc + nc]);
+        // Lane `j` is live iff `j < cols`.
+        let mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(t.cols as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let mut acc = [_mm256_setzero_ps(); MR];
+        for p in 0..t.kc {
+            // SAFETY: `p < kc`, so B row `p` starts at `b0 + p·ldb` and
+            // its `cols` live lanes end inside `b`; a masked load reads
+            // no dead lane.
+            let vb = unsafe {
+                let src = bp.add(t.b0 + p * t.ldb);
+                if FULL {
+                    _mm256_loadu_ps(src)
+                } else {
+                    _mm256_maskload_ps(src, mask)
+                }
+            };
+            for (accr, &off) in acc.iter_mut().zip(&t.arows) {
+                // SAFETY: `off + p·sa ≤ max(arows) + (kc - 1)·sa < a.len()`.
+                let va = _mm256_set1_ps(unsafe { *ap.add(off + p * t.sa) });
+                *accr = _mm256_add_ps(*accr, _mm256_mul_ps(va, vb));
             }
-            let mut i = 0;
-            while i + MR <= rows {
-                // k-major packing of the MR-row A panel.
-                for r in 0..MR {
-                    for (kk, &v) in a[(i + r) * k..(i + 1 + r) * k].iter().enumerate() {
-                        apanel[kk * MR + r] = v;
-                    }
+        }
+        let cp = c.as_mut_ptr();
+        for (r, &accr) in acc.iter().enumerate().take(t.rows) {
+            // SAFETY: row `r < rows` starts at `c0 + r·ldc`, and its
+            // `cols` live lanes end inside `c`; a masked store writes
+            // no dead lane.
+            unsafe {
+                let dst = cp.add(t.c0 + r * t.ldc);
+                if FULL {
+                    _mm256_storeu_ps(dst, accr)
+                } else {
+                    _mm256_maskstore_ps(dst, mask, accr)
                 }
-                let mut jt = 0;
-                while jt + NR <= nc {
-                    // SAFETY: all pointer offsets are in bounds —
-                    // `kk < k` so `kk·nc + jt + NR ≤ k·nc =`
-                    // `bpanel.len()` and `kk·MR + r < k·MR =`
-                    // `apanel.len()`; the store targets rows
-                    // `i..i+MR < rows` and columns
-                    // `jc+jt..jc+jt+NR ≤ n` of `c`. AVX2+FMA are
-                    // enabled by this function's target_feature
-                    // contract.
-                    unsafe {
-                        let mut acc = [_mm256_setzero_ps(); MR];
-                        let ap = apanel.as_ptr();
-                        let bp = bpanel.as_ptr();
-                        for kk in 0..k {
-                            let vb = _mm256_loadu_ps(bp.add(kk * nc + jt));
-                            let arow = ap.add(kk * MR);
-                            for (r, accr) in acc.iter_mut().enumerate() {
-                                *accr = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(r)), vb, *accr);
-                            }
-                        }
-                        for (r, accr) in acc.iter().enumerate() {
-                            _mm256_storeu_ps(c.as_mut_ptr().add((i + r) * n + jc + jt), *accr);
-                        }
-                    }
-                    jt += NR;
-                }
-                // Column tail (nc % NR): scalar FMA chains.
-                for j in jt..nc {
-                    for r in 0..MR {
-                        let mut acc = 0.0f32;
-                        for kk in 0..k {
-                            acc = apanel[kk * MR + r].mul_add(bpanel[kk * nc + j], acc);
-                        }
-                        c[(i + r) * n + jc + j] = acc;
-                    }
-                }
-                i += MR;
-            }
-            // Row tail (rows % MR): scalar FMA chains.
-            while i < rows {
-                let arow = &a[i * k..(i + 1) * k];
-                for j in 0..nc {
-                    let mut acc = 0.0f32;
-                    for (kk, &av) in arow.iter().enumerate() {
-                        acc = av.mul_add(bpanel[kk * nc + j], acc);
-                    }
-                    c[i * n + jc + j] = acc;
-                }
-                i += 1;
             }
         }
     }
@@ -649,7 +703,7 @@ mod tests {
     }
 
     #[test]
-    fn f32_band_matches_scalar_fma_chains() {
+    fn f32_lanes_match_the_naive_chains() {
         if !available() {
             return;
         }
@@ -661,30 +715,27 @@ mod tests {
                 })
                 .collect()
         };
-        for (rows, k, n) in [
-            (1usize, 1usize, 1usize),
-            (3, 5, 4),     // n < NR: all-scalar path
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (m, k, n) in [
+            (0usize, 3usize, 4usize),
+            (3, 0, 4),
+            (1, 1, 1),
+            (3, 5, 4),     // one short, masked tile
             (8, 300, 16),  // full tiles
             (13, 257, 33), // ragged everything
-            (4, 10, 600),  // crosses the NC column-tile boundary
+            (4, 10, 600),  // crosses the NC column-block boundary
         ] {
-            let a = fill(rows * k, 1);
+            let a = fill(m * k, 1);
             let b = fill(k * n, 2);
-            let mut got = vec![f32::NAN; rows * n];
-            matmul_band_f32(&mut got, &a, &b, rows, k, n);
-            for i in 0..rows {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc = a[i * k + kk].mul_add(b[kk * n + j], acc);
-                    }
-                    assert_eq!(
-                        acc.to_bits(),
-                        got[i * n + j].to_bits(),
-                        "rows={rows} k={k} n={n} i={i} j={j}"
-                    );
-                }
-            }
+            let mut got = vec![f32::NAN; m * n];
+            matmul_f32(&mut got, &a, &b, m, k, n);
+            let want = crate::gemm::matmul(&a, &b, m, k, n);
+            assert_eq!(bits(&want), bits(&got), "A·B m={m} k={k} n={n}");
+            let bt = fill(m * n, 3);
+            let mut got = vec![f32::NAN; k * n];
+            matmul_at_b_f32(&mut got, &a, &bt, m, k, n);
+            let want = crate::gemm::matmul_at_b(&a, &bt, m, k, n);
+            assert_eq!(bits(&want), bits(&got), "Aᵀ·B m={m} k={k} n={n}");
         }
     }
 }

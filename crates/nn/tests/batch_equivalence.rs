@@ -1,6 +1,6 @@
 //! Batched ≡ serial equivalence suite (the batch-first API's contract).
 //!
-//! Pins, on **all three** GEMM backends:
+//! Pins, on **both** GEMM backends:
 //!
 //! 1. `Network::forward_batch` over `[N, ...]` is **bit-identical** to
 //!    `N` serial `Network::forward` calls, row for row.
@@ -316,7 +316,7 @@ fn batched_conv_matches_direct_oracle_per_sample() {
         (1usize, 4usize, 3usize, 1usize, 1usize, 8usize),
         (2, 3, 3, 2, 0, 9),
     ] {
-        for be in GemmBackend::BITWISE {
+        for be in GemmBackend::ALL {
             let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, 7);
             conv.set_gemm_backend(be);
             let x = Tensor::from_vec(&[n, in_c, hw, hw], fill(n * in_c * hw * hw, 3));
@@ -375,7 +375,7 @@ fn params_only_backward_matches_full_backward() {
         (|| Box::new(Conv2d::new("c", 2, 3, 3, 2, 0, 7)), &[2, 9, 9]),
     ];
     for (make, sample_shape) in layers {
-        for be in GemmBackend::BITWISE {
+        for be in GemmBackend::ALL {
             for n in 1usize..6 {
                 let mut shape = vec![n];
                 shape.extend_from_slice(sample_shape);
@@ -415,7 +415,7 @@ fn frozen_prefix_backward_skips_the_stop_layers_input_gradient() {
     let spec = NetworkSpec::micro(16, 1, 5);
     let (batched_x, samples) = batch_input(3, 16, 77);
     for topo in Topology::ALL {
-        for be in GemmBackend::BITWISE {
+        for be in GemmBackend::ALL {
             let mut serial = spec.build(13);
             let mut batched = spec.build(13);
             for net in [&mut serial, &mut batched] {

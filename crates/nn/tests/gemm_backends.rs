@@ -1,23 +1,22 @@
 //! Backend equivalence suite: the float summation-order family
-//! (`Blocked`) vs the `Naive` oracle, plus the tolerance
-//! tiers (`Simd` and the direct-convolution oracle).
+//! (`Blocked`) vs the `Naive` oracle, plus the one tolerance tier (the
+//! direct-convolution oracle).
 //!
 //! Generators, comparators and the direct-loop conv oracle come from the
 //! shared [`mramrl_nn::difftest`] harness. Two tiers of guarantees are
 //! asserted (see `docs/gemm_backends.md`):
 //!
-//! 1. **Bitwise** across [`GemmBackend::BITWISE`] for the raw kernels
+//! 1. **Bitwise** across [`GemmBackend::ALL`] for the raw kernels
 //!    (`matmul`, `matmul_at_b`), for [`Conv2d`]'s batched passes and for
-//!    a whole network forward: every backend in that family runs the
-//!    same im2col GEMM algorithm and accumulates each output element in
-//!    the same order, so results must agree to the bit — including
-//!    signed zeros, and with `NaN`s in exactly the same positions.
-//! 2. **Tolerance** where the arithmetic differs: the GEMM conv path
-//!    vs the direct-convolution oracle (different algorithm), and the
-//!    `Simd` backend vs the rest (FMA keeps products unrounded, see
-//!    `docs/gemm_backends.md`). `Simd`'s own bitwise story — forced
-//!    fallback ≡ `Blocked`, batched ≡ serial within the backend —
-//!    lives in `simd_equivalence.rs`.
+//!    a whole network forward: every backend runs the same im2col GEMM
+//!    algorithm and accumulates each output element in the same order,
+//!    so results must agree to the bit — including signed zeros, and
+//!    with `NaN`s in exactly the same positions. `Blocked` runs its AVX2
+//!    lanes here wherever the host has them; `simd_equivalence.rs` pins
+//!    the lanes and the forced scalar tile against the oracle one by
+//!    one.
+//! 2. **Tolerance** where the algorithm differs: the GEMM conv path vs
+//!    the direct-convolution oracle.
 
 use mramrl_nn::backend::GemmBackend;
 use mramrl_nn::difftest::{assert_close, bits, conv_direct_backward, conv_direct_forward, fill};
@@ -39,15 +38,13 @@ proptest! {
         let a = fill(m * k, seed, specials);
         let b = fill(k * n, seed ^ 0xABCD, specials);
         let want = GemmBackend::Naive.matmul(&a, &b, m, k, n);
-        for be in GemmBackend::BITWISE {
+        for be in GemmBackend::ALL {
             let got = be.matmul(&a, &b, m, k, n);
             prop_assert_eq!(bits(&want), bits(&got), "{} m={} k={} n={}", be, m, k, n);
         }
     }
 
-    /// `matmul_at_b` is bitwise identical across every backend —
-    /// `Simd` included, because the backward contraction deliberately
-    /// stays on the bitwise family (see `docs/gemm_backends.md`).
+    /// `matmul_at_b` is bitwise identical across every backend.
     #[test]
     fn matmul_at_b_bitwise_equal(
         m in 0usize..40,
@@ -96,7 +93,7 @@ proptest! {
             (conv, y, grad, gi, gw, gb)
         };
         let (conv, y, grad, gi, gw, gb) = pass(GemmBackend::Naive);
-        for be in GemmBackend::BITWISE {
+        for be in GemmBackend::ALL {
             let (_, y2, _, gi2, gw2, gb2) = pass(be);
             prop_assert_eq!(bits(y.data()), bits(y2.data()), "fwd {}", be);
             prop_assert_eq!(bits(gi.data()), bits(gi2.data()), "dX {}", be);
@@ -125,7 +122,7 @@ fn nan_and_signed_zero_propagate_identically() {
     let b = [f32::NAN, -0.0, 3.0, f32::INFINITY]; // 2×2
     let want = GemmBackend::Naive.matmul(&a, &b, 2, 2, 2);
     assert!(want[0].is_nan(), "0·NaN + 1·3 must be NaN");
-    for be in GemmBackend::BITWISE {
+    for be in GemmBackend::ALL {
         let got = be.matmul(&a, &b, 2, 2, 2);
         assert_eq!(bits(&want), bits(&got), "{be}");
         let want_t = GemmBackend::Naive.matmul_at_b(&a, &b, 2, 2, 2);
@@ -135,21 +132,18 @@ fn nan_and_signed_zero_propagate_identically() {
     // Signed zero: the accumulator starts at +0.0, so (+0.0) + (-0.0·1.0)
     // rounds to +0.0 under IEEE-754 — whereas the old zero-skip left the
     // untouched +0.0 by a different route. Whatever the value, all
-    // backends must produce the same bits. `Simd` keeps the property
-    // too: its chains are also seeded at +0.0, and `fma(-0.0, 1.0, +0.0)`
-    // rounds to +0.0 just like the unfused chain.
+    // backends must produce the same bits: the lane chains are seeded
+    // at +0.0 too.
     let z = GemmBackend::Naive.matmul(&[-0.0f32], &[1.0f32], 1, 1, 1);
     assert_eq!(z[0].to_bits(), 0.0f32.to_bits());
-    for be in [GemmBackend::Blocked, GemmBackend::Simd] {
-        assert_eq!(
-            be.matmul(&[-0.0f32], &[1.0f32], 1, 1, 1)[0].to_bits(),
-            z[0].to_bits()
-        );
-    }
+    assert_eq!(
+        GemmBackend::Blocked.matmul(&[-0.0f32], &[1.0f32], 1, 1, 1)[0].to_bits(),
+        z[0].to_bits()
+    );
 }
 
 /// Regression: `Conv2d` still matches the direct-convolution oracle —
-/// under every backend, `Simd` included — to the documented tolerance
+/// under every backend — to the documented tolerance
 /// (different algorithm, so only float-rounding-level agreement is
 /// guaranteed).
 #[test]
@@ -180,11 +174,10 @@ fn conv_gemm_matches_direct_conv_under_every_backend() {
     }
 }
 
-/// A whole network forward is bitwise identical across the
-/// summation-order family and agrees with `Simd` to float tolerance, and
-/// `set_gemm_backend` reaches every conv/FC layer.
+/// A whole network forward is bitwise identical across the backends,
+/// and `set_gemm_backend` reaches every conv/FC layer.
 #[test]
-fn network_forward_close_across_backends() {
+fn network_forward_bitwise_across_backends() {
     use mramrl_nn::NetworkSpec;
     let spec = NetworkSpec::micro(16, 1, 5);
     let x = Tensor::from_vec(&[1, 16, 16], fill(256, 11, false));
@@ -196,10 +189,6 @@ fn network_forward_close_across_backends() {
         net.set_gemm_backend(be);
         assert_eq!(net.gemm_backend(), Some(be));
         let got = net.forward(&x);
-        if GemmBackend::BITWISE.contains(&be) {
-            assert_eq!(bits(want.data()), bits(got.data()), "{be}");
-        } else {
-            assert_close(&format!("{be}"), want.data(), got.data(), 1e-4, 0.0);
-        }
+        assert_eq!(bits(want.data()), bits(got.data()), "{be}");
     }
 }

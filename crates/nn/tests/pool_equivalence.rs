@@ -9,8 +9,8 @@
 //! drivers are compared against the serial schedule under injected
 //! pools of every [`mramrl_nn::difftest::POOL_SIZES`] width, driven
 //! through `ThreadPool::install` so one process covers every size, on
-//! every GEMM backend, `Simd` included (its per-element FMA chains make
-//! any split invisible, see `docs/gemm_backends.md`). Generators and
+//! every GEMM backend (each output element is one chain whatever the
+//! split, see `docs/gemm_backends.md`). Generators and
 //! comparators come from the shared [`mramrl_nn::difftest`] harness.
 
 use mramrl_nn::backend::GemmBackend;
@@ -158,8 +158,7 @@ fn rule_net(be: GemmBackend) -> Network {
 /// The one parallel rule on a top-level `Network::forward_batch`: on
 /// every backend, every batch (ragged slabs included) and pools
 /// {1, 2, 7}, the output bits and the workspace footprint equal the
-/// 1-executor pool's. The comparison is within each backend, so `Simd`
-/// is held against itself.
+/// 1-executor pool's, within each backend.
 #[test]
 fn forward_split_rule_matches_pool_one() {
     for be in GemmBackend::ALL {
@@ -291,7 +290,7 @@ fn layer_backward_join_is_bit_invisible_at_every_pool_size() {
         let mut shape = vec![n];
         shape.extend_from_slice(sample_shape);
         let x = Tensor::from_vec(&shape, fill(shape.iter().product(), n as u64));
-        for be in GemmBackend::BITWISE {
+        for be in GemmBackend::ALL {
             for input_grad in [true, false] {
                 let mut reference: Option<Vec<Vec<u32>>> = None;
                 sweep_pools(|pool_threads| {

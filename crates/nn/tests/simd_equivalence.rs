@@ -21,39 +21,38 @@
 //!    threshold flip the verdict at the right point, and both integer
 //!    backends agree bitwise on either side of it.
 //! 4. **Forced fallback**: under [`mramrl_nn::simd::force_scalar`]
-//!    (the in-process face of the `NN_SIMD=off` knob) the float `Simd`
-//!    backend collapses onto `Blocked` bitwise and the Q8.8 tile runs on
-//!    scalar wrapping adds with the oracle's bits — so the fallback path
-//!    is CI-gated even on AVX2 hosts, and the CI matrix's `NN_SIMD=off`
-//!    leg re-runs this whole suite with the env knob.
-//! 5. **f32 tolerance tier**: `GemmBackend::Simd` matches the naive
-//!    oracle to the documented FMA tolerance, while staying bitwise
-//!    self-consistent across batch splits and pool widths (each
-//!    output element is one FMA chain regardless of banding), with
-//!    the backward contraction bitwise on the `Blocked` family.
+//!    (the in-process face of the `NN_SIMD=off` knob) both datapaths
+//!    run their scalar kernels with the oracle's bits — so the fallback
+//!    path is CI-gated even on AVX2 hosts, and the CI matrix's
+//!    `NN_SIMD=off` leg re-runs this whole suite with the env knob.
+//! 5. **f32 lanes bitwise**: `GemmBackend::Blocked`'s lane tile and its
+//!    scalar tile both equal the naive oracle to the bit, for `A·B` and
+//!    `Aᵀ·B`, on every shape the batch-TD net's conv and FC passes
+//!    produce at batch 32 and batch 1 (forward, `dW` and `dX`, the
+//!    per-layer probe's CONV1 `dX` included), and on ragged tiles:
+//!    every `n % 8` and `n % 16`, short row blocks, and products wide
+//!    enough to be cut into packed column strips.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mramrl_fixed::Q8_8;
 use mramrl_nn::backend::GemmBackend;
-use mramrl_nn::difftest::{
-    assert_bitwise, assert_close, assert_ulp_close, fill, fill01, qbits, qfill, sweep_pools,
-};
+use mramrl_nn::difftest::{assert_bitwise, bits, fill, qbits, qfill, sweep_pools};
 use mramrl_nn::qgemm::{row_safe, QGemmBackend};
-use mramrl_nn::{simd, NetworkSpec, Tensor, Workspace};
+use mramrl_nn::{simd, LayerSpec, NetworkSpec};
 use proptest::prelude::*;
 
 /// Serialises the tests that take a [`simd::force_scalar`] guard or
-/// need the float `Simd` kernel's lanes to stay as they are across
-/// several calls: the guard is process-wide, so a test holding it would
-/// otherwise switch the lanes off under a concurrent one.
+/// compare the lanes against the scalar path across several calls: the
+/// guard is process-wide, so a test holding it would otherwise switch
+/// the lanes off under a concurrent one.
 fn gate_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `f` with the Q8.8 tile's lanes as the host allows, then with
-/// the scalar tile forced.
+/// Runs `f` with the lanes as the host allows, then with the scalar
+/// kernels forced.
 fn lanes_and_scalar(mut f: impl FnMut(&str)) {
     let _lock = gate_lock();
     f("lanes");
@@ -96,30 +95,17 @@ proptest! {
         prop_assert_eq!(qbits(&want), qbits(&got), "m={} k={} n={}", m, k, n);
     }
 
-    /// Contract 5 at property scale: the `Simd` float kernel agrees
-    /// with the naive oracle to the documented FMA tolerance (each
-    /// unfused step rounds one product, so the gap is bounded by
-    /// ~`k` product-roundings), and on positive — cancellation-free —
-    /// data the agreement is ULP-tight.
+    /// Contract 5 at property scale: random ragged shapes, special
+    /// values included, `Blocked` on lanes and on the scalar tile vs
+    /// the naive oracle, both products, bit for bit.
     #[test]
-    fn f32_simd_close_to_naive(
-        m in 1usize..10,
-        k in 1usize..200,
-        n in 1usize..24,
+    fn f32_lanes_match_naive_bitwise(
+        m in 0usize..40,
+        k in 0usize..70,
+        n in 0usize..40,
         seed in 0u64..1 << 40,
     ) {
-        let a = fill(m * k, seed, false);
-        let b = fill(k * n, seed ^ 0xF32, false);
-        let want = GemmBackend::Naive.matmul(&a, &b, m, k, n);
-        let got = GemmBackend::Simd.matmul(&a, &b, m, k, n);
-        let atol = 1e-6 + k as f32 * 1e-6;
-        assert_close("simd vs naive", &want, &got, atol, 1e-5);
-
-        let ap = fill01(m * k, seed);
-        let bp = fill01(k * n, seed ^ 0xF33);
-        let wantp = GemmBackend::Naive.matmul(&ap, &bp, m, k, n);
-        let gotp = GemmBackend::Simd.matmul(&ap, &bp, m, k, n);
-        assert_ulp_close("simd vs naive (positive)", &wantp, &gotp, 4 * k as u64 + 4);
+        f32_products_match_naive(m, k, n, seed, seed % 2 == 0);
     }
 
     /// Contract 3: certificate-boundary rows. With `bias = 0` and
@@ -275,10 +261,11 @@ fn requant_near_i32_max_matches_naive() {
 }
 
 /// Contract 4: under [`simd::force_scalar`] the SIMD tier is inert —
-/// `simd_active()` reports off, the f32 backend produces `Blocked`'s
-/// bits and the integer tile, on scalar adds, the oracle's — and
-/// activity resumes when the guard drops. This is the in-process twin of the CI
-/// matrix's `NN_SIMD=off` leg, runnable on any host.
+/// `simd_active()` reports off, the f32 `Blocked` backend runs its
+/// scalar tile and the integer tile runs on scalar adds, both with the
+/// oracle's bits — and activity resumes when the guard drops. This is
+/// the in-process twin of the CI matrix's `NN_SIMD=off` leg, runnable
+/// on any host.
 #[test]
 fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
     let _lock = gate_lock();
@@ -291,15 +278,15 @@ fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
         let a = fill(m * k, 61, true);
         let b = fill(k * n, 62, true);
         assert_bitwise(
-            "fallback matmul ≡ blocked",
+            "fallback matmul ≡ naive",
+            &GemmBackend::Naive.matmul(&a, &b, m, k, n),
             &GemmBackend::Blocked.matmul(&a, &b, m, k, n),
-            &GemmBackend::Simd.matmul(&a, &b, m, k, n),
         );
         let bt = fill(m * n, 63, true);
         assert_bitwise(
-            "fallback at_b ≡ blocked",
+            "fallback at_b ≡ naive",
+            &GemmBackend::Naive.matmul_at_b(&a, &bt, m, k, n),
             &GemmBackend::Blocked.matmul_at_b(&a, &bt, m, k, n),
-            &GemmBackend::Simd.matmul_at_b(&a, &bt, m, k, n),
         );
 
         let qa = qfill(m * k, 64);
@@ -318,59 +305,122 @@ fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
     );
 }
 
-/// Contract 5, self-consistency: within the `Simd` backend each output
-/// element's bits depend only on its own (row, column) operands — so a
-/// matmul over the full row block equals the concatenation of matmuls
-/// over arbitrary row splits (the property that makes the parallel
-/// rule's output-row bands and sample slabs invisible). The backward
-/// contraction (`matmul_at_b`, deliberately routed to the `Blocked`
-/// family) equals the naive oracle bitwise.
-#[test]
-fn f32_simd_is_invariant_under_row_splits() {
-    let _lock = gate_lock();
-    let (m, k, n) = (13usize, 96, 40);
-    let a = fill(m * k, 71, false);
-    let b = fill(k * n, 72, false);
-    let full = GemmBackend::Simd.matmul(&a, &b, m, k, n);
-    for split in [1usize, 5, 12] {
-        let top = GemmBackend::Simd.matmul(&a[..split * k], &b, split, k, n);
-        let bot = GemmBackend::Simd.matmul(&a[split * k..], &b, m - split, k, n);
-        let stitched: Vec<f32> = top.into_iter().chain(bot).collect();
-        assert_bitwise(&format!("split at {split}"), &full, &stitched);
-    }
-    let bt = fill(m * n, 73, false);
-    assert_bitwise(
-        "at_b ≡ naive",
-        &GemmBackend::Naive.matmul_at_b(&a, &bt, m, k, n),
-        &GemmBackend::Simd.matmul_at_b(&a, &bt, m, k, n),
-    );
+/// Contract 5's check: `A[m×k]·B[k×n]` and `A[m×k]ᵀ·B[m×n]` on
+/// `Blocked`, lanes on and scalar forced, against the naive oracle.
+fn f32_products_match_naive(m: usize, k: usize, n: usize, seed: u64, specials: bool) {
+    let a = fill(m * k, seed, specials);
+    let b = fill(k * n, seed ^ 0xF32, specials);
+    let bt = fill(m * n, seed ^ 0xF33, specials);
+    let want = bits(&GemmBackend::Naive.matmul(&a, &b, m, k, n));
+    let want_t = bits(&GemmBackend::Naive.matmul_at_b(&a, &bt, m, k, n));
+    lanes_and_scalar(|path| {
+        let got = GemmBackend::Blocked.matmul(&a, &b, m, k, n);
+        assert_eq!(want, bits(&got), "{path} A·B m={m} k={k} n={n}");
+        let got_t = GemmBackend::Blocked.matmul_at_b(&a, &bt, m, k, n);
+        assert_eq!(want_t, bits(&got_t), "{path} Aᵀ·B m={m} k={k} n={n}");
+    });
 }
 
-/// Contract 5 end-to-end: a whole batched network forward on the
-/// `Simd` backend is bit-identical to its own serial single-image
-/// passes at every pool width (batched ≡ serial holds *within* the
-/// tolerance tier, not just within the bitwise family).
-#[test]
-fn simd_network_batched_equals_serial_at_every_pool_size() {
-    let _lock = gate_lock();
-    let spec = NetworkSpec::micro(16, 1, 5);
-    let n = 3usize;
-    let data = fill(n * 256, 91, false);
-    let batched = Tensor::from_vec(&[n, 1, 16, 16], data.clone());
-
-    let mut serial_net = spec.build(5);
-    serial_net.set_gemm_backend(GemmBackend::Simd);
-    let mut serial_out = Vec::new();
-    for i in 0..n {
-        let x = Tensor::from_vec(&[1, 16, 16], data[i * 256..(i + 1) * 256].to_vec());
-        serial_out.extend_from_slice(serial_net.forward(&x).data());
+/// The batch-TD benchmark net (`mramrl_bench::batch_td_spec`, which
+/// this crate cannot depend on): the 40×40 micro trunk with its FC
+/// tail re-proportioned to 1024, 512, 512, 256 and 5 outputs.
+fn batch_td_net() -> NetworkSpec {
+    let mut spec = NetworkSpec::micro(40, 1, 5);
+    let mut dims = [1024usize, 512, 512, 256, 5].into_iter();
+    let mut prev = None;
+    for l in &mut spec.layers {
+        if let LayerSpec::Fc { in_f, out_f, .. } = l {
+            if let Some(p) = prev {
+                *in_f = p;
+            }
+            *out_f = dims.next().expect("five FC layers");
+            prev = Some(*out_f);
+        }
     }
+    spec.validate().expect("re-proportioned spec chains");
+    spec
+}
 
-    sweep_pools(|pool_threads| {
-        let mut net = spec.build(5);
-        net.set_gemm_backend(GemmBackend::Simd);
-        let mut ws = Workspace::for_spec(&spec);
-        let got = net.forward_batch(&batched, &mut ws);
-        assert_bitwise(&format!("pool={pool_threads}"), &serial_out, got.data());
-    });
+/// Every `(label, m, k, n)` the net's conv and FC layers hand
+/// `matmul_into` (`A·B`) and `matmul_at_b_into` (`Aᵀ·B`, labelled
+/// `dW`) at batch `batch`: each layer's forward, `dW` and `dX`. A
+/// conv's `dW` runs once per sample over its output positions.
+fn gemm_shapes(spec: &NetworkSpec, batch: usize) -> Vec<(String, usize, usize, usize)> {
+    let outs = spec.validate().expect("spec chains");
+    let mut shapes = Vec::new();
+    for (l, out) in spec.layers.iter().zip(&outs) {
+        match l {
+            LayerSpec::Conv {
+                name,
+                in_c,
+                out_c,
+                k,
+                ..
+            } => {
+                let (pos, taps) = (out[1] * out[2], in_c * k * k);
+                shapes.push((format!("{name} fwd"), *out_c, taps, batch * pos));
+                shapes.push((format!("{name} dW"), pos, *out_c, taps));
+                shapes.push((format!("{name} dX"), batch * pos, *out_c, taps));
+            }
+            LayerSpec::Fc { name, in_f, out_f } => {
+                shapes.push((format!("{name} fwd"), *out_f, *in_f, batch));
+                shapes.push((format!("{name} dW"), batch, *out_f, *in_f));
+                shapes.push((format!("{name} dX"), batch, *out_f, *in_f));
+            }
+            _ => {}
+        }
+    }
+    shapes
+}
+
+/// Contract 5 on the shapes training and the per-layer probe run:
+/// every product of the batch-TD net at batch 32 and batch 1 — CONV1's
+/// `dX` (10 368 × 8 × 25) and FC5's (k = 5) among them — equals the
+/// naive oracle, lanes on and scalar forced.
+#[test]
+fn f32_batch_td_shapes_match_naive_with_lanes_and_scalar() {
+    let spec = batch_td_net();
+    for batch in [32usize, 1] {
+        let shapes = gemm_shapes(&spec, batch);
+        assert_eq!(
+            shapes.len(),
+            30,
+            "ten parameterised layers × three products"
+        );
+        for (i, (label, m, k, n)) in shapes.into_iter().enumerate() {
+            // `dW` is C[k×n] = A[m×k]ᵀ·B[m×n]; the rest C[m×n] = A·B[k×n].
+            let at_b = label.ends_with("dW");
+            let a = fill(m * k, i as u64, false);
+            let b = fill(if at_b { m * n } else { k * n }, i as u64 ^ 0xB, false);
+            let run = |be: GemmBackend| match at_b {
+                true => be.matmul_at_b(&a, &b, m, k, n),
+                false => be.matmul(&a, &b, m, k, n),
+            };
+            let want = bits(&run(GemmBackend::Naive));
+            lanes_and_scalar(|path| {
+                let got = run(GemmBackend::Blocked);
+                assert_eq!(want, bits(&got), "{path} batch {batch} {label}");
+            });
+        }
+    }
+}
+
+/// Contract 5 on the tile's edges: every column count mod 8 and mod 16,
+/// row blocks short of eight, whole and one over, contractions of one,
+/// CONV1's 25 taps and FC5's 5 outputs, and products wide enough to be
+/// cut into packed column strips with a ragged last strip.
+#[test]
+fn f32_tile_edges_match_naive_with_lanes_and_scalar() {
+    for m in [1usize, 3, 7, 8, 9, 17] {
+        for k in [1usize, 5, 8, 25] {
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 23, 25, 33] {
+                let seed = (m * 10_000 + k * 100 + n) as u64;
+                f32_products_match_naive(m, k, n, seed, seed % 3 == 0);
+            }
+        }
+    }
+    // `A·B` strips of 104 columns at k = 300, and `Aᵀ·B` strips of 24
+    // columns at m = 1100: 250 and 50 columns end in ragged strips.
+    f32_products_match_naive(9, 300, 250, 1, true);
+    f32_products_match_naive(1100, 3, 50, 2, true);
 }

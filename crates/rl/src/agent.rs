@@ -221,7 +221,7 @@ impl QAgent {
         self.net.set_gemm_backend(backend);
         self.target.set_gemm_backend(backend);
         // The snapshot mirrors the float backend choice (naive→naive,
-        // blocked→blocked, simd→simd); rebuild on next use.
+        // blocked→blocked); rebuild on next use.
         self.invalidate_quantized();
     }
 

@@ -344,7 +344,7 @@ fn one_fleet_equals_run_vec() {
 fn pool_invariance_per_bitwise_backend() {
     for topo in [Topology::E2E, Topology::L4] {
         for q88 in [false, true] {
-            for backend in GemmBackend::BITWISE {
+            for backend in GemmBackend::ALL {
                 let mut reference: Option<(CurveBits, Vec<u8>)> = None;
                 for pool_threads in [1usize, 2, 7] {
                     let pool = ThreadPool::new(pool_threads);

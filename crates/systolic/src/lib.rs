@@ -23,7 +23,7 @@
 //! Absolute post-synthesis timing calibration lives in `mramrl-accel`.
 //!
 //! The *software* twin of these GEMM dataflows is the pluggable backend
-//! suite in `mramrl_nn::backend` (naive/blocked/simd kernels behind
+//! suite in `mramrl_nn::backend` (naive/blocked kernels behind
 //! `matmul` / `matmul_at_b`; see `docs/gemm_backends.md`): the forward
 //! Fig. 7 dataflow corresponds to `matmul`, the transposed Fig. 8
 //! dataflow to `matmul_at_b`. Changing software backends never changes
