@@ -8,7 +8,6 @@ use mramrl_dse::{DesignSpace, ScenarioMix};
 use mramrl_mem::TechKind;
 
 fn main() {
-    mramrl_bench::init_gemm_backend();
     let (_pool, _guard) = mramrl_bench::init_pool_threads();
     // The paper's SRAM break-points (12.7 / 30 / 63 MB) bracketed by an
     // under- and a mid-margin capacity, on the paper's 128 MB STT-MRAM

@@ -16,7 +16,6 @@ use mramrl_nn::NetworkSpec;
 use mramrl_rl::{QAgent, Trainer, TrainerConfig};
 
 fn main() {
-    mramrl_bench::init_gemm_backend();
     let (_pool, _guard) = mramrl_bench::init_pool_threads();
     let frames = arg_u64("frames", 200);
     let seed = arg_u64("seed", 11);

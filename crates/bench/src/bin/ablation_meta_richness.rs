@@ -9,7 +9,6 @@ use mramrl_rl::experiment::normalized_sfd;
 use mramrl_rl::{Fig10Experiment, Topology, TransferCache};
 
 fn main() {
-    mramrl_bench::init_gemm_backend();
     let (_pool, _guard) = mramrl_bench::init_pool_threads();
     let seed = arg_u64("seed", 42);
     let mut exp = if full_mode() {

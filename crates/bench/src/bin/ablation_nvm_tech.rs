@@ -11,7 +11,6 @@ use mramrl_mem::WearTracker;
 use mramrl_nn::NetworkSpec;
 
 fn main() {
-    mramrl_bench::init_gemm_backend();
     let (_pool, _guard) = mramrl_bench::init_pool_threads();
     let spec = NetworkSpec::date19_alexnet();
     // FC1's gradient accumulator is as large as its 16-bit weights.

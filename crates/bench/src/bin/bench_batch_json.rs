@@ -2,11 +2,10 @@
 //!
 //! Times one replay batch of Bellman updates on the Fig. 3(a)-
 //! proportioned micro AlexNet ([`mramrl_bench::batch_td_spec`]) per
-//! (backend × batch size × pool threads) cell. The f32 backend
-//! columns are the naive oracle, then `Blocked` with its AVX2 lanes
-//! forced off (`blocked`, `simd::force_scalar`) and on (`simd`) —
-//! the same bits, so the two columns time the lanes alone. Each cell
-//! is batched
+//! (column × batch size × pool threads) cell. The two f32 columns run
+//! the one GEMM kernel with its AVX2 lanes forced off (`blocked`,
+//! `simd::force_scalar`) and on (`simd`) — the same bits, so the two
+//! columns time the lanes alone. Each cell is batched
 //! (`QAgent::accumulate_td_batch`, N ∈ {1, 8, 32}) and the serial-32
 //! baseline (32 × `accumulate_td`) — prints the table, saves the CSV,
 //! and emits `BENCH_batch.json` so future PRs have a perf trajectory to
@@ -15,26 +14,25 @@
 //!
 //! The pool sweep injects a fresh `mramrl_nn::pool::ThreadPool` per
 //! `threads` cell (the injectable-handle path — no env games) and times
-//! **every** backend at every pool size: every backend reaches the
-//! pool through the agent's join2 overlap of the target/online
-//! forwards, so no cell is thread-invariant. Acceptance bars
-//! recorded in the JSON: `batched(32) ≥ 2× serial(32)` on the blocked
-//! backend at one thread.
+//! **every** column at every pool size: both reach the pool through
+//! the agent's join2 overlap of the target/online forwards, so no cell
+//! is thread-invariant. Acceptance bars recorded in the JSON:
+//! `batched(32) ≥ 2× serial(32)` on the `blocked` column at one
+//! thread.
 //!
 //! A **quantised-inference cell family** rides along (modes
 //! `infer-f32` / `infer-q8.8` / `infer-q8.8-serial`): the Q8.8
 //! deployment engine (`mramrl_nn::quant`, `docs/fixed_point.md`) at
-//! batch 1/8/32 per integer backend (naive/blocked, timed once each, in
-//! a column with lanes on) and pool size,
-//! next to the float forward on the same weights and frames. The
-//! JSON records the per-backend `q8.8 batched(32) / serial(32)` speedup
-//! (bar: ≥ 4× on blocked) and the float-vs-Q8.8 throughput ratio.
+//! batch 1/8/32 and pool size (timed once, lanes on, labelled
+//! `blocked`), next to the float forward on the same weights and
+//! frames. The JSON records the `q8.8 batched(32) / serial(32)` speedup
+//! (bar: ≥ 4×) and the float-vs-Q8.8 throughput ratio per f32 column.
 //!
 //! A **train-throughput cell family** (modes `train-vec` /
 //! `train-parallel-f32` / `train-parallel-q8.8`) times the actor/learner
 //! driver (`Trainer::run_parallel`, `docs/training.md`) end to end —
 //! environments, acting, sharded replay and learning — per
-//! (topology × backend × fleet count × pool), `batch` holding the total
+//! (topology × column × fleet count × pool), `batch` holding the total
 //! lane count. The JSON records `speedup_train_parallel_vs_run_vec`
 //! (bar: best parallel cell ≥ 3× the best single-fleet `train-vec`
 //! cell in transitions/sec) and a `train_regimes` array giving each
@@ -44,7 +42,7 @@
 //! A **raw certified-GEMM cell family** (mode `qgemm-conv1`) times the
 //! integer kernel alone on the paper's CONV1 product (96×363×3025 —
 //! the full-size AlexNet's first im2col GEMM; 32×363×256 under
-//! `--tiny`) on the blocked pair tile, once with its lanes forced off
+//! `--tiny`) on the pair tile, once with its lanes forced off
 //! (`simd::force_scalar`, cells labelled `blocked`) and once on its
 //! `pmaddwd` lanes (labelled `simd`), recording GMAC/s and the
 //! `speedup_qgemm_simd_vs_blocked` key (bar: ≥ 1.5× on AVX2 hosts;
@@ -52,7 +50,7 @@
 //! scalar tile and the ratio documents that).
 //!
 //! Flags: `--reps N` (timed repetitions per cell, default 10),
-//! `--backend <name>` narrows to one backend, `--pool-threads N` sets
+//! `--pool-threads N` sets
 //! the multi-thread cell count (default: the global pool size, i.e.
 //! `NN_POOL_THREADS` or all cores, floored at 4 so the trajectory always
 //! records a threads>1 row), `--tiny` swaps in the 16×16 smoke-test net
@@ -64,7 +62,6 @@ use mramrl_bench::{
     arg_u64, batch_td_agent, batch_td_obs, batch_td_qnet, batch_td_spec, batch_td_spec_tiny,
     batch_td_transitions, fmt, save_bench_json, train_bench_fleets, Table, BATCH_TD_SIZES,
 };
-use mramrl_nn::backend::GemmBackend;
 use mramrl_nn::pool::ThreadPool;
 use mramrl_nn::quant::QWorkspace;
 use mramrl_nn::Workspace;
@@ -83,16 +80,14 @@ fn time_ns(reps: u64, mut work: impl FnMut()) -> f64 {
     t0.elapsed().as_nanos() as f64 / reps as f64
 }
 
-/// The f32 backend columns of the cell matrix as `(label, backend,
-/// lanes)`: the oracle, then `Blocked` on its scalar tile and on its
-/// AVX2 lanes.
-const COLUMNS: [(&str, GemmBackend, bool); 3] = [
-    ("naive", GemmBackend::Naive, true),
-    ("blocked", GemmBackend::Blocked, false),
-    ("simd", GemmBackend::Blocked, true),
-];
+/// The f32 columns of the cell matrix as `(label, lanes)`: the GEMM
+/// kernel on its scalar tile and on its AVX2 lanes.
+const COLUMNS: [(&str, bool); 2] = [("blocked", false), ("simd", true)];
 
-/// One measured cell of the (backend × mode × batch × threads) matrix.
+/// The label of the Q8.8 cells: the integer kernel, lanes on.
+const QLABEL: &str = "blocked";
+
+/// One measured cell of the (column × mode × batch × threads) matrix.
 struct Cell {
     backend: &'static str,
     mode: &'static str,
@@ -114,8 +109,6 @@ struct TrainRegime {
 }
 
 fn main() {
-    let backend_filter = mramrl_bench::init_gemm_backend();
-    let explicit_backend = std::env::args().any(|a| a.starts_with("--backend"));
     let tiny = std::env::args().any(|a| a == "--tiny");
     let reps = arg_u64("reps", 10).max(1);
     let multi = arg_u64(
@@ -130,10 +123,6 @@ fn main() {
     };
     let ts = batch_td_transitions(32, spec.input_shape[1]);
 
-    let columns: Vec<(&str, GemmBackend, bool)> = COLUMNS
-        .into_iter()
-        .filter(|&(_, be, _)| !explicit_backend || be == backend_filter)
-        .collect();
     let thread_counts: Vec<usize> = if multi > 1 { vec![1, multi] } else { vec![1] };
 
     let mut cells: Vec<Cell> = Vec::new();
@@ -141,16 +130,16 @@ fn main() {
     for &threads in &thread_counts {
         let pool = ThreadPool::new(threads);
         let _installed = pool.install();
-        for &(label, be, lanes) in &columns {
+        for (label, lanes) in COLUMNS {
             let _scalar = (!lanes).then(mramrl_nn::simd::force_scalar);
-            // Every backend is re-timed at every pool size: even
-            // naive/blocked reach the pool through the agent's join2
-            // overlap of the target/online forwards, so their cells are
-            // NOT thread-invariant.
+            // Every column is re-timed at every pool size: both reach
+            // the pool through the agent's join2 overlap of the
+            // target/online forwards, so their cells are NOT
+            // thread-invariant.
             for n in BATCH_TD_SIZES {
                 let refs: Vec<&Transition> = ts[..n].iter().collect();
                 let batch = TransitionBatch::from_transitions(&refs);
-                let mut a = batch_td_agent(&spec, be);
+                let mut a = batch_td_agent(&spec);
                 let ns = time_ns(reps, || {
                     let _ = a.accumulate_td_batch(&batch);
                     a.net_mut().zero_grads();
@@ -163,7 +152,7 @@ fn main() {
                     ns_per_transition: ns,
                 });
             }
-            let mut a = batch_td_agent(&spec, be);
+            let mut a = batch_td_agent(&spec);
             let ns = time_ns(reps, || {
                 for t in &ts {
                     let _ = a.accumulate_td(t);
@@ -180,16 +169,14 @@ fn main() {
         }
 
         // Quantised-inference cell family: the Q8.8 deployment engine
-        // (batch 1/8/32 × integer backend) next to the float forward on
+        // (batch 1/8/32) next to the float forward on
         // the same weights and frames, plus the serial-32 baseline
         // (32 × the batch-of-1 wrapper, workspace churn included — the
         // pre-engine per-image deployment pattern).
-        for &(label, be, lanes) in &columns {
+        let qnet = batch_td_qnet(&spec);
+        let fnet = spec.build(42);
+        for (label, lanes) in COLUMNS {
             let _scalar = (!lanes).then(mramrl_nn::simd::force_scalar);
-            let qnet = batch_td_qnet(&spec, be);
-            let qbe = qnet.backend();
-            let mut fnet = spec.build(42);
-            fnet.set_gemm_backend(be);
             for n in BATCH_TD_SIZES {
                 let obs = batch_td_obs(&ts, n);
                 let mut fws = Workspace::for_spec(&spec);
@@ -203,9 +190,7 @@ fn main() {
                     threads,
                     ns_per_transition: ns,
                 });
-                // `blocked` and `simd` share the `blocked` integer
-                // backend: each integer backend is timed once, in its
-                // column with lanes on.
+                // One integer kernel: timed once, in the lanes-on column.
                 if !lanes {
                     continue;
                 }
@@ -214,7 +199,7 @@ fn main() {
                     let _ = qnet.forward_batch(&obs, &mut qws);
                 }) / n as f64;
                 cells.push(Cell {
-                    backend: qbe.name(),
+                    backend: QLABEL,
                     mode: "infer-q8.8",
                     batch: n,
                     threads,
@@ -232,7 +217,7 @@ fn main() {
                 }
             }) / singles.len() as f64;
             cells.push(Cell {
-                backend: qbe.name(),
+                backend: QLABEL,
                 mode: "infer-q8.8-serial",
                 batch: singles.len(),
                 threads,
@@ -241,7 +226,7 @@ fn main() {
         }
 
         // Raw certified-GEMM cell family: the integer kernel alone on
-        // the paper's CONV1 im2col product, the blocked tile with its
+        // the paper's CONV1 im2col product, the pair tile with its
         // lanes forced off (`blocked`) vs on (`simd`) — the head-to-head
         // the SIMD tier's acceptance bar is read from.
         // `ns_per_transition` holds ns per whole GEMM call here.
@@ -254,11 +239,12 @@ fn main() {
         let qbt = mramrl_nn::difftest::qfill(qn * qk, 1002);
         let qbias = mramrl_nn::difftest::qfill(qm, 1003);
         let mut qc = vec![mramrl_fixed::Q8_8::from_raw(0); qm * qn];
-        for (label, lanes) in [("blocked", false), ("simd", true)] {
+        for (label, lanes) in COLUMNS {
             let _scalar = (!lanes).then(mramrl_nn::simd::force_scalar);
             let ns = time_ns(reps, || {
-                mramrl_nn::QGemmBackend::Blocked
-                    .matmul_bt_bias_requant_into(&mut qc, &qa, &qbt, &qbias, qm, qk, qn);
+                mramrl_nn::qgemm::matmul_bt_bias_requant_into(
+                    &mut qc, &qa, &qbt, &qbias, qm, qk, qn,
+                );
             });
             cells.push(Cell {
                 backend: label,
@@ -271,7 +257,7 @@ fn main() {
 
         // Train-throughput cell family: the actor/learner driver end to
         // end — environments, acting, sharded replay and learning — per
-        // (topology × backend × fleet count × pool). `train-vec` is the
+        // (topology × column × fleet count × pool). `train-vec` is the
         // one-fleet baseline (`run_vec`'s engine); the parallel cells
         // widen the fleet pool in float and Q8.8 acting. `batch` holds
         // the total lane count. One timed run per cell (the iteration
@@ -284,12 +270,11 @@ fn main() {
             (1_500, 4, vec![2, 4, 8], 4)
         };
         let hw = spec.input_shape[1];
-        for &(label, be, lanes) in &columns {
+        for (label, lanes) in COLUMNS {
             let _scalar = (!lanes).then(mramrl_nn::simd::force_scalar);
             for (topo, topo_name) in [(Topology::E2E, "E2E"), (Topology::L3, "L3")] {
                 let mut run_cell = |mode: &'static str, n_fleets: usize, q88: bool| {
                     let mut cfg = TrainerConfig::online(train_iters, 42);
-                    cfg.backend = be;
                     cfg.num_envs = train_k;
                     if q88 {
                         cfg.actor_precision = ActingPrecision::FixedQ8_8;
@@ -360,11 +345,9 @@ fn main() {
             })
             .map(|c| c.ns_per_transition)
     };
-    let qname = |be: GemmBackend| mramrl_nn::QGemmBackend::from_gemm(be).name();
-
-    // Speedup of batched(32) over serial(32), per backend, single thread.
+    // Speedup of batched(32) over serial(32), per column, single thread.
     let mut speedups = Vec::new();
-    for &(label, _, _) in &columns {
+    for (label, _) in COLUMNS {
         if let (Some(b32), Some(s32)) = (ns_of(label, "batched", 1), ns_of(label, "serial", 1)) {
             let s = s32 / b32;
             println!("speedup batched(32) vs serial(32) on {label}: {s:.2}x");
@@ -372,40 +355,27 @@ fn main() {
         }
     }
     // Quantised acceptance bar: batched(32) engine inference over the
-    // serial-32 batch-of-1 wrapper, per integer backend, single thread
-    // (the ≥ 4× bar is on the blocked backend).
+    // serial-32 batch-of-1 wrapper, single thread (bar: ≥ 4×).
     let mut q_speedups: Vec<(String, f64)> = Vec::new();
-    for &(_, be, _) in &columns {
-        if q_speedups.iter().any(|(name, _)| name == qname(be)) {
-            continue;
-        }
-        if let (Some(b32), Some(s32)) = (
-            ns_of(qname(be), "infer-q8.8", 1),
-            ns_of(qname(be), "infer-q8.8-serial", 1),
-        ) {
-            let s = s32 / b32;
-            println!(
-                "speedup q8.8 batched(32) vs q8.8 serial(32) on {}: {s:.2}x",
-                qname(be)
-            );
-            q_speedups.push((qname(be).to_string(), s));
-        }
+    if let (Some(b32), Some(s32)) = (
+        ns_of(QLABEL, "infer-q8.8", 1),
+        ns_of(QLABEL, "infer-q8.8-serial", 1),
+    ) {
+        let s = s32 / b32;
+        println!("speedup q8.8 batched(32) vs q8.8 serial(32) on {QLABEL}: {s:.2}x");
+        q_speedups.push((QLABEL.to_string(), s));
     }
     // Float-vs-Q8.8 throughput ratio at the deployment operating point
     // (batched 32, single thread): how many float inferences fit in one
     // fixed-point inference's time — the software cost of modelling the
     // silicon datapath bit-exactly.
     let mut fq_ratios = Vec::new();
-    for &(label, be, _) in &columns {
-        if let (Some(qns), Some(fns)) = (
-            ns_of(qname(be), "infer-q8.8", 1),
-            ns_of(label, "infer-f32", 1),
-        ) {
+    for (label, _) in COLUMNS {
+        if let (Some(qns), Some(fns)) =
+            (ns_of(QLABEL, "infer-q8.8", 1), ns_of(label, "infer-f32", 1))
+        {
             let r = qns / fns;
-            println!(
-                "float-vs-q8.8 throughput ratio, batched(32) on {label}/{}: {r:.2}x",
-                qname(be)
-            );
+            println!("float-vs-q8.8 throughput ratio, batched(32) on {label}/{QLABEL}: {r:.2}x");
             fq_ratios.push((label.to_string(), r));
         }
     }
@@ -442,7 +412,7 @@ fn main() {
     };
 
     // The actor/learner acceptance bar: the best train-parallel cell
-    // (any width, precision, backend, pool) against the best
+    // (any width, precision, column, pool) against the best
     // single-fleet train-vec cell, in transitions/sec. Alongside it,
     // the per-topology regime table — the learner-bound vs actor-bound
     // crossover as the fleet pool widens.

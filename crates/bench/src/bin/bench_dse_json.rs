@@ -3,12 +3,12 @@
 //! emits `BENCH_dse.json` (+ `results/dse_pareto.csv`).
 //!
 //! Everything in the JSON except the `timing` section is byte-identical
-//! across `NN_POOL_THREADS` and the bitwise GEMM backends (the
-//! `dse-determinism` CI gate pins this); `timing` records the measured
-//! serial-vs-pooled wall clock, i.e. the sweep's parallel speedup.
+//! across `NN_POOL_THREADS` (the `dse-determinism` CI gate pins this);
+//! `timing` records the measured serial-vs-pooled wall clock, i.e. the
+//! sweep's parallel speedup.
 //!
 //! Flags: `--tiny` (16-point smoke space), `--reps N` (timing reps,
-//! default 3), plus the standard `--backend` / `--pool-threads`.
+//! default 3), plus the standard `--pool-threads`.
 
 use std::time::Instant;
 
@@ -16,7 +16,6 @@ use mramrl_bench::{arg_u64, fmt, save_bench_json, Table};
 use mramrl_dse::{pareto_frontier, render_csv, render_json, sweep, sweep_serial, DesignSpace};
 
 fn main() {
-    mramrl_bench::init_gemm_backend();
     let (pool, _guard) = mramrl_bench::init_pool_threads();
     let tiny = std::env::args().any(|a| a == "--tiny");
     let reps = arg_u64("reps", 3).max(1);

@@ -5,7 +5,7 @@
 //! observation as soon as its previous decision returns) and measures
 //! client-side request latency (p50/p99) and sustained decisions/sec,
 //! serving the Fig. 3(a)-proportioned micro AlexNet Q8.8 snapshot
-//! ([`mramrl_bench::batch_td_qnet`]) on the `NN_GEMM_BACKEND` backend.
+//! ([`mramrl_bench::batch_td_qnet`]).
 //!
 //! Two modes, same load:
 //!
@@ -15,12 +15,12 @@
 //!   baseline every coalescing claim is measured against.
 //!
 //! The JSON records both cells plus `speedup_coalesced_vs_batch1`
-//! (acceptance bar: ≥ 3× on the blocked Q8.8 backend — the engine's
+//! (acceptance bar: ≥ 3× — the engine's
 //! own batch-32 vs batch-1 ratio is ~6×, see `BENCH_batch.json`, so
 //! the serving layer must preserve at least half of it end-to-end).
 //!
 //! Flags: `--clients N` (default 32), `--requests M` per client
-//! (default 20), `--backend <name>`, `--tiny` (16×16 smoke-test net;
+//! (default 20), `--tiny` (16×16 smoke-test net;
 //! smoke tests pass `--tiny --clients 4 --requests 3`).
 
 use std::sync::Arc;
@@ -107,7 +107,6 @@ fn run_mode(
 }
 
 fn main() {
-    let backend = mramrl_bench::init_gemm_backend();
     let tiny = std::env::args().any(|a| a == "--tiny");
     let clients = arg_u64("clients", 32).max(1) as usize;
     let per_client = arg_u64("requests", 20).max(1) as usize;
@@ -122,7 +121,7 @@ fn main() {
         .into_iter()
         .map(|t| Arc::try_unwrap(t.state).unwrap_or_else(|a| (*a).clone()))
         .collect();
-    let net = Arc::new(batch_td_qnet(&spec, backend));
+    let net = Arc::new(batch_td_qnet(&spec));
 
     let cells = vec![
         run_mode(
@@ -139,8 +138,7 @@ fn main() {
 
     let mut table = Table::new(
         format!(
-            "Serving throughput/latency — {net_name}, q8.8 {} backend, {clients} clients × {per_client} requests",
-            backend.name()
+            "Serving throughput/latency — {net_name}, q8.8, {clients} clients × {per_client} requests"
         ),
         &[
             "mode",
@@ -169,12 +167,11 @@ fn main() {
     table.save("bench_serve");
 
     let speedup = cells[0].decisions_per_sec / cells[1].decisions_per_sec;
-    println!("speedup coalesced vs batch1: {speedup:.2}x (bar: >= 3x on blocked)");
+    println!("speedup coalesced vs batch1: {speedup:.2}x (bar: >= 3x)");
 
     let mut json = String::from("{\n  \"bench\": \"serve\",\n");
     json.push_str(&format!(
-        "  \"net\": \"{net_name}\",\n  \"backend\": \"{}\",\n  \"clients\": {clients},\n  \"requests_per_client\": {per_client},\n",
-        backend.name()
+        "  \"net\": \"{net_name}\",\n  \"clients\": {clients},\n  \"requests_per_client\": {per_client},\n",
     ));
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {

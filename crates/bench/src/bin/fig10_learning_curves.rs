@@ -9,7 +9,6 @@ use mramrl_env::EnvKind;
 use mramrl_rl::{Fig10Experiment, TransferCache};
 
 fn main() {
-    mramrl_bench::init_gemm_backend();
     let seed = arg_u64("seed", 42);
     let mut exp = if full_mode() {
         Fig10Experiment::full(seed)

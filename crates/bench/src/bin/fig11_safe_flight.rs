@@ -5,9 +5,8 @@
 //!
 //! Quick scale by default; `--full` for the DESIGN.md §6 scale;
 //! `--seeds N` to average N seeds (default 1 full / 2 quick).
-//! `--backend <name>` picks the GEMM backend, `--pool-threads N`
-//! injects an in-process worker pool — together they pin one
-//! reproducible (backend × pool) configuration per run.
+//! `--pool-threads N` injects an in-process worker pool, pinning one
+//! reproducible pool configuration per run.
 
 use mramrl_bench::{arg_u64, fmt, full_mode, Table};
 use mramrl_env::EnvKind;
@@ -15,7 +14,6 @@ use mramrl_rl::experiment::normalized_sfd;
 use mramrl_rl::{Fig10Experiment, Topology, TransferCache};
 
 fn main() {
-    mramrl_bench::init_gemm_backend();
     let _pool = mramrl_bench::init_pool_threads();
     let base_seed = arg_u64("seed", 42);
     let seeds = arg_u64("seeds", if full_mode() { 1 } else { 2 });

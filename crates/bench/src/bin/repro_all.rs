@@ -3,9 +3,10 @@
 //! `--full` is passed (budget minutes for `--full`).
 //!
 //! Every flag is forwarded verbatim to each child binary, so
-//! `repro_all -- --backend naive` runs the NN-heavy experiments on the
-//! naive oracle GEMM backend (see `docs/gemm_backends.md`); the
-//! blocked default's AVX2 lanes are switched by `NN_SIMD`.
+//! `repro_all -- --iters 2 --tl 2` shrinks every learning-curve
+//! experiment at once. The GEMM kernels' AVX2 lanes are switched by
+//! `NN_SIMD` (see `docs/gemm_backends.md`), which changes speed, never
+//! a bit of the results.
 
 use std::path::Path;
 use std::process::Command;

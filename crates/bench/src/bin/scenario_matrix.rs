@@ -11,16 +11,14 @@
 //!
 //! **Determinism contract:** the JSON carries no timings and no
 //! backend/pool identity, and every quantity in it flows through the
-//! bit-identity discipline (bitwise GEMM family for training, bitwise
-//! Q8.8 engine for acting, seed-derived scenario lanes). The emitted
-//! bytes must therefore be identical across
-//! `NN_GEMM_BACKEND ∈ {naive, blocked}` and any
-//! `NN_POOL_THREADS` — the named CI gate diffs them.
+//! bit-identity discipline (the bitwise f32 GEMM kernel for training,
+//! the bitwise Q8.8 engine for acting, seed-derived scenario lanes).
+//! The emitted bytes must therefore be identical at any
+//! `NN_POOL_THREADS` and `NN_SIMD` setting.
 //!
 //! Flags: `--seed`, `--iters` (online RL), `--tl` (transfer iters),
 //! `--lanes` (VecEnv width), `--eval-steps` (total env steps per cell),
-//! `--movers` (moving obstacles per world), `--backend`,
-//! `--pool-threads`, `--full`.
+//! `--movers` (moving obstacles per world), `--pool-threads`, `--full`.
 
 use mramrl_bench::{arg_u64, fmt, full_mode, save_bench_json, Table};
 use mramrl_env::{DegradationSpec, DroneEnv, ScenarioSpec, VecEnv, WorldSpec, WORLD_AXIS};
@@ -41,7 +39,6 @@ struct Cell {
 }
 
 fn main() {
-    mramrl_bench::init_gemm_backend();
     let _pool = mramrl_bench::init_pool_threads();
 
     let seed = arg_u64("seed", 42);

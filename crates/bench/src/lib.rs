@@ -140,15 +140,12 @@ impl Table {
 }
 
 /// The standard knob snapshot every figure binary records in its saved
-/// table ([`Table::save_with_meta`]): the resolved GEMM backend, the
-/// installed pool width and whether the SIMD kernel tier is active.
-/// Call it *after* [`init_gemm_backend`] / [`init_pool_threads`] so the
-/// values reflect what the run actually used.
+/// table ([`Table::save_with_meta`]): the installed pool width and
+/// whether the SIMD kernel tier is active. Call it *after*
+/// [`init_pool_threads`] so the values reflect what the run actually
+/// used.
 pub fn knob_meta() -> Vec<(String, String)> {
-    let backend = std::env::var("NN_GEMM_BACKEND")
-        .unwrap_or_else(|_| mramrl_nn::backend::default_backend().name().to_string());
     vec![
-        ("gemm_backend".to_string(), backend),
         (
             "pool_threads".to_string(),
             mramrl_nn::pool::current_threads().to_string(),
@@ -215,44 +212,6 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Resolves the GEMM backend for a figure binary: `--backend <name>` or
-/// `--backend=<name>` (`naive|blocked`) wins, else the
-/// `NN_GEMM_BACKEND` env knob (default `blocked`). The choice is
-/// exported back into `NN_GEMM_BACKEND` so every network built later in
-/// the process — and any child process — picks it up; call this
-/// **first** in `main`, before any layer is constructed. An unknown or
-/// missing **flag** value aborts with a usage message (a bad *env*
-/// value, by contrast, warns and falls back to `blocked` — the env knob
-/// is a lenient default, the flag an explicit request).
-///
-/// `repro_all` forwards its argv to every child binary, so
-/// `repro_all -- --backend naive` switches the whole suite. Whether
-/// `blocked` runs its AVX2 lanes is the `NN_SIMD` knob's call, recorded
-/// as the `simd` key of [`knob_meta`].
-pub fn init_gemm_backend() -> mramrl_nn::GemmBackend {
-    let args: Vec<String> = std::env::args().collect();
-    let chosen: Option<String> = args.iter().position(|a| *a == "--backend").map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: --backend needs a value (naive|blocked)");
-            std::process::exit(2);
-        })
-    });
-    let chosen = chosen.or_else(|| {
-        args.iter()
-            .find_map(|a| Some(a.strip_prefix("--backend=")?.into()))
-    });
-    let backend = match chosen {
-        None => mramrl_nn::backend::default_backend(),
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-    };
-    std::env::set_var("NN_GEMM_BACKEND", backend.name());
-    eprintln!("gemm backend: {backend}");
-    backend
 }
 
 /// Resolves the worker-pool size for a figure binary: `--pool-threads N`
@@ -356,32 +315,19 @@ pub fn train_bench_fleets(hw: usize, n: usize, k: usize) -> Vec<mramrl_env::VecE
     mramrl_env::VecEnv::from_envs(envs).split(n)
 }
 
-/// A [`mramrl_rl::QAgent`] on `spec` with `backend` applied — the
-/// agent both batch-TD measurements drive.
-pub fn batch_td_agent(
-    spec: &mramrl_nn::NetworkSpec,
-    backend: mramrl_nn::GemmBackend,
-) -> mramrl_rl::QAgent {
-    let mut a = mramrl_rl::QAgent::new(spec, 42);
-    a.set_gemm_backend(backend);
-    a
+/// The [`mramrl_rl::QAgent`] on `spec` that both batch-TD
+/// measurements drive.
+pub fn batch_td_agent(spec: &mramrl_nn::NetworkSpec) -> mramrl_rl::QAgent {
+    mramrl_rl::QAgent::new(spec, 42)
 }
 
 /// The Q8.8 deployment-mode engine snapshot of the batch-TD workload
-/// net, on the integer backend matching `backend` (naive→naive,
-/// blocked→blocked) — what the
-/// quantised-inference
-/// bench cells drive. Shares seed 42 with [`batch_td_agent`] so the
-/// float and fixed-point cells measure the same weights.
-pub fn batch_td_qnet(
-    spec: &mramrl_nn::NetworkSpec,
-    backend: mramrl_nn::GemmBackend,
-) -> mramrl_nn::QuantizedNet {
-    let net = spec.build(42);
-    let mut q =
-        mramrl_nn::QuantizedNet::from_network(spec, &net).expect("spec-built net always snapshots");
-    q.set_backend(mramrl_nn::QGemmBackend::from_gemm(backend));
-    q
+/// net — what the quantised-inference bench cells drive. Shares seed 42
+/// with [`batch_td_agent`] so the float and fixed-point cells measure
+/// the same weights.
+pub fn batch_td_qnet(spec: &mramrl_nn::NetworkSpec) -> mramrl_nn::QuantizedNet {
+    mramrl_nn::QuantizedNet::from_network(spec, &spec.build(42))
+        .expect("spec-built net always snapshots")
 }
 
 /// Stacks the first `n` transitions' states into one `[n, 1, hw, hw]`
@@ -452,7 +398,7 @@ mod tests {
     #[test]
     fn knob_meta_covers_the_standard_knobs() {
         let meta = knob_meta();
-        for key in ["gemm_backend", "pool_threads", "simd"] {
+        for key in ["pool_threads", "simd"] {
             assert!(meta.iter().any(|(k, _)| k == key), "missing {key}");
         }
     }

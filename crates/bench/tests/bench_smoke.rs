@@ -93,7 +93,7 @@ fn ablation_endurance_runs_tiny() {
     // Saved tables record the active knob configuration.
     let sched_csv = std::fs::read_to_string(dir.join("ablation_endurance_scheduler.csv"))
         .expect("scheduler CSV saved");
-    assert!(sched_csv.contains("# gemm_backend="), "{sched_csv}");
+    assert!(sched_csv.contains("# pool_threads="), "{sched_csv}");
     assert!(sched_csv.contains("# frames=5"), "{sched_csv}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -182,8 +182,8 @@ fn bench_batch_json_runs_tiny() {
         "\"speedup_batched32_vs_serial32\"",
         "\"backend\": \"blocked\"",
         // The SIMD tier's cells and acceptance keys (schema-pinned:
-        // present even when the host has no AVX2 — the simd backend
-        // then measures its blocked/pooled fallback).
+        // present even when the host has no AVX2 — the simd column
+        // then measures the scalar tile).
         "\"backend\": \"simd\"",
         "\"mode\": \"qgemm-conv1\"",
         "\"qgemm_conv1_gmacs\"",

@@ -6,16 +6,15 @@
 //! training path runs — CONV1's input gradient `G·W`
 //! (10 368 × 8 × 25) among them — so a kernel fault on one of them
 //! would otherwise surface only as a panic inside the benchmark. This
-//! suite runs the same chain on `Naive`, on `Blocked` with its AVX2
-//! lanes, and on `Blocked` with the scalar tile forced, and holds all
-//! three to the same bits: the output, every layer's `grad_in` and
-//! every parameter gradient.
+//! suite runs the same chain on the GEMM kernel's AVX2 lanes and with
+//! its scalar tile forced, and holds both to the same bits: the output,
+//! every layer's `grad_in` and every parameter gradient. (Each shape is
+//! held to the naive oracle in `mramrl_nn`'s `simd_equivalence` suite.)
 
 use mramrl_bench::batch_td_spec;
 use mramrl_nn::difftest::{bits, fill};
 use mramrl_nn::{
-    simd, Conv2d, Flatten, GemmBackend, Layer, LayerSpec, LayerWs, Linear, Lrn, MaxPool2d, Relu,
-    Tensor,
+    simd, Conv2d, Flatten, Layer, LayerSpec, LayerWs, Linear, Lrn, MaxPool2d, Relu, Tensor,
 };
 
 /// The probe's batch.
@@ -40,19 +39,15 @@ fn build_layer(l: &LayerSpec, seed: u64) -> Box<dyn Layer> {
     }
 }
 
-/// One chained forward and full backward through every layer on
-/// `backend`, returning each tensor it produced as `(label, bits)`.
-fn chained_pass(backend: GemmBackend) -> Vec<(String, Vec<u32>)> {
+/// One chained forward and full backward through every layer,
+/// returning each tensor it produced as `(label, bits)`.
+fn chained_pass() -> Vec<(String, Vec<u32>)> {
     let spec = batch_td_spec();
     let mut layers: Vec<Box<dyn Layer>> = spec
         .layers
         .iter()
         .enumerate()
-        .map(|(i, l)| {
-            let mut layer = build_layer(l, 7 + i as u64);
-            layer.set_gemm_backend(backend);
-            layer
-        })
+        .map(|(i, l)| build_layer(l, 7 + i as u64))
         .collect();
     let mut ws: Vec<LayerWs> = layers.iter().map(|_| LayerWs::new()).collect();
     let mut shape = vec![BATCH];
@@ -93,22 +88,19 @@ fn chained_pass(backend: GemmBackend) -> Vec<(String, Vec<u32>)> {
 }
 
 #[test]
-fn probe_chain_is_bit_identical_on_every_path() {
-    let want = chained_pass(GemmBackend::Naive);
-    let lanes = chained_pass(GemmBackend::Blocked);
+fn probe_chain_is_bit_identical_on_lanes_and_scalar() {
+    let lanes = chained_pass();
     let scalar = {
         let _guard = simd::force_scalar();
-        chained_pass(GemmBackend::Blocked)
+        chained_pass()
     };
     assert!(
-        want.iter().any(|(label, _)| label == "CONV1 grad_in"),
+        lanes.iter().any(|(label, _)| label == "CONV1 grad_in"),
         "the chain must reach CONV1's input gradient"
     );
-    for (path, got) in [("lanes", &lanes), ("scalar", &scalar)] {
-        assert_eq!(want.len(), got.len(), "{path}");
-        for ((label, w), (glabel, g)) in want.iter().zip(got) {
-            assert_eq!(label, glabel);
-            assert!(w == g, "{path}: {label} differs from the naive oracle");
-        }
+    assert_eq!(lanes.len(), scalar.len());
+    for ((label, w), (slabel, g)) in lanes.iter().zip(&scalar) {
+        assert_eq!(label, slabel);
+        assert!(w == g, "{label}: the scalar tile differs from the lanes");
     }
 }

@@ -19,8 +19,8 @@
 //! [`DseConfig`], each output slot is written by exactly one task, and
 //! the chunk size is independent of the pool width — so the full result
 //! vector, and therefore the rendered report, is **byte-identical at any
-//! pool size and on every bitwise GEMM backend** (the `dse-determinism`
-//! CI gate pins this; see `docs/design_space.md` for the argument).
+//! pool size** (the `dse-determinism` CI gate pins this; see
+//! `docs/design_space.md` for the argument).
 //!
 //! # Examples
 //!

@@ -2,7 +2,7 @@
 //!
 //! Everything except the optional `timing` section is a pure function
 //! of the sweep results, which are themselves byte-identical across
-//! pool sizes and bitwise backends — so the determinism gate renders
+//! pool sizes — so the determinism gate renders
 //! with `timing = None` and compares whole strings.
 
 use std::fmt::Write as _;

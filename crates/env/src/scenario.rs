@@ -5,8 +5,7 @@
 //! ([`DegradationSpec`]) and camera resolution — all derived from one
 //! seed. The spec is the *only* entropy source: every lane of a
 //! [`crate::VecEnv`] built from it is bit-identical to a serial
-//! [`DroneEnv`] seeded `spec.seed + lane`, at any GEMM backend in the
-//! bitwise family and any pool size. `docs/scenarios.md` documents the
+//! [`DroneEnv`] seeded `spec.seed + lane`, at any pool size. `docs/scenarios.md` documents the
 //! schema and the determinism contract.
 //!
 //! # Examples

@@ -177,7 +177,7 @@ pub struct WearReport {
 /// stack regions. Both streams are pure accounting on the scheduler's
 /// own counters — attaching it to a live run (via
 /// `mramrl_rl::LearnerHook`) cannot change a bit of the training
-/// arithmetic, which is what keeps every backend/pool bit-identity
+/// arithmetic, which is what keeps every pool and lanes bit-identity
 /// contract intact.
 ///
 /// For a write-free placement ([`PlacementPlan::is_write_free_nvm`])

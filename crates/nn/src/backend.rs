@@ -1,68 +1,55 @@
-//! Pluggable GEMM backends for the NN hot path.
+//! The f32 GEMM kernel behind every conv and FC matrix product.
 //!
 //! Every conv and FC pass in this reproduction bottoms out in a dense
 //! matrix product (the software mirror of the paper's GEMM-based
-//! accelerator path, §V-B). This module makes the kernel that computes
-//! those products *selectable*:
-//!
-//! | Backend    | Kernel                                         | Use |
-//! |------------|------------------------------------------------|-----|
-//! | [`GemmBackend::Naive`]    | reference triple loops ([`crate::gemm::matmul`]) | correctness oracle |
-//! | [`GemmBackend::Blocked`]  | `MR×NR` = 8×8 tile: AVX2 lanes ([`crate::simd`]) where [`crate::simd::simd_active`] holds, else the k-panel packed scalar tile | default |
+//! accelerator path, §V-B). There is one kernel per product, an
+//! `MR×NR` = 8×8 register tile: on AVX2 lanes ([`crate::simd`]) where
+//! [`crate::simd::simd_active`] holds, else the k-panel packed scalar
+//! tile. [`matmul_into`] computes `A·B`, [`matmul_at_b_into`] `Aᵀ·B`.
+//! The textbook triple loops survive as the test oracles
+//! [`crate::difftest::matmul_into`] and
+//! [`crate::difftest::matmul_at_b_into`].
 //!
 //! Every kernel here runs on the calling thread. Whether a pass spreads
 //! over the [`crate::pool`] is decided one level up, by the layers, with
-//! one rule for every backend (`pool::split_parts`): conv
-//! forwards split into slabs of samples, FC forwards into output-row
-//! bands, backwards into `dW ∥ dX`. See `docs/threading.md`.
+//! one rule (`pool::split_parts`): conv forwards split into slabs of
+//! samples, FC forwards into output-row bands, backwards into
+//! `dW ∥ dX`. See `docs/threading.md`.
 //!
 //! # Summation-order contract (exactness policy)
 //!
-//! Every backend — the naive oracle, the blocked scalar tile and its
-//! AVX2 lanes — computes every output element with a **single
-//! accumulator** seeded at `+0.0` and adds the rounded products in
-//! **ascending order of the contraction index** (`k` for `A·B`, the
-//! shared row index `i` for `Aᵀ·B`). Rust never re-associates float
-//! arithmetic, no FMA contraction is emitted from safe code here, and
-//! the lanes multiply and add in two separate instructions, so the
-//! backends are **bit-for-bit identical**, lanes on or off — signed
-//! zeros included, and with `NaN`s in exactly the same positions. The single
-//! carve-out: `NaN` *payload* bits are unspecified by IEEE-754 (LLVM
-//! may commute float operands), so only `NaN`-ness, not the payload, is
-//! guaranteed. The equivalence proptests in
-//! `crates/nn/tests/gemm_backends.rs` assert this with
+//! The lanes, the scalar tile and the oracle compute every output
+//! element with a **single accumulator** seeded at `+0.0` and add the
+//! rounded products in **ascending order of the contraction index**
+//! (`k` for `A·B`, the shared row index `i` for `Aᵀ·B`). Rust never
+//! re-associates float arithmetic, no FMA contraction is emitted from
+//! safe code here, and the lanes multiply and add in two separate
+//! instructions, so all three are **bit-for-bit identical** — signed
+//! zeros included, and with `NaN`s in exactly the same positions. The
+//! single carve-out: `NaN` *payload* bits are unspecified by IEEE-754
+//! (LLVM may commute float operands), so only `NaN`-ness, not the
+//! payload, is guaranteed. The equivalence tests in
+//! `crates/nn/tests/gemm_backends.rs` and
+//! `crates/nn/tests/simd_equivalence.rs` assert this with
 //! payload-canonicalised `f32::to_bits`. See `docs/gemm_backends.md`
 //! for the full blocking/packing writeup.
 //!
-//! # Environment knobs
-//!
-//! * `NN_GEMM_BACKEND` — `naive` | `blocked`; the process-wide
-//!   default returned by [`default_backend`] (default: `blocked`).
-//!   Parsed by [`env_backend_knob`], which warns on stderr for unknown
-//!   values — the retired `threaded` and `simd` among them — and falls
-//!   back to `blocked` instead of silently defaulting.
-//! * `NN_SIMD` — `auto` (default) | `off`: forces
-//!   [`GemmBackend::Blocked`] onto its scalar tile even where feature
-//!   detection would pick the lanes ([`crate::simd::simd_active`]).
-//!   Only speed changes, never bits.
-//!
-//! `NN_GEMM_BACKEND` is read once and cached.
+//! `NN_SIMD=off` (or a live [`crate::simd::force_scalar`] guard) keeps
+//! the kernel on its scalar tile even where feature detection would
+//! pick the lanes. Only speed changes, never bits.
 //!
 //! # Examples
 //!
 //! ```
-//! use mramrl_nn::backend::GemmBackend;
+//! use mramrl_nn::{backend, difftest};
 //!
 //! let a = [1.0, 2.0, 3.0, 4.0]; // 2×2
 //! let b = [5.0, 6.0, 7.0, 8.0]; // 2×2
-//! let naive = GemmBackend::Naive.matmul(&a, &b, 2, 2, 2);
-//! let blocked = GemmBackend::Blocked.matmul(&a, &b, 2, 2, 2);
-//! assert_eq!(naive, vec![19.0, 22.0, 43.0, 50.0]);
-//! assert_eq!(naive, blocked); // bitwise, by the summation-order contract
+//! let mut c = [0.0f32; 4];
+//! backend::matmul_into(&mut c, &a, &b, 2, 2, 2);
+//! assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
+//! assert_eq!(c.to_vec(), difftest::matmul(&a, &b, 2, 2, 2)); // bitwise
 //! ```
-
-use std::str::FromStr;
-use std::sync::OnceLock;
 
 /// Micro-tile height: output rows whose accumulators live in registers
 /// together — 8 independent accumulation chains hide the float-add
@@ -79,180 +66,64 @@ const NR: usize = 8;
 /// sweeps it.
 const NC: usize = 512;
 
-/// Which GEMM kernel the NN layers use for their matrix products.
-///
-/// Selection is threaded through [`crate::Conv2d`], [`crate::Linear`],
-/// [`crate::Network::set_gemm_backend`] and the `mramrl_rl` trainer; the
-/// process-wide default comes from [`default_backend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GemmBackend {
-    /// Reference triple-loop kernels — the correctness oracle every other
-    /// backend is proven against.
-    Naive,
-    /// The `MR×NR` register-tiled kernel: AVX2 lanes where
-    /// [`crate::simd::simd_active`] holds, else the cache-blocked,
-    /// k-panel-packed scalar tile — the same bits either way.
-    #[default]
-    Blocked,
-}
+/// What `perfbench` records as its run context's GEMM backends: the
+/// one kernel per datapath, named `"blocked"`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct Blocked;
 
-impl GemmBackend {
-    /// All backends, oracle first — the sweep every cross-backend
-    /// bitwise test runs over (every backend is under the
-    /// summation-order contract).
-    pub const ALL: [GemmBackend; 2] = [GemmBackend::Naive, GemmBackend::Blocked];
-
-    /// Stable lowercase name (the `NN_GEMM_BACKEND` / `--backend` token).
+impl Blocked {
+    /// `"blocked"`.
     pub fn name(self) -> &'static str {
-        match self {
-            GemmBackend::Naive => "naive",
-            GemmBackend::Blocked => "blocked",
-        }
-    }
-
-    /// Reads `NN_GEMM_BACKEND` via [`env_backend_knob`], falling back
-    /// to [`GemmBackend::Blocked`] when unset or unrecognised (the
-    /// latter warns on stderr).
-    pub fn from_env() -> Self {
-        env_backend_knob("NN_GEMM_BACKEND").unwrap_or_default()
-    }
-
-    /// Dense row-major `C[m×n] = A[m×k] · B[k×n]` with this backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths do not match the dimensions.
-    pub fn matmul(self, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut c = vec![0.0f32; m * n];
-        self.matmul_into(&mut c, a, b, m, k, n);
-        c
-    }
-
-    /// [`GemmBackend::matmul`] writing into a caller-provided output
-    /// buffer — the allocation-free entry point used by the batched
-    /// workspace path. `c` is fully overwritten; the summation-order
-    /// contract (and hence cross-backend bit-identity) is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length does not match the dimensions.
-    pub fn matmul_into(self, c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-        assert_eq!(a.len(), m * k, "A dimensions");
-        assert_eq!(b.len(), k * n, "B dimensions");
-        assert_eq!(c.len(), m * n, "C dimensions");
-        match self {
-            GemmBackend::Naive => crate::gemm::matmul_into(c, a, b, m, k, n),
-            GemmBackend::Blocked if crate::simd::simd_active() => {
-                crate::simd::matmul_f32(c, a, b, m, k, n)
-            }
-            GemmBackend::Blocked => matmul_blocked_into(c, a, b, m, k, n),
-        }
-    }
-
-    /// `C[k×n] = A[m×k]ᵀ · B[m×n]` without materialising the transpose
-    /// (the systolic array's Fig. 8 dataflow, in software).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths do not match the dimensions.
-    pub fn matmul_at_b(self, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut c = vec![0.0f32; k * n];
-        self.matmul_at_b_into(&mut c, a, b, m, k, n);
-        c
-    }
-
-    /// [`GemmBackend::matmul_at_b`] writing into a caller-provided output
-    /// buffer (fully overwritten). Same summation-order contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length does not match the dimensions.
-    pub fn matmul_at_b_into(
-        self,
-        c: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        assert_eq!(a.len(), m * k, "A dimensions");
-        assert_eq!(b.len(), m * n, "B dimensions");
-        assert_eq!(c.len(), k * n, "C dimensions");
-        match self {
-            GemmBackend::Naive => crate::gemm::matmul_at_b_into(c, a, b, m, k, n),
-            GemmBackend::Blocked if crate::simd::simd_active() => {
-                crate::simd::matmul_at_b_f32(c, a, b, m, k, n)
-            }
-            GemmBackend::Blocked => at_b_blocked_into(c, a, b, m, k, n),
-        }
+        "blocked"
     }
 }
 
-impl FromStr for GemmBackend {
-    type Err = String;
+/// [`Blocked`], for `perfbench`'s run context. ROADMAP item 3's
+/// benchmark PR removes it.
+#[doc(hidden)]
+pub fn default_backend() -> Blocked {
+    Blocked
+}
 
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "naive" => Ok(GemmBackend::Naive),
-            "blocked" => Ok(GemmBackend::Blocked),
-            other => Err(format!(
-                "unknown GEMM backend {other:?} (expected naive|blocked)"
-            )),
-        }
+/// Dense row-major `C[m×n] = A[m×k] · B[k×n]` into `c` (fully
+/// overwritten, so a dirty buffer is fine): the allocation-free entry
+/// point of every conv and FC product.
+///
+/// # Panics
+///
+/// Panics if any slice length does not match the dimensions.
+pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "A dimensions");
+    assert_eq!(b.len(), k * n, "B dimensions");
+    assert_eq!(c.len(), m * n, "C dimensions");
+    if crate::simd::simd_active() {
+        crate::simd::matmul_f32(c, a, b, m, k, n)
+    } else {
+        matmul_band(c, a, b, m, k, n)
     }
 }
 
-impl core::fmt::Display for GemmBackend {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
+/// `C[k×n] = A[m×k]ᵀ · B[m×n]` into `c` (fully overwritten) without
+/// materialising the transpose (the systolic array's Fig. 8 dataflow,
+/// in software).
+///
+/// # Panics
+///
+/// Panics if any slice length does not match the dimensions.
+pub fn matmul_at_b_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "A dimensions");
+    assert_eq!(b.len(), m * n, "B dimensions");
+    assert_eq!(c.len(), k * n, "C dimensions");
+    if crate::simd::simd_active() {
+        crate::simd::matmul_at_b_f32(c, a, b, m, k, n)
+    } else {
+        at_b_blocked_into(c, a, b, m, k, n)
     }
 }
 
-/// The process-wide default backend: `NN_GEMM_BACKEND` (resolved once,
-/// then cached). Freshly-constructed layers pick this up.
-pub fn default_backend() -> GemmBackend {
-    static DEFAULT: OnceLock<GemmBackend> = OnceLock::new();
-    *DEFAULT.get_or_init(GemmBackend::from_env)
-}
-
-/// Parses a GEMM-backend env knob (the one documented route for
-/// `NN_GEMM_BACKEND` and the bench binaries' `--backend` override).
-/// Returns `None` when the variable is unset; a set-but-unknown value
-/// **warns on stderr** and returns `None` — the same
-/// complain-then-fall-back policy as [`crate::pool::env_thread_knob`],
-/// so a typo'd backend can no longer silently run blocked.
-pub fn env_backend_knob(var: &str) -> Option<GemmBackend> {
-    parse_backend_knob(var, &std::env::var(var).ok()?)
-}
-
-/// The parse half of [`env_backend_knob`], split out so tests can cover
-/// the accept/warn behaviour without mutating process env (concurrent
-/// `setenv`/`getenv` from parallel test threads is UB on glibc).
-pub(crate) fn parse_backend_knob(var: &str, v: &str) -> Option<GemmBackend> {
-    match v.parse::<GemmBackend>() {
-        Ok(be) => Some(be),
-        Err(e) => {
-            eprintln!("warning: {var}: {e}; using blocked");
-            None
-        }
-    }
-}
-
-/// Blocked `A·B` on the scalar tile over the whole output (single
-/// thread), into `c` — the `NN_SIMD=off` and no-AVX2 path.
-fn matmul_blocked_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    // Mat-vec and skinny products gain nothing from packing; the reference
-    // loops have the identical summation order, so this is invisible.
-    if n < 8 {
-        crate::gemm::matmul_into(c, a, b, m, k, n);
-        return;
-    }
-    matmul_band(c, a, b, m, k, n);
-}
-
-/// Blocked `A·B` into a row band: `c` and `a` hold `rows` consecutive
-/// rows of the output and of `A` respectively.
+/// Blocked `A·B` on the scalar tile, into `c` — the `NN_SIMD=off` and
+/// no-AVX2 path. `c` and `a` hold `rows` rows of the output and of `A`.
 ///
 /// Loop structure (GotoBLAS-style, register-accumulating micro-kernel):
 ///
@@ -397,91 +268,52 @@ fn at_b_blocked_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::difftest::{self, bits};
 
-    fn fill(len: usize, seed: u32) -> Vec<f32> {
-        (0..len)
-            .map(|i| {
-                let h = (i as u32).wrapping_mul(2654435761).wrapping_add(seed);
-                (h % 2000) as f32 / 1000.0 - 1.0
-            })
-            .collect()
+    /// Runs `f` with the lanes as the host allows, then with the scalar
+    /// tile forced.
+    fn lanes_and_scalar(mut f: impl FnMut(&str)) {
+        let _lock = crate::simd::gate_lock();
+        f("lanes");
+        let _scalar = crate::simd::force_scalar();
+        f("scalar");
     }
 
     #[test]
-    fn blocked_matches_naive_bitwise() {
+    fn matmul_matches_the_oracle_bitwise() {
         for (m, k, n) in [
             (0usize, 3usize, 4usize),
             (3, 0, 4),
             (3, 4, 0),
             (1, 1, 1),
             (5, 7, 9),
+            (9, 6, 3),     // skinny: the column tail alone
             (8, 300, 16),  // long contraction, fully register-resident
             (13, 257, 33), // ragged tails on every dimension
             (4, 10, 600),  // n > NC: crosses a column-tile boundary
         ] {
-            let a = fill(m * k, 1);
-            let b = fill(k * n, 2);
-            let want = GemmBackend::Naive.matmul(&a, &b, m, k, n);
-            let got = GemmBackend::Blocked.matmul(&a, &b, m, k, n);
-            assert_eq!(
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "m={m} k={k} n={n}"
-            );
+            let a = difftest::fill(m * k, 1, false);
+            let b = difftest::fill(k * n, 2, false);
+            let want = bits(&difftest::matmul(&a, &b, m, k, n));
+            lanes_and_scalar(|path| {
+                let mut got = vec![f32::NAN; m * n]; // dirty: fully overwritten
+                matmul_into(&mut got, &a, &b, m, k, n);
+                assert_eq!(want, bits(&got), "{path} m={m} k={k} n={n}");
+            });
         }
     }
 
     #[test]
-    fn at_b_matches_naive_bitwise() {
+    fn at_b_matches_the_oracle_bitwise() {
         for (m, k, n) in [(0usize, 3usize, 4usize), (6, 5, 7), (9, 130, 12), (5, 4, 1)] {
-            let a = fill(m * k, 3);
-            let b = fill(m * n, 4);
-            let want = GemmBackend::Naive.matmul_at_b(&a, &b, m, k, n);
-            let got = GemmBackend::Blocked.matmul_at_b(&a, &b, m, k, n);
-            assert_eq!(
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "m={m} k={k} n={n}"
-            );
+            let a = difftest::fill(m * k, 3, false);
+            let b = difftest::fill(m * n, 4, false);
+            let want = bits(&difftest::matmul_at_b(&a, &b, m, k, n));
+            lanes_and_scalar(|path| {
+                let mut got = vec![f32::NAN; k * n];
+                matmul_at_b_into(&mut got, &a, &b, m, k, n);
+                assert_eq!(want, bits(&got), "{path} m={m} k={k} n={n}");
+            });
         }
-    }
-
-    #[test]
-    fn parse_roundtrip_and_errors() {
-        for be in GemmBackend::ALL {
-            assert_eq!(be.name().parse::<GemmBackend>().unwrap(), be);
-            assert_eq!(be.to_string(), be.name());
-        }
-        assert_eq!(
-            " Blocked ".parse::<GemmBackend>().unwrap(),
-            GemmBackend::Blocked
-        );
-        assert!("gpu".parse::<GemmBackend>().is_err());
-        assert!("threaded".parse::<GemmBackend>().is_err());
-        assert!("simd".parse::<GemmBackend>().is_err());
-    }
-
-    #[test]
-    fn backend_knob_accepts_and_warns() {
-        // The parse half is covered directly (no env mutation — see
-        // `parse_backend_knob`'s doc); unknown values warn + None so
-        // `from_env` falls back to the default instead of silently
-        // misreading a typo.
-        for be in GemmBackend::ALL {
-            assert_eq!(parse_backend_knob("K", be.name()), Some(be));
-        }
-        assert_eq!(
-            parse_backend_knob("K", " Blocked "),
-            Some(GemmBackend::Blocked)
-        );
-        // The retired row-band and FMA backends warn and fall back to
-        // blocked (the `None` that `from_env` defaults), never a panic.
-        assert_eq!(parse_backend_knob("K", "threaded"), None);
-        assert_eq!(parse_backend_knob("K", " Threaded "), None);
-        assert_eq!(parse_backend_knob("K", "simd"), None);
-        assert_eq!(parse_backend_knob("K", " Simd "), None);
-        assert_eq!(parse_backend_knob("K", "gpu"), None);
-        assert_eq!(parse_backend_knob("K", ""), None);
-        assert_eq!(env_backend_knob("NN_TEST_BACKEND_KNOB_UNSET"), None);
     }
 }

@@ -2,7 +2,6 @@
 
 use rand::rngs::SmallRng;
 
-use crate::backend::GemmBackend;
 use crate::error::NnError;
 use crate::init::WeightInit;
 use crate::layer::{Layer, ParamTensor};
@@ -15,7 +14,7 @@ use crate::workspace::LayerWs;
 /// Weights are stored `[C_out, C_in, K_h, K_w]`; square stride and
 /// symmetric zero padding, matching the AlexNet layers of the paper.
 ///
-/// Every backend runs one algorithm, the im2col GEMM of §V-B: the
+/// Every pass runs one algorithm, the im2col GEMM of §V-B: the
 /// **whole batch** routes through **one** GEMM per pass —
 /// `W[out_c × taps] · cols[taps × N·positions]` forward,
 /// `G[N·positions × out_c] · W` for the input gradient — so batching
@@ -35,11 +34,10 @@ use crate::workspace::LayerWs;
 /// loop beside its `dX` GEMM + col2im (`dW ∥ dX`). Every output element
 /// keeps its one ascending-taps chain, so neither split changes a bit.
 ///
-/// The backend only picks the GEMM kernel, so `Naive` and `Blocked`
-/// give bit-identical passes (the summation-order contract of
-/// [`crate::backend`]). The direct-loop convolution survives as the
-/// test oracle [`crate::difftest::conv_direct_forward`], equal to this
-/// path to float rounding.
+/// The products run on the [`crate::backend`] kernel. The direct-loop
+/// convolution survives as the test oracle
+/// [`crate::difftest::conv_direct_forward`], equal to this path to
+/// float rounding.
 ///
 /// # Examples
 ///
@@ -61,7 +59,6 @@ pub struct Conv2d {
     pad: usize,
     weight: ParamTensor,
     bias: ParamTensor,
-    backend: GemmBackend,
     scratch: LayerWs,
 }
 
@@ -119,7 +116,6 @@ impl Conv2d {
             pad,
             weight,
             bias,
-            backend: crate::backend::default_backend(),
             scratch: LayerWs::new(),
         }
     }
@@ -195,7 +191,6 @@ impl Layer for Conv2d {
         let gc = LayerWs::reuse_buf(gemm_c, out_c * n * positions);
         let od = LayerWs::reuse(out, &[n, out_c, out_h, out_w]).data_mut();
         let (w, b) = (self.weight.value.data(), self.bias.value.data());
-        let backend = self.backend;
         let slab_pass = |s0: usize, bt: &mut [f32], gc: &mut [f32], od: &mut [f32]| {
             let cols = od.len() / out_c;
             for (j, pos0) in (0..cols).step_by(positions).enumerate() {
@@ -212,7 +207,7 @@ impl Layer for Conv2d {
                     pad,
                 );
             }
-            backend.matmul_into(gc, w, bt, out_c, taps, cols);
+            crate::backend::matmul_into(gc, w, bt, out_c, taps, cols);
             for (j, od_j) in od.chunks_mut(out_c * positions).enumerate() {
                 for (oc, dst) in od_j.chunks_mut(positions).enumerate() {
                     let src = &gc[oc * cols + j * positions..oc * cols + (j + 1) * positions];
@@ -270,14 +265,6 @@ impl Layer for Conv2d {
         let (h, w) = self.out_hw(input_shape[1], input_shape[2]);
         vec![self.out_c, h, w]
     }
-
-    fn set_gemm_backend(&mut self, backend: GemmBackend) {
-        self.backend = backend;
-    }
-
-    fn gemm_backend(&self) -> Option<GemmBackend> {
-        Some(self.backend)
-    }
 }
 
 impl Conv2d {
@@ -326,7 +313,6 @@ impl Conv2d {
         let big_n = n * positions;
         let go = grad_output.data();
         let (in_c, out_c, k, stride, pad) = self.geometry();
-        let backend = self.backend;
         let LayerWs {
             input: ws_input,
             grad_in,
@@ -368,7 +354,7 @@ impl Conv2d {
                 // dWᵢ, fully reduced per sample, then accumulated — the
                 // serial op sequence exactly.
                 let gi_block = &gbig[i * positions * out_c..(i + 1) * positions * out_c];
-                backend.matmul_at_b_into(dw, gi_block, cols, positions, out_c, taps);
+                crate::backend::matmul_at_b_into(dw, gi_block, cols, positions, out_c, taps);
                 for (a, &v) in weight.grad.data_mut().iter_mut().zip(dw.iter()) {
                     *a += v;
                 }
@@ -391,7 +377,7 @@ impl Conv2d {
         let w = weight.value.data();
         let mut dx = || {
             let dcols = LayerWs::reuse_buf(gemm_c, big_n * taps);
-            backend.matmul_into(dcols, gbig, w, big_n, out_c, taps);
+            crate::backend::matmul_into(dcols, gbig, w, big_n, out_c, taps);
             let grad_in = LayerWs::reuse_zeroed(grad_in, input.shape());
             let in_plane = in_c * in_h * in_w;
             for (gi_i, dcols_i) in grad_in

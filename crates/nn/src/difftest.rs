@@ -1,53 +1,48 @@
-//! Shared differential-testing harness for the backend × pool ×
-//! precision equivalence suites.
-//!
-//! Every backend this repo ships lands inside the same discipline: a
-//! **bitwise** contract against an oracle where the arithmetic permits
-//! it (the float summation-order family, the whole integer datapath),
-//! and a **documented tolerance tier** where it does not (a different
-//! algorithm — see `docs/gemm_backends.md`). The suites
-//! that enforce this (`gemm_backends.rs`, `quant_equivalence.rs`,
-//! `pool_equivalence.rs`, `simd_equivalence.rs`) used to each carry
-//! their own copy of the value generators and comparators; this module
-//! is the single shared copy, so a new backend tier extends one
-//! harness instead of four test files.
+//! Shared differential-testing harness: the oracles every kernel is
+//! proven against, and the value streams and comparators the
+//! equivalence suites share.
 //!
 //! What lives here:
 //!
+//! * the GEMM oracles — the textbook triple loops the production
+//!   kernels are proven **bitwise** equal to: [`matmul`] /
+//!   [`matmul_into`] and [`matmul_at_b`] / [`matmul_at_b_into`] for the
+//!   f32 kernel of [`crate::backend`], and [`qmatmul_naive`] for the
+//!   Q8.8 kernel of [`crate::qgemm`];
+//! * the direct-convolution oracle ([`conv_direct_forward`],
+//!   [`conv_direct_backward`]) — the textbook loops the im2col GEMM in
+//!   [`Conv2d`] is checked against. It is a different algorithm (a
+//!   different association), so it agrees to float rounding only, the
+//!   one tolerance tier left (see `docs/gemm_backends.md`);
 //! * deterministic value streams ([`fill`], [`fill01`], [`qfill`]) —
 //!   hash-based, seedable, optionally salted with IEEE specials;
 //! * bit canonicalisers ([`bits`], [`qbits`]) and comparators: exact
-//!   ([`assert_bitwise`]), ULP-distance ([`max_ulp_diff`]) and
-//!   absolute+relative ([`assert_close`]) —
-//!   all `NaN`/`±∞`-classification-aware;
-//! * sweep runners: [`POOL_SIZES`] with [`sweep_pools`] (installs a
-//!   [`crate::pool::ThreadPool`] per size), [`sweep_backends`] /
-//!   [`sweep_qbackends`] over the backend enums;
-//! * the direct-convolution oracle ([`conv_direct_forward`],
-//!   [`conv_direct_backward`]) — the textbook loops the im2col GEMM in
-//!   [`Conv2d`] is checked against.
+//!   ([`assert_bitwise`]) and absolute+relative ([`assert_close`]),
+//!   both `NaN`/`±∞`-classification-aware;
+//! * the pool sweep: [`POOL_SIZES`] with [`sweep_pools`] (installs a
+//!   [`crate::pool::ThreadPool`] per size).
 //!
 //! The module is ordinary library code (usable from benches and
 //! doctests too), but its only consumers are test surfaces; nothing in
-//! the engine's hot path depends on it.
+//! the engine calls it.
 //!
 //! # Examples
 //!
 //! ```
-//! use mramrl_nn::difftest;
+//! use mramrl_nn::{backend, difftest};
 //!
-//! let a = difftest::fill(8, 42, false);
-//! let b = difftest::fill(8, 42, false);
-//! difftest::assert_bitwise("same stream", &a, &b);
-//! assert_eq!(difftest::max_ulp_diff(&a, &b), Some(0));
+//! let (m, k, n) = (3, 5, 4);
+//! let a = difftest::fill(m * k, 42, false);
+//! let b = difftest::fill(k * n, 43, false);
+//! let mut c = vec![0.0; m * n];
+//! backend::matmul_into(&mut c, &a, &b, m, k, n);
+//! difftest::assert_bitwise("kernel vs oracle", &difftest::matmul(&a, &b, m, k, n), &c);
 //! ```
 
-use mramrl_fixed::Q8_8;
+use mramrl_fixed::{Acc32, Q8_8};
 
-use crate::backend::GemmBackend;
 use crate::conv::Conv2d;
 use crate::pool::ThreadPool;
-use crate::qgemm::QGemmBackend;
 use crate::tensor::Tensor;
 
 /// The pool sizes every pooled contract is swept over (1 = the serial
@@ -139,48 +134,6 @@ pub fn assert_bitwise(tag: &str, want: &[f32], got: &[f32]) {
     }
 }
 
-/// The largest ULP distance between corresponding elements, or `None`
-/// when the slices disagree on any element's *classification* (`NaN`
-/// here but not there, differing infinities, or a length mismatch) —
-/// distances are only meaningful between two finite values, and a
-/// classification flip is a failure a distance must not paper over.
-/// `NaN`/`NaN` and equal-infinity pairs count as distance 0; `+0.0`
-/// vs `-0.0` as 1.
-pub fn max_ulp_diff(want: &[f32], got: &[f32]) -> Option<u64> {
-    if want.len() != got.len() {
-        return None;
-    }
-    let mut max = 0u64;
-    for (&a, &b) in want.iter().zip(got) {
-        if a.is_nan() || b.is_nan() {
-            if a.is_nan() && b.is_nan() {
-                continue;
-            }
-            return None;
-        }
-        if a.is_infinite() || b.is_infinite() {
-            if a == b {
-                continue;
-            }
-            return None;
-        }
-        // Monotone map of finite f32 onto a contiguous integer line
-        // (sign-magnitude → two's-complement-like, negatives shifted
-        // down one so -0.0 ↦ -1), so ULP distance is integer distance
-        // and distance 0 ⇔ identical bits; the ±0.0 pair lands 1 apart.
-        let line = |v: f32| -> i64 {
-            let b = v.to_bits() as i32;
-            if b >= 0 {
-                i64::from(b)
-            } else {
-                -i64::from(b & i32::MAX) - 1
-            }
-        };
-        max = max.max(line(a).abs_diff(line(b)));
-    }
-    Some(max)
-}
-
 /// Asserts two f32 slices agree to `|a - b| ≤ atol + rtol·max(|a|,|b|)`
 /// element-wise, with identical non-finite classification (the
 /// documented-tolerance-tier comparator: `NaN` positions and infinity
@@ -224,19 +177,113 @@ pub fn sweep_pools(mut f: impl FnMut(usize)) {
     }
 }
 
-/// Runs `f` once per float backend, oracle first
-/// ([`GemmBackend::ALL`]).
-pub fn sweep_backends(mut f: impl FnMut(GemmBackend)) {
-    for be in GemmBackend::ALL {
-        f(be);
+/// The f32 `A·B` oracle: dense row-major `C[m×n] = A[m×k] · B[k×n]`
+/// on the textbook loops. Each output is one accumulator seeded at
+/// `+0.0` adding `a·b` in ascending `k` — the order the
+/// [`crate::backend`] kernel keeps, so the two agree bit for bit.
+/// There is deliberately no skip of zero `A` entries: `0.0 × NaN` must
+/// produce `NaN` (and `-0.0` accumulation must round identically), so
+/// the oracle performs every multiply-accumulate.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match the dimensions.
+pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    matmul_into(&mut c, a, b, m, k, n);
+    c
+}
+
+/// [`matmul`] writing into `c` (fully overwritten).
+///
+/// # Panics
+///
+/// Panics if any slice length does not match the dimensions.
+pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "A dimensions");
+    assert_eq!(b.len(), k * n, "B dimensions");
+    assert_eq!(c.len(), m * n, "C dimensions");
+    c.fill(0.0);
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        let c_row = &mut c[i * n..(i + 1) * n];
+        for (kk, &av) in a_row.iter().enumerate() {
+            let b_row = &b[kk * n..(kk + 1) * n];
+            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
+                *cv += av * bv;
+            }
+        }
     }
 }
 
-/// Runs `f` once per integer backend, oracle first
-/// ([`QGemmBackend::ALL`]).
-pub fn sweep_qbackends(mut f: impl FnMut(QGemmBackend)) {
-    for be in QGemmBackend::ALL {
-        f(be);
+/// The f32 `Aᵀ·B` oracle: `C[k×n] = A[m×k]ᵀ · B[m×n]` without
+/// materialising the transpose, each output one chain in ascending
+/// shared row `i`. Like [`matmul`] it never skips zero entries.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match the dimensions.
+pub fn matmul_at_b(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; k * n];
+    matmul_at_b_into(&mut c, a, b, m, k, n);
+    c
+}
+
+/// [`matmul_at_b`] writing into `c` (fully overwritten).
+///
+/// # Panics
+///
+/// Panics if any slice length does not match the dimensions.
+pub fn matmul_at_b_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "A dimensions");
+    assert_eq!(b.len(), m * n, "B dimensions");
+    assert_eq!(c.len(), k * n, "C dimensions");
+    c.fill(0.0);
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        let b_row = &b[i * n..(i + 1) * n];
+        for (kk, &av) in a_row.iter().enumerate() {
+            let c_row = &mut c[kk * n..(kk + 1) * n];
+            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
+                *cv += av * bv;
+            }
+        }
+    }
+}
+
+/// The Q8.8 oracle for [`crate::qgemm::matmul_bt_bias_requant_into`]:
+/// `C[m×n] = requant(bias[m·row] + A[m×k] · B[n×k]ᵀ)`, one [`Acc32`]
+/// per output — seeded from its row's bias, products added in
+/// ascending `k`, saturated at the 32-bit accumulator width after every
+/// step, re-quantised once.
+///
+/// # Panics
+///
+/// Panics if any slice length does not match the dimensions.
+#[allow(clippy::too_many_arguments)]
+pub fn qmatmul_naive(
+    c: &mut [Q8_8],
+    a: &[Q8_8],
+    bt: &[Q8_8],
+    bias: &[Q8_8],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), m * k, "A dimensions");
+    assert_eq!(bt.len(), n * k, "Bᵀ dimensions");
+    assert_eq!(bias.len(), m, "bias dimensions");
+    assert_eq!(c.len(), m * n, "C dimensions");
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        for j in 0..n {
+            let brow = &bt[j * k..(j + 1) * k];
+            let mut acc = Acc32::from_q(bias[i]);
+            for (&av, &bv) in arow.iter().zip(brow) {
+                acc = acc.mac(av, bv);
+            }
+            c[i * n + j] = acc.to_q::<8>();
+        }
     }
 }
 
@@ -244,9 +291,9 @@ pub fn sweep_qbackends(mut f: impl FnMut(QGemmBackend)) {
 /// textbook loops, with `conv`'s weights, bias and geometry, returning
 /// `[out_c, out_h, out_w]`.
 ///
-/// [`Conv2d`] runs the im2col GEMM on every backend; this is a different
-/// algorithm (different association), so the two agree to float rounding
-/// only — the tolerance tier of `docs/gemm_backends.md`.
+/// [`Conv2d`] runs the im2col GEMM; this is a different algorithm
+/// (different association), so the two agree to float rounding only —
+/// the tolerance tier of `docs/gemm_backends.md`.
 pub fn conv_direct_forward(conv: &Conv2d, x: &Tensor) -> Tensor {
     let (in_c, out_c, k, stride, pad) = conv.geometry();
     let (in_h, in_w) = (x.shape()[1], x.shape()[2]);
@@ -360,20 +407,25 @@ mod tests {
     }
 
     #[test]
-    fn ulp_distance_counts_and_rejects_classification_flips() {
-        let one = 1.0f32;
-        let next = f32::from_bits(one.to_bits() + 1);
-        assert_eq!(max_ulp_diff(&[one], &[one]), Some(0));
-        assert_eq!(max_ulp_diff(&[one], &[next]), Some(1));
-        assert_eq!(max_ulp_diff(&[0.0], &[-0.0]), Some(1));
-        assert_eq!(
-            max_ulp_diff(&[-one], &[one]),
-            Some(2 * u64::from(one.to_bits()) + 1)
-        );
-        assert_eq!(max_ulp_diff(&[f32::NAN], &[f32::NAN]), Some(0));
-        assert_eq!(max_ulp_diff(&[f32::NAN], &[1.0]), None);
-        assert_eq!(max_ulp_diff(&[f32::INFINITY], &[f32::NEG_INFINITY]), None);
-        assert_eq!(max_ulp_diff(&[1.0], &[1.0, 2.0]), None);
+    fn matmul_known_values() {
+        // [1 2; 3 4] · [5 6; 7 8] = [19 22; 43 50]
+        let c = matmul(&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0], 2, 2, 2);
+        assert_eq!(c, vec![19.0, 22.0, 43.0, 50.0]);
+    }
+
+    #[test]
+    fn matmul_at_b_equals_explicit_transpose() {
+        let a = fill(6 * 4, 1, false); // A is 6×4
+        let b = fill(6 * 3, 2, false); // B is 6×3
+        let fast = matmul_at_b(&a, &b, 6, 4, 3);
+        // Explicit Aᵀ then plain matmul: the same chains, the same bits.
+        let mut at = vec![0.0f32; 24];
+        for i in 0..6 {
+            for j in 0..4 {
+                at[j * 6 + i] = a[i * 4 + j];
+            }
+        }
+        assert_bitwise("Aᵀ·B", &matmul(&at, &b, 4, 6, 3), &fast);
     }
 
     #[test]
@@ -384,15 +436,9 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_cover_every_configuration() {
+    fn pool_sweep_covers_every_size() {
         let mut pools = Vec::new();
         sweep_pools(|t| pools.push(t));
         assert_eq!(pools, POOL_SIZES.to_vec());
-        let mut bes = Vec::new();
-        sweep_backends(|b| bes.push(b));
-        assert_eq!(bes, GemmBackend::ALL.to_vec());
-        let mut qbes = Vec::new();
-        sweep_qbackends(|b| qbes.push(b));
-        assert_eq!(qbes, QGemmBackend::ALL.to_vec());
     }
 }

@@ -2,7 +2,6 @@
 
 use rand::rngs::SmallRng;
 
-use crate::backend::GemmBackend;
 use crate::error::NnError;
 use crate::init::WeightInit;
 use crate::layer::{Layer, ParamTensor};
@@ -12,9 +11,9 @@ use crate::workspace::LayerWs;
 /// A fully-connected layer `y = W·x + b` with weights `[out, in]`.
 ///
 /// The batched forward runs **one** GEMM per layer: `Yᵀ[out×N] =
-/// W[out×in] · Xᵀ[in×N]` on the layer's [`GemmBackend`] — the batch
+/// W[out×in] · Xᵀ[in×N]` on the [`crate::backend`] kernel — the batch
 /// multiplies the GEMM's column dimension, which is exactly where the
-/// blocked kernel wins (a serial mat-vec gives it nothing to tile). The
+/// register tile wins (a serial mat-vec gives it nothing to tile). The
 /// batched backward likewise folds the whole batch into one
 /// `dW = Gᵀ·X` product and one `dX = G·W` product (the latter skipped
 /// by [`Layer::backward_batch_params`]). Where [`crate::pool`]'s one
@@ -28,13 +27,11 @@ use crate::workspace::LayerWs;
 /// reduced in the same ascending order as the serial single-image pass
 /// (per-sample contraction first, samples in ascending order), so a
 /// batched pass from zeroed accumulators is bit-identical to `N` serial
-/// passes on every backend.
+/// passes.
 ///
-/// Note one deliberate rounding change versus the pre-backend seed
-/// implementation: the bias is added **after** the full dot product
-/// (it used to seed the accumulator), so even the `Naive` backend does
-/// not bit-reproduce pre-backend training curves — it reproduces the
-/// shared cross-backend order instead.
+/// The bias is added **after** the full dot product, never as the
+/// accumulator's seed, so every product is a plain `+0.0`-seeded GEMM
+/// chain that the kernel and its oracle share.
 ///
 /// # Examples
 ///
@@ -53,7 +50,6 @@ pub struct Linear {
     out_f: usize,
     weight: ParamTensor,
     bias: ParamTensor,
-    backend: GemmBackend,
     scratch: LayerWs,
 }
 
@@ -84,7 +80,6 @@ impl Linear {
             out_f,
             weight,
             bias,
-            backend: crate::backend::default_backend(),
             scratch: LayerWs::new(),
         }
     }
@@ -139,16 +134,16 @@ impl Layer for Linear {
         // only its share of W against the shared, small Xᵀ, and every
         // output element stays the one ascending-`in` dot product.
         let yt = LayerWs::reuse_buf(&mut ws.gemm_c, self.out_f * n);
-        let (w, backend) = (self.weight.value.data(), self.backend);
+        let w = self.weight.value.data();
         let parts = crate::pool::split_parts(self.out_f * in_f * n, self.out_f);
         if parts == 1 {
-            backend.matmul_into(yt, w, xt, self.out_f, in_f, n);
+            crate::backend::matmul_into(yt, w, xt, self.out_f, in_f, n);
         } else {
             let band = self.out_f.div_ceil(parts);
             crate::pool::current().scatter_chunks(yt, band * n, |t, yband| {
                 let rows = yband.len() / n;
                 let wband = &w[t * band * in_f..(t * band + rows) * in_f];
-                backend.matmul_into(yband, wband, xt, rows, in_f, n);
+                crate::backend::matmul_into(yband, wband, xt, rows, in_f, n);
             });
         }
 
@@ -191,14 +186,6 @@ impl Layer for Linear {
     fn output_shape(&self, _input_shape: &[usize]) -> Vec<usize> {
         vec![self.out_f]
     }
-
-    fn set_gemm_backend(&mut self, backend: GemmBackend) {
-        self.backend = backend;
-    }
-
-    fn gemm_backend(&self) -> Option<GemmBackend> {
-        Some(self.backend)
-    }
 }
 
 impl Linear {
@@ -222,7 +209,7 @@ impl Linear {
             });
         }
         let n = ws.batch;
-        let (in_f, out_f, backend) = (self.in_f, self.out_f, self.backend);
+        let (in_f, out_f) = (self.in_f, self.out_f);
         assert_eq!(grad_output.len(), n * out_f, "linear grad length mismatch");
         let LayerWs {
             input,
@@ -240,7 +227,7 @@ impl Linear {
             // products accumulate in (each per-sample term is a single
             // product, so the fused GEMM is bit-identical).
             let dw = LayerWs::reuse_buf(acc, out_f * in_f);
-            backend.matmul_at_b_into(dw, go, input.data(), n, out_f, in_f);
+            crate::backend::matmul_at_b_into(dw, go, input.data(), n, out_f, in_f);
             for (a, &v) in weight.grad.data_mut().iter_mut().zip(dw.iter()) {
                 *a += v;
             }
@@ -262,7 +249,7 @@ impl Linear {
         let w = weight.value.data();
         let mut dx = || {
             let gi = LayerWs::reuse(grad_in, &[n, in_f]);
-            backend.matmul_into(gi.data_mut(), go, w, n, out_f, in_f);
+            crate::backend::matmul_into(gi.data_mut(), go, w, n, out_f, in_f);
         };
         if crate::pool::split_parts(n * out_f * in_f, 2) > 1 {
             crate::pool::join2(params, dx);

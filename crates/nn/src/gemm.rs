@@ -4,112 +4,16 @@
 //! matrix multiplications: "we use GEMM \[16\], where the system first reads
 //! the data ... and expands the inputs to each CONV layers in a 2D
 //! matrix". This module holds the pieces of that transformation —
-//! `im2col`, its adjoint `col2im`, and the reference `matmul` kernels —
-//! which [`crate::Conv2d`] composes into its forward and backward passes
-//! on every backend.
+//! `im2col` and its adjoint `col2im` — which [`crate::Conv2d`] composes
+//! with the [`crate::backend`] kernel into its forward and backward
+//! passes.
 //!
-//! # Backends and the tolerance policy
-//!
-//! The matrix products themselves are pluggable through
-//! [`crate::backend::GemmBackend`] (see `docs/gemm_backends.md`); the
-//! functions here are the [`crate::backend::GemmBackend::Naive`]
-//! kernels. Two different equivalence guarantees apply:
-//!
-//! * **Across the bitwise backends** (same algorithm, different kernel):
-//!   results are **bit-for-bit identical**, because every backend
-//!   accumulates each output element in the same (ascending contraction
-//!   index) order. `NaN` and `-0.0` propagate identically — [`matmul`]
-//!   deliberately has no `a == 0.0` skip for exactly this reason. (Sole
-//!   carve-out: `NaN` *payload* bits, which IEEE-754 leaves unspecified;
-//!   `NaN` positions still agree exactly.)
-//! * **The GEMM path vs the direct-convolution oracle**
-//!   ([`crate::difftest::conv_direct_forward`] — different algorithm,
-//!   different associativity): equality only up to float rounding; tests
-//!   use a `1e-4` absolute tolerance on unit-scale data.
+//! The GEMM path agrees with the direct-convolution oracle
+//! ([`crate::difftest::conv_direct_forward`] — a different algorithm,
+//! with a different association) only up to float rounding: tests use a
+//! `1e-4` absolute tolerance on unit-scale data.
 
 use crate::tensor::Tensor;
-
-/// Dense row-major matrix multiply: `C[m×n] = A[m×k] · B[k×n]`.
-///
-/// This is the **reference kernel**
-/// ([`crate::backend::GemmBackend::Naive`]); the blocked
-/// backend is proven bitwise-equal to it. There is
-/// deliberately no skip of zero `A` entries: `0.0 × NaN` must produce
-/// `NaN` (and `-0.0` accumulation must round identically) on every
-/// backend, so the oracle performs every multiply-accumulate.
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match the dimensions.
-pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    matmul_into(&mut c, a, b, m, k, n);
-    c
-}
-
-/// [`matmul`] writing into a caller-provided output (the allocation-free
-/// entry point the batched workspace path uses). `c` is fully
-/// overwritten.
-///
-/// # Panics
-///
-/// Panics if any slice length does not match the dimensions.
-pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A dimensions");
-    assert_eq!(b.len(), k * n, "B dimensions");
-    assert_eq!(c.len(), m * n, "C dimensions");
-    c.fill(0.0);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (kk, &av) in a_row.iter().enumerate() {
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += av * bv;
-            }
-        }
-    }
-}
-
-/// `A[m×k]ᵀ · B[m×n] → C[k×n]` without materialising the transpose —
-/// the systolic array's Fig. 8 trick, in software.
-///
-/// Reference kernel for [`crate::backend::GemmBackend::Naive`]; like
-/// [`matmul`] it never
-/// skips zero entries, so `NaN`/`-0.0` behaviour is identical across
-/// backends.
-///
-/// # Panics
-///
-/// Panics if the slice lengths do not match the dimensions.
-pub fn matmul_at_b(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; k * n];
-    matmul_at_b_into(&mut c, a, b, m, k, n);
-    c
-}
-
-/// [`matmul_at_b`] writing into a caller-provided output. `c` is fully
-/// overwritten.
-///
-/// # Panics
-///
-/// Panics if any slice length does not match the dimensions.
-pub fn matmul_at_b_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A dimensions");
-    assert_eq!(b.len(), m * n, "B dimensions");
-    assert_eq!(c.len(), k * n, "C dimensions");
-    c.fill(0.0);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let b_row = &b[i * n..(i + 1) * n];
-        for (kk, &av) in a_row.iter().enumerate() {
-            let c_row = &mut c[kk * n..(kk + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += av * bv;
-            }
-        }
-    }
-}
 
 /// Expands a `[C,H,W]` input into the im2col matrix of shape
 /// `[out_h·out_w, C·k·k]` (rows = output positions, cols = patch taps;
@@ -318,31 +222,6 @@ mod tests {
     fn rand_tensor(shape: &[usize], seed: u64) -> Tensor {
         let mut rng = rng_from_seed(seed);
         WeightInit::HeUniform.init(shape, 8, 8, &mut rng)
-    }
-
-    #[test]
-    fn matmul_known_values() {
-        // [1 2; 3 4] · [5 6; 7 8] = [19 22; 43 50]
-        let c = matmul(&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0], 2, 2, 2);
-        assert_eq!(c, vec![19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_at_b_equals_explicit_transpose() {
-        let a = rand_tensor(&[6, 4], 1); // A is 6×4
-        let b = rand_tensor(&[6, 3], 2); // B is 6×3
-        let fast = matmul_at_b(a.data(), b.data(), 6, 4, 3);
-        // Explicit Aᵀ then plain matmul.
-        let mut at = vec![0.0f32; 24];
-        for i in 0..6 {
-            for j in 0..4 {
-                at[j * 6 + i] = a.data()[i * 4 + j];
-            }
-        }
-        let slow = matmul(&at, b.data(), 4, 6, 3);
-        for (f, s) in fast.iter().zip(&slow) {
-            assert!((f - s).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The layer abstraction.
 
-use crate::backend::GemmBackend;
 use crate::error::NnError;
 use crate::tensor::Tensor;
 use crate::workspace::LayerWs;
@@ -80,8 +79,8 @@ impl ParamTensor {
 /// **Bit-identity contract:** with gradient accumulators starting from
 /// zero (the batch boundary), a single `forward_batch`/`backward_batch`
 /// over `N` samples produces bit-for-bit the same activations and
-/// accumulated gradients as `N` serial single-image passes, on every
-/// [`GemmBackend`]. Implementations guarantee this by reducing each
+/// accumulated gradients as `N` serial single-image passes.
+/// Implementations guarantee this by reducing each
 /// output element — and each *per-sample* gradient contribution — in the
 /// same ascending contraction order as the serial path, and by adding
 /// per-sample contributions in ascending sample order (see
@@ -191,18 +190,6 @@ pub trait Layer: Send + Sync {
 
     /// Output shape for a given input shape (used by spec validation).
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize>;
-
-    /// Selects the [`GemmBackend`] used for this layer's matrix products.
-    ///
-    /// Default: no-op — only layers that actually perform GEMMs
-    /// ([`crate::Conv2d`], [`crate::Linear`]) override this.
-    fn set_gemm_backend(&mut self, _backend: GemmBackend) {}
-
-    /// The layer's current [`GemmBackend`] (`None` for layers without
-    /// matrix products).
-    fn gemm_backend(&self) -> Option<GemmBackend> {
-        None
-    }
 }
 
 #[cfg(test)]

@@ -15,11 +15,10 @@
 //!   full-size DATE-19 AlexNet (56.2 M weights; reproduces the Fig. 3(a)
 //!   census byte-for-byte) and a width-scaled *micro* variant that keeps
 //!   the 5-conv + 5-FC topology but trains in seconds on a CPU;
-//! * pluggable GEMM backends ([`backend`]) behind every conv/FC matrix
-//!   product — a naive oracle and a register-tiled kernel on AVX2 lanes
-//!   (scalar without AVX2 or under `NN_SIMD=off`), bit-identical to
-//!   each other, selected via `NN_GEMM_BACKEND` /
-//!   [`Network::set_gemm_backend`] (see `docs/gemm_backends.md`);
+//! * one f32 GEMM kernel ([`backend`]) behind every conv/FC matrix
+//!   product — a register tile on AVX2 lanes (scalar without AVX2 or
+//!   under `NN_SIMD=off`), bit-identical to the naive oracle in
+//!   [`difftest`] (see `docs/gemm_backends.md`);
 //! * a process-persistent deterministic worker [`pool`] behind every
 //!   parallel site in the stack (the one parallel rule that splits a
 //!   large top-level float pass — conv sample slabs, FC row bands,
@@ -28,8 +27,8 @@
 //!   execution at any thread count (see `docs/threading.md`);
 //! * a batch-first 16-bit fixed-point inference **engine** ([`quant`])
 //!   mirroring the platform's Q8.8 datapath with wide MAC accumulation:
-//!   pluggable integer GEMM backends ([`qgemm`] — naive oracle,
-//!   blocked and SIMD kernels, all bit-identical), Q8.8 im2col
+//!   one integer GEMM kernel ([`qgemm`] — the pair tile, on `pmaddwd`
+//!   lanes or scalar adds, bit-identical to its oracle), Q8.8 im2col
 //!   packing, and a caller-owned [`quant::QWorkspace`] mirroring the
 //!   float [`Workspace`] (see `docs/fixed_point.md`);
 //! * weight (de)serialisation for the transfer-learning hand-off.
@@ -38,8 +37,7 @@
 //! the primary API is batch-first: [`Network::forward_batch`] /
 //! [`Network::backward_batch`] process `[N, ...]` tensors against a
 //! caller-owned, reusable [`Workspace`] and are **bit-identical** to `N`
-//! serial single-image passes on every GEMM backend (see
-//! `docs/batching.md`). The single-image `forward` / `backward` survive
+//! serial single-image passes (see `docs/batching.md`). The single-image `forward` / `backward` survive
 //! as batch-of-1 wrappers (§V: the platform "serially process\[es\] one
 //! image at a time"); gradients accumulate until [`Network::apply_sgd`]
 //! either way.
@@ -94,7 +92,6 @@ mod tensor;
 mod topology;
 pub mod workspace;
 
-pub use backend::GemmBackend;
 pub use conv::Conv2d;
 pub use error::NnError;
 pub use fc::Linear;
@@ -105,7 +102,6 @@ pub use loss::Loss;
 pub use lrn::Lrn;
 pub use maxpool::MaxPool2d;
 pub use network::Network;
-pub use qgemm::QGemmBackend;
 pub use quant::{QWorkspace, QuantizedNet};
 pub use relu::Relu;
 pub use sgd::Sgd;
@@ -118,14 +114,12 @@ pub use workspace::{LayerWs, Workspace};
 mod tests {
     use proptest::prelude::*;
 
-    use crate::backend::parse_backend_knob;
     use crate::pool::parse_thread_knob;
     use crate::simd::parse_simd_knob;
 
     /// Knob-parser inputs: a mix of the tokens the parsers accept or
     /// nearly accept (numbers at the `usize` edge, signs, whitespace,
-    /// mixed case, backend and switch names — the retired `threaded`
-    /// and `pooled` among them) and arbitrary Unicode scalars — the
+    /// mixed case, switch names) and arbitrary Unicode scalars — the
     /// space a typo'd environment variable lives in.
     fn knob_string() -> impl Strategy<Value = String> {
         const TOKENS: [&str; 26] = [
@@ -177,15 +171,6 @@ mod tests {
             if let Some(t) = parse_thread_knob("K", &s) {
                 prop_assert!(t > 0);
                 prop_assert_eq!(parse_thread_knob("K", &t.to_string()), Some(t));
-            }
-            if let Some(be) = parse_backend_knob("K", &s) {
-                prop_assert_eq!(parse_backend_knob("K", be.name()), Some(be));
-            }
-            // The retired multi-core backends are near misses: rejected
-            // (warned, so `from_env` falls back to blocked), never a panic.
-            let token = s.trim().to_ascii_lowercase();
-            if token == "threaded" || token == "pooled" {
-                prop_assert_eq!(parse_backend_knob("K", &s), None);
             }
             if let Some(on) = parse_simd_knob(&s) {
                 prop_assert_eq!(parse_simd_knob(if on { "on" } else { "off" }), Some(on));

@@ -1,6 +1,5 @@
 //! The network container: layer stack, freezing, batched SGD.
 
-use crate::backend::GemmBackend;
 use crate::error::NnError;
 use crate::layer::Layer;
 use crate::sgd::Sgd;
@@ -149,38 +148,6 @@ impl Network {
             .any(|(l, &t)| l.name() == name && t)
     }
 
-    /// Routes every conv/FC matrix product through `backend`
-    /// ([`GemmBackend::Naive`] reference loops or the register-tiled
-    /// `Blocked` kernel); layers without matrix products are
-    /// unaffected.
-    ///
-    /// Freshly built networks start on
-    /// [`crate::backend::default_backend`] (the `NN_GEMM_BACKEND` env
-    /// knob), so this is only needed to switch explicitly.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mramrl_nn::{GemmBackend, NetworkSpec, Tensor};
-    ///
-    /// let mut net = NetworkSpec::micro(8, 1, 5).build(0);
-    /// net.set_gemm_backend(GemmBackend::Naive);
-    /// assert_eq!(net.gemm_backend(), Some(GemmBackend::Naive));
-    /// let q = net.forward(&Tensor::zeros(&[1, 8, 8])); // same bits, slower
-    /// assert_eq!(q.shape(), &[5]);
-    /// ```
-    pub fn set_gemm_backend(&mut self, backend: GemmBackend) {
-        for layer in &mut self.layers {
-            layer.set_gemm_backend(backend);
-        }
-    }
-
-    /// The backend of the first layer that has one (all layers share a
-    /// backend unless set individually).
-    pub fn gemm_backend(&self) -> Option<GemmBackend> {
-        self.layers.iter().find_map(|l| l.gemm_backend())
-    }
-
     /// A [`Workspace`] sized for this network (one slot per layer).
     pub fn workspace(&self) -> Workspace {
         Workspace::with_layers(self.layers.len())
@@ -205,7 +172,7 @@ impl Network {
     /// final activation `[N, actions]`, borrowed from the workspace.
     ///
     /// Bit-identity: the result rows equal `N` serial [`Network::forward`]
-    /// calls, bit for bit, on every [`GemmBackend`].
+    /// calls, bit for bit.
     pub fn forward_batch<'w>(&self, x: &Tensor, ws: &'w mut Workspace) -> &'w Tensor {
         ws.ensure_layers(self.layers.len());
         let slots = ws.slots_mut();
@@ -225,7 +192,7 @@ impl Network {
     /// truncated at the earliest trainable layer exactly like
     /// [`Network::backward`]. Parameter gradients accumulate **batch
     /// sums** (§III-D), bit-identical — from zeroed accumulators — to `N`
-    /// serial [`Network::backward`] calls on every backend.
+    /// serial [`Network::backward`] calls.
     ///
     /// The earliest trainable layer runs
     /// [`Layer::backward_batch_params`]: its input gradient has no

@@ -539,8 +539,8 @@ fn default_pool_threads() -> usize {
 /// `NN_POOL_THREADS`). Returns `None` when the
 /// variable is unset; a set-but-invalid value (unparsable, or zero)
 /// **warns on stderr** and returns `None` — the same
-/// complain-then-fall-back policy as `NN_GEMM_BACKEND`, so a typo'd
-/// knob can no longer silently run serial.
+/// complain-then-fall-back policy as `NN_SIMD`, so a typo'd knob can no
+/// longer silently run serial.
 pub fn env_thread_knob(var: &str) -> Option<usize> {
     parse_thread_knob(var, &std::env::var(var).ok()?)
 }

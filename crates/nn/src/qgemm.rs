@@ -1,16 +1,16 @@
-//! Integer GEMM backends for the Q8.8 fixed-point hot path.
+//! The integer GEMM kernel for the Q8.8 fixed-point hot path.
 //!
 //! The deployed platform computes in 16-bit fixed point (Fig. 4(b)):
 //! Q8.8 operands, products widened to 32 bits, accumulation in the wide
 //! domain, **one** re-quantisation per output. This module is the
-//! integer mirror of [`crate::backend`]: the kernel that computes every
-//! quantised conv/FC product is *selectable*, and every backend is
-//! bit-identical to the naive oracle.
-//!
-//! | Backend | Kernel | Use |
-//! |---------|--------|-----|
-//! | [`QGemmBackend::Naive`]   | reference triple loops over [`Acc32`] | correctness oracle |
-//! | [`QGemmBackend::Blocked`] | certified rows on the 4×16 pair tile (`pmaddwd` lanes when [`crate::simd::simd_active`], else wrapping `i32` adds); exact saturating chains for the rest | default |
+//! integer mirror of [`crate::backend`]: one kernel,
+//! [`matmul_bt_bias_requant_into`], computes every quantised conv/FC
+//! product. Rows that hold the overflow certificate run on the 4×16
+//! pair tile (`pmaddwd` lanes when [`crate::simd::simd_active`], else
+//! wrapping `i32` adds); the rest take exact saturating chains. The
+//! textbook loops over [`mramrl_fixed::Acc32`] survive as the test
+//! oracle [`crate::difftest::qmatmul_naive`], and the kernel is
+//! bit-identical to it.
 //!
 //! Every integer kernel runs on the calling thread: Q8.8 passes never
 //! fan out over the [`crate::pool`]. Their callers already hold the
@@ -28,7 +28,7 @@
 //! im2col's natural `[positions × taps]` matrix is the conv `Bᵀ`
 //! ([`qim2col_slice_into`]).
 //!
-//! The blocked kernel turns that layout into a register tile. It packs
+//! The kernel turns that layout into a register tile. It packs
 //! each 16-column panel of `Bᵀ` as interleaved `k`-pairs — pair row `p`
 //! holds `(b[j, 2p], b[j, 2p+1])` for the panel's 16 columns `j`, one
 //! `i32` word each, which is two AVX2 registers — and broadcasts each
@@ -49,8 +49,8 @@
 //! every product, exactly like the PE datapath. The contract is
 //! therefore: every output element is one accumulator seeded from its
 //! row's bias, products added in **ascending `k`**, saturating each
-//! step, re-quantised once ([`Acc32::to_q`]). The blocked kernel keeps
-//! the identical bits two ways:
+//! step, re-quantised once ([`Acc32::to_q`]). The kernel keeps the
+//! oracle's bits two ways:
 //!
 //! * rows whose overflow certificate ([`row_safe`], the L1 bound)
 //!   proves the clamp can never fire run on the pair tile with
@@ -59,8 +59,8 @@
 //!   included — below `i32::MAX` under any association, so the tile's
 //!   value is the true sum: the saturating chain's exact bits;
 //! * rows that could saturate (and skinny `n < 4` products, which gain
-//!   nothing from tiling — mirroring the float backend's `n < 8`
-//!   fallback) take the exact ascending-`k` saturating chain.
+//!   nothing from tiling) take the exact ascending-`k` saturating
+//!   chain.
 //!
 //! The tile's lanes ([`crate::simd`]) run whenever
 //! [`crate::simd::simd_active`]; with `NN_SIMD=off`, a live
@@ -69,39 +69,32 @@
 //! never overflows in either: the lanes round with
 //! `(s >> 8) + ((s >> 7) & 1)` instead of `(s + 128) >> 8`.
 //!
-//! The result is bit-for-bit identical across backends —
+//! The result is bit-for-bit identical to the oracle, lanes on or off —
 //! `crates/nn/tests/quant_equivalence.rs` and
 //! `crates/nn/tests/simd_equivalence.rs` pin this. See
 //! `docs/fixed_point.md` for the full datapath writeup.
-//!
-//! # Backend selection
-//!
-//! Quantised layers default to the float stack's `NN_GEMM_BACKEND` knob
-//! through [`default_backend`] (`naive → Naive`, `blocked → Blocked`),
-//! so the CI backend × pool matrix exercises the
-//! integer kernels on every configuration.
 //!
 //! # Examples
 //!
 //! ```
 //! use mramrl_fixed::Q8_8;
-//! use mramrl_nn::qgemm::QGemmBackend;
+//! use mramrl_nn::{difftest, qgemm};
 //!
 //! let q = |v: f32| Q8_8::from_f32(v);
 //! let a = [q(1.0), q(2.0), q(3.0), q(4.0)]; // 2×2 weights, rows over k
 //! let bt = [q(0.5), q(1.5), q(1.0), q(-1.0)]; // 2×2 Bᵀ, rows over k
 //! let bias = [q(0.25), q(-0.25)];
-//! let mut naive = [Q8_8::ZERO; 4];
-//! let mut blocked = [Q8_8::ZERO; 4];
-//! QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut naive, &a, &bt, &bias, 2, 2, 2);
-//! QGemmBackend::Blocked.matmul_bt_bias_requant_into(&mut blocked, &a, &bt, &bias, 2, 2, 2);
-//! assert_eq!(naive, blocked); // bitwise, by the summation-order contract
-//! assert_eq!(naive[0].to_f32(), 0.25 + 1.0 * 0.5 + 2.0 * 1.5);
+//! let mut c = [Q8_8::ZERO; 4];
+//! let mut oracle = [Q8_8::ZERO; 4];
+//! qgemm::matmul_bt_bias_requant_into(&mut c, &a, &bt, &bias, 2, 2, 2);
+//! difftest::qmatmul_naive(&mut oracle, &a, &bt, &bias, 2, 2, 2);
+//! assert_eq!(c, oracle); // bitwise, by the summation-order contract
+//! assert_eq!(c[0].to_f32(), 0.25 + 1.0 * 0.5 + 2.0 * 1.5);
 //! ```
 
-use std::str::FromStr;
-
-use mramrl_fixed::{Acc32, Q8_8};
+#[cfg(doc)]
+use mramrl_fixed::Acc32;
+use mramrl_fixed::Q8_8;
 
 /// Weight rows per register tile.
 pub(crate) const QMR: usize = 4;
@@ -110,130 +103,55 @@ pub(crate) const QMR: usize = 4;
 /// `i32` lanes, each lane one column's `k`-pair.
 pub(crate) const QNR: usize = 16;
 
-/// Below this column count the tile gains nothing over the oracle chain
-/// (mat-vec shapes are latency-bound either way); the blocked backend
-/// falls back to the exact saturating loops, mirroring the float
-/// backend's `n < 8` naive fallback.
+/// Below this column count the tile gains nothing over the exact chain
+/// (mat-vec shapes are latency-bound either way); the kernel falls back
+/// to the saturating loops.
 const QMIN_N: usize = 4;
 
-/// Panel words the blocked kernel keeps on the stack: one panel for any
+/// Panel words the kernel keeps on the stack: one panel for any
 /// `k ≤ 1024` (FC2's contraction). A longer `k` packs into a heap
 /// buffer.
 const STACK_PANEL: usize = 512 * QNR;
 
-/// Certified-row indices the blocked kernel keeps on the stack (FC1's
+/// Certified-row indices the kernel keeps on the stack (FC1's
 /// 1024 rows); more rows list on the heap.
 const STACK_ROWS: usize = 1024;
 
-/// Which integer GEMM kernel the quantised inference engine uses.
+/// [`crate::backend::Blocked`], for `perfbench`'s run context. ROADMAP
+/// item 3's benchmark PR removes it.
+#[doc(hidden)]
+pub fn default_backend() -> crate::backend::Blocked {
+    crate::backend::Blocked
+}
+
+/// Fused quantised GEMM, the one integer kernel the engine needs:
 ///
-/// Selection is threaded through [`crate::quant::QuantizedNet`]
-/// (`set_backend`) and defaults process-wide via [`default_backend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QGemmBackend {
-    /// Reference triple loops over [`Acc32`] — the correctness oracle
-    /// the blocked kernel is proven against.
-    Naive,
-    /// Certified rows (the `row_safe` L1 bound) on the 4×16 pair tile —
-    /// `pmaddwd` lanes when [`crate::simd::simd_active`], wrapping
-    /// `i32` adds otherwise — and exact saturating chains for the rest.
-    #[default]
-    Blocked,
-}
-
-impl QGemmBackend {
-    /// All backends, oracle first — for benches and equivalence tests.
-    /// Unlike the float side, **every** integer backend is in the
-    /// bitwise family.
-    pub const ALL: [QGemmBackend; 2] = [QGemmBackend::Naive, QGemmBackend::Blocked];
-
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            QGemmBackend::Naive => "naive",
-            QGemmBackend::Blocked => "blocked",
-        }
-    }
-
-    /// The integer backend matching a float [`crate::GemmBackend`]:
-    /// the naive oracle stays the oracle, and `Blocked` maps to
-    /// `Blocked`, whose tile runs on lanes wherever
-    /// [`crate::simd::simd_active`] holds.
-    pub fn from_gemm(backend: crate::backend::GemmBackend) -> Self {
-        match backend {
-            crate::backend::GemmBackend::Naive => QGemmBackend::Naive,
-            crate::backend::GemmBackend::Blocked => QGemmBackend::Blocked,
-        }
-    }
-
-    /// Fused quantised GEMM, the one integer kernel the engine needs:
-    ///
-    /// `C[m×n] = requant( bias[m·row] + A[m×k] · B[n×k]ᵀ )`
-    ///
-    /// `a` holds `m` rows of `k` (the weights), `bt` holds `n` rows of
-    /// `k` (the transposed activation operand — an FC batch or an
-    /// im2col matrix, both naturally in this layout). Every output
-    /// element is one accumulator chain: seeded from its row's bias,
-    /// products added in ascending `k`, saturated at the 32-bit
-    /// accumulator width per step, re-quantised to Q8.8 once. `c` is
-    /// fully overwritten. All backends produce identical bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice length does not match the dimensions.
-    // The argument list is the GEMM contract itself (3 operands + bias
-    // + 3 dimensions) — same shape as the float `matmul_*_into` family.
-    #[allow(clippy::too_many_arguments)]
-    pub fn matmul_bt_bias_requant_into(
-        self,
-        c: &mut [Q8_8],
-        a: &[Q8_8],
-        bt: &[Q8_8],
-        bias: &[Q8_8],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        assert_eq!(a.len(), m * k, "A dimensions");
-        assert_eq!(bt.len(), n * k, "Bᵀ dimensions");
-        assert_eq!(bias.len(), m, "bias dimensions");
-        assert_eq!(c.len(), m * n, "C dimensions");
-        match self {
-            QGemmBackend::Naive => qmatmul_naive(c, a, bt, bias, m, k, n),
-            QGemmBackend::Blocked => qmatmul_tiled(c, a, bt, bias, m, k, n),
-        }
-    }
-}
-
-impl FromStr for QGemmBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "naive" => Ok(QGemmBackend::Naive),
-            "blocked" => Ok(QGemmBackend::Blocked),
-            other => Err(format!(
-                "unknown integer GEMM backend {other:?} (expected naive|blocked)"
-            )),
-        }
-    }
-}
-
-impl core::fmt::Display for QGemmBackend {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The process-wide default integer backend, derived from the float
-/// stack's `NN_GEMM_BACKEND` knob via [`QGemmBackend::from_gemm`] — one
-/// knob selects matched kernels on both datapaths.
-pub fn default_backend() -> QGemmBackend {
-    QGemmBackend::from_gemm(crate::backend::default_backend())
-}
-
-/// Reference kernel: one [`Acc32`] per output, ascending-`k` products.
-fn qmatmul_naive(
+/// `C[m×n] = requant( bias[m·row] + A[m×k] · B[n×k]ᵀ )`
+///
+/// `a` holds `m` rows of `k` (the weights), `bt` holds `n` rows of
+/// `k` (the transposed activation operand — an FC batch or an
+/// im2col matrix, both naturally in this layout). Every output
+/// element is one accumulator chain: seeded from its row's bias,
+/// products added in ascending `k`, saturated at the 32-bit
+/// accumulator width per step, re-quantised to Q8.8 once. `c` is
+/// fully overwritten.
+///
+/// Skinny outputs (`n < QMIN_N`) take the exact chains directly. For
+/// real tiles, each A row is certified once ([`row_safe`]); uncertified
+/// rows take the saturating chain, and the certified ones run four at a
+/// time on the pair tile, one packed 16-column panel of `Bᵀ` at a time
+/// (a short last group repeats its last row and stores only its own).
+/// Either way each output is the oracle's ascending-`k` accumulator,
+/// bit for bit. Only certified (clamp-free, hence associative) rows are
+/// reassociated.
+///
+/// # Panics
+///
+/// Panics if any slice length does not match the dimensions.
+// The argument list is the GEMM contract itself (3 operands + bias
+// + 3 dimensions) — same shape as the float `matmul_*_into` family.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_bt_bias_requant_into(
     c: &mut [Q8_8],
     a: &[Q8_8],
     bt: &[Q8_8],
@@ -242,15 +160,65 @@ fn qmatmul_naive(
     k: usize,
     n: usize,
 ) {
+    assert_eq!(a.len(), m * k, "A dimensions");
+    assert_eq!(bt.len(), n * k, "Bᵀ dimensions");
+    assert_eq!(bias.len(), m, "bias dimensions");
+    assert_eq!(c.len(), m * n, "C dimensions");
+    if n < QMIN_N {
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            for j in 0..n {
+                c[i * n + j] = qdot_sat(arow, &bt[j * k..(j + 1) * k], bias[i]);
+            }
+        }
+        return;
+    }
+    let max_b = max_abs(bt);
+    // The kernel's scratch lives on the stack for the engine's shapes,
+    // so a steady-state pass makes no heap traffic.
+    let (mut rows_stack, mut rows_heap) = ([0u32; STACK_ROWS], Vec::new());
+    let rows = stack_or_heap(&mut rows_stack, &mut rows_heap, m);
+    let mut certified = 0;
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &bt[j * k..(j + 1) * k];
-            let mut acc = Acc32::from_q(bias[i]);
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc = acc.mac(av, bv);
+        if row_safe(arow, bias[i], max_b) {
+            rows[certified] = i as u32;
+            certified += 1;
+        } else {
+            for j in 0..n {
+                c[i * n + j] = qdot_sat(arow, &bt[j * k..(j + 1) * k], bias[i]);
             }
-            c[i * n + j] = acc.to_q::<8>();
+        }
+    }
+    let certified = &rows[..certified];
+    if certified.is_empty() || k == 0 {
+        for &i in certified {
+            let i = i as usize;
+            c[i * n..(i + 1) * n].fill(requant_raw(bias_raw(bias[i])));
+        }
+        return;
+    }
+    let lanes = crate::simd::simd_active();
+    let (mut panel_stack, mut panel_heap) = ([0i32; STACK_PANEL], Vec::new());
+    let panel = stack_or_heap(&mut panel_stack, &mut panel_heap, k.div_ceil(2) * QNR);
+    let mut tile = [[Q8_8::ZERO; QNR]; QMR];
+    for j0 in (0..n).step_by(QNR) {
+        let cols = QNR.min(n - j0);
+        pack_pair_panel(panel, &bt[j0 * k..(j0 + cols) * k], k, cols, lanes);
+        for group in certified.chunks(QMR) {
+            let rows: [usize; QMR] =
+                std::array::from_fn(|r| group[r.min(group.len() - 1)] as usize);
+            let arows = rows.map(|i| &a[i * k..(i + 1) * k]);
+            let seeds = rows.map(|i| bias_raw(bias[i]));
+            if lanes {
+                crate::simd::qtile(&mut tile, panel, arows, seeds);
+            } else {
+                qtile_scalar(&mut tile, panel, arows, seeds);
+            }
+            for (out, &i) in tile.iter().zip(group) {
+                let i = i as usize;
+                c[i * n + j0..i * n + j0 + cols].copy_from_slice(&out[..cols]);
+            }
         }
     }
 }
@@ -411,84 +379,6 @@ pub(crate) fn qtile_scalar(
     }
 }
 
-/// The blocked kernel.
-///
-/// Skinny outputs (`n < QMIN_N`) take the exact chains directly. For
-/// real tiles, each A row is certified once ([`row_safe`]); uncertified
-/// rows take the saturating chain, and the certified ones run four at a
-/// time on the pair tile, one packed 16-column panel of `Bᵀ` at a time
-/// (a short last group repeats its last row and stores only its own).
-/// Either way each output is the oracle's ascending-`k` accumulator,
-/// bit for bit. Only certified (clamp-free, hence associative) rows are
-/// reassociated.
-fn qmatmul_tiled(
-    c: &mut [Q8_8],
-    a: &[Q8_8],
-    bt: &[Q8_8],
-    bias: &[Q8_8],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if n < QMIN_N {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                c[i * n + j] = qdot_sat(arow, &bt[j * k..(j + 1) * k], bias[i]);
-            }
-        }
-        return;
-    }
-    let max_b = max_abs(bt);
-    // The kernel's scratch lives on the stack for the engine's shapes,
-    // so a steady-state pass makes no heap traffic.
-    let (mut rows_stack, mut rows_heap) = ([0u32; STACK_ROWS], Vec::new());
-    let rows = stack_or_heap(&mut rows_stack, &mut rows_heap, m);
-    let mut certified = 0;
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        if row_safe(arow, bias[i], max_b) {
-            rows[certified] = i as u32;
-            certified += 1;
-        } else {
-            for j in 0..n {
-                c[i * n + j] = qdot_sat(arow, &bt[j * k..(j + 1) * k], bias[i]);
-            }
-        }
-    }
-    let certified = &rows[..certified];
-    if certified.is_empty() || k == 0 {
-        for &i in certified {
-            let i = i as usize;
-            c[i * n..(i + 1) * n].fill(requant_raw(bias_raw(bias[i])));
-        }
-        return;
-    }
-    let lanes = crate::simd::simd_active();
-    let (mut panel_stack, mut panel_heap) = ([0i32; STACK_PANEL], Vec::new());
-    let panel = stack_or_heap(&mut panel_stack, &mut panel_heap, k.div_ceil(2) * QNR);
-    let mut tile = [[Q8_8::ZERO; QNR]; QMR];
-    for j0 in (0..n).step_by(QNR) {
-        let cols = QNR.min(n - j0);
-        pack_pair_panel(panel, &bt[j0 * k..(j0 + cols) * k], k, cols, lanes);
-        for group in certified.chunks(QMR) {
-            let rows: [usize; QMR] =
-                std::array::from_fn(|r| group[r.min(group.len() - 1)] as usize);
-            let arows = rows.map(|i| &a[i * k..(i + 1) * k]);
-            let seeds = rows.map(|i| bias_raw(bias[i]));
-            if lanes {
-                crate::simd::qtile(&mut tile, panel, arows, seeds);
-            } else {
-                qtile_scalar(&mut tile, panel, arows, seeds);
-            }
-            for (out, &i) in tile.iter().zip(group) {
-                let i = i as usize;
-                c[i * n + j0..i * n + j0 + cols].copy_from_slice(&out[..cols]);
-            }
-        }
-    }
-}
-
 /// The first `len` elements of `stack`, or of `heap` grown to `len`
 /// when `stack` is shorter.
 fn stack_or_heap<'a, T: Copy + Default>(
@@ -509,7 +399,7 @@ fn stack_or_heap<'a, T: Copy + Default>(
 /// columns = taps, fully overwritten; padding taps become
 /// [`Q8_8::ZERO`] — a zero product leaves the accumulator untouched,
 /// exactly like the hardware's gated taps). This **is** the conv `Bᵀ`
-/// operand of [`QGemmBackend::matmul_bt_bias_requant_into`]: position
+/// operand of [`matmul_bt_bias_requant_into`]: position
 /// `p`'s row is the contiguous `k`-vector the weight rows dot against,
 /// in ascending-tap order.
 ///
@@ -577,6 +467,7 @@ pub fn qim2col_slice_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::difftest::qmatmul_naive;
 
     fn qfill(len: usize, seed: u32) -> Vec<Q8_8> {
         (0..len)
@@ -597,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_bitwise() {
+    fn kernel_matches_the_oracle_bitwise() {
         for (m, k, n) in [
             (1usize, 1usize, 1usize),
             (5, 7, 9),
@@ -612,11 +503,10 @@ mod tests {
             let bt = qfill(n * k, 2);
             let bias = qfill(m, 3);
             let mut want = vec![Q8_8::ZERO; m * n];
-            QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, m, k, n);
+            qmatmul_naive(&mut want, &a, &bt, &bias, m, k, n);
             lanes_and_scalar(|path| {
                 let mut got = vec![Q8_8::MAX; m * n]; // dirty: must be overwritten
-                QGemmBackend::Blocked
-                    .matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, m, k, n);
+                matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, m, k, n);
                 assert_eq!(
                     want.iter().map(|q| q.raw()).collect::<Vec<_>>(),
                     got.iter().map(|q| q.raw()).collect::<Vec<_>>(),
@@ -627,10 +517,10 @@ mod tests {
     }
 
     #[test]
-    fn saturation_order_is_preserved_across_backends() {
+    fn saturation_order_is_preserved() {
         // A contraction engineered to saturate the 32-bit accumulator
-        // mid-chain: big positive products first, then negatives. If a
-        // backend split or reordered the chain, the clamp would land at
+        // mid-chain: big positive products first, then negatives. If the
+        // kernel split or reordered the chain, the clamp would land at
         // a different point and the bits would differ. (The certificate
         // must reject these rows — equal pos/neg halves would otherwise
         // cancel to ~0 instead of pinning at the negative rail.)
@@ -644,17 +534,17 @@ mod tests {
         let bt: Vec<Q8_8> = (0..4 * k).map(|_| big).collect(); // n = 4: tiled path
         let bias = [Q8_8::ZERO];
         let mut want = vec![Q8_8::ZERO; 4];
-        QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, 1, k, 4);
+        qmatmul_naive(&mut want, &a, &bt, &bias, 1, k, 4);
         assert_eq!(want[0], Q8_8::MIN, "chain must end clamped, not cancelled");
         lanes_and_scalar(|path| {
             let mut got = vec![Q8_8::ZERO; 4];
-            QGemmBackend::Blocked.matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, 1, k, 4);
+            matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, 1, k, 4);
             assert_eq!(want, got, "{path}");
         });
     }
 
     #[test]
-    fn mixed_safe_and_saturating_rows_match_naive() {
+    fn mixed_safe_and_saturating_rows_match_the_oracle() {
         // Rows 0..3 carry tiny weights (the certified fast path), rows
         // 4..7 carry ±127 weights whose chains clamp mid-contraction
         // (the exact saturating path) — one GEMM, both paths live, all
@@ -670,10 +560,10 @@ mod tests {
         }
         let bias = qfill(m, 23);
         let mut want = vec![Q8_8::ZERO; m * n];
-        QGemmBackend::Naive.matmul_bt_bias_requant_into(&mut want, &a, &bt, &bias, m, k, n);
+        qmatmul_naive(&mut want, &a, &bt, &bias, m, k, n);
         lanes_and_scalar(|path| {
             let mut got = vec![Q8_8::ZERO; m * n];
-            QGemmBackend::Blocked.matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, m, k, n);
+            matmul_bt_bias_requant_into(&mut got, &a, &bt, &bias, m, k, n);
             assert_eq!(
                 want.iter().map(|q| q.raw()).collect::<Vec<_>>(),
                 got.iter().map(|q| q.raw()).collect::<Vec<_>>(),
@@ -765,29 +655,5 @@ mod tests {
             qim2col_slice_into(&mut got, &x, c, h, w, k, stride, pad);
             assert_eq!(want, got, "c={c} h={h} w={w} k={k} s={stride} p={pad}");
         }
-    }
-
-    #[test]
-    fn parse_roundtrip_and_errors() {
-        for be in QGemmBackend::ALL {
-            assert_eq!(be.name().parse::<QGemmBackend>().unwrap(), be);
-            assert_eq!(be.to_string(), be.name());
-        }
-        assert!("threaded".parse::<QGemmBackend>().is_err());
-        assert!("pooled".parse::<QGemmBackend>().is_err());
-        assert!("simd".parse::<QGemmBackend>().is_err());
-    }
-
-    #[test]
-    fn gemm_backend_mapping_is_total() {
-        use crate::backend::GemmBackend;
-        assert_eq!(
-            QGemmBackend::from_gemm(GemmBackend::Naive),
-            QGemmBackend::Naive
-        );
-        assert_eq!(
-            QGemmBackend::from_gemm(GemmBackend::Blocked),
-            QGemmBackend::Blocked
-        );
     }
 }

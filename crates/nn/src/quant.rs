@@ -12,8 +12,8 @@
 //! `docs/fixed_point.md`):
 //!
 //! * quantised conv/FC layers are **one fused integer GEMM each**
-//!   ([`crate::qgemm::QGemmBackend`] — the naive oracle and the blocked
-//!   pair tile, bit-identical), fed by Q8.8 im2col packing
+//!   ([`crate::qgemm::matmul_bt_bias_requant_into`], the pair tile,
+//!   bit-identical to its oracle), fed by Q8.8 im2col packing
 //!   ([`crate::qgemm::qim2col_slice_into`]; FC batches need no packing
 //!   at all under the `A·Bᵀ` contract);
 //! * [`QuantizedNet::forward_batch`] / [`QuantizedNet::q_values_batch`]
@@ -25,7 +25,7 @@
 //!   time").
 //!
 //! Batched output row `i` is **bit-identical** to the serial forward of
-//! sample `i`, on every backend — the integer MAC chain per output
+//! sample `i` — the integer MAC chain per output
 //! (bias seed, ascending contraction index, saturation per step, one
 //! re-quantisation) never changes, only how many outputs are in
 //! flight. Every pass runs on the calling thread, so the pool size
@@ -39,7 +39,7 @@ use mramrl_fixed::Q8_8;
 
 use crate::error::NnError;
 use crate::network::Network;
-use crate::qgemm::{qim2col_slice_into, QGemmBackend};
+use crate::qgemm::{matmul_bt_bias_requant_into, qim2col_slice_into};
 use crate::spec::{LayerSpec, NetworkSpec};
 use crate::tensor::Tensor;
 use crate::workspace::LayerWs;
@@ -179,13 +179,10 @@ fn reuse_qbuf(buf: &mut Vec<Q8_8>, len: usize) -> &mut [Q8_8] {
 pub struct QuantizedNet {
     spec: NetworkSpec,
     layers: Vec<QLayer>,
-    backend: QGemmBackend,
 }
 
 impl QuantizedNet {
-    /// Snapshots `net` (built from `spec`) into Q8.8. The integer GEMM
-    /// backend defaults to [`crate::qgemm::default_backend`] (the
-    /// `NN_GEMM_BACKEND` knob, mapped).
+    /// Snapshots `net` (built from `spec`) into Q8.8.
     ///
     /// # Errors
     ///
@@ -271,24 +268,12 @@ impl QuantizedNet {
         Ok(Self {
             spec: spec.clone(),
             layers,
-            backend: crate::qgemm::default_backend(),
         })
     }
 
     /// The spec this snapshot was taken from (geometry for cost models).
     pub fn spec(&self) -> &NetworkSpec {
         &self.spec
-    }
-
-    /// The integer GEMM backend in use.
-    pub fn backend(&self) -> QGemmBackend {
-        self.backend
-    }
-
-    /// Routes every quantised conv/FC product through `backend` — the
-    /// result is bit-identical on all backends; only speed changes.
-    pub fn set_backend(&mut self, backend: QGemmBackend) {
-        self.backend = backend;
     }
 
     /// Batched fixed-point forward pass: `x` is `[N, ...]` float (the
@@ -298,7 +283,7 @@ impl QuantizedNet {
     /// steady-state allocations).
     ///
     /// Row `i` is bit-identical to [`QuantizedNet::forward`] on sample
-    /// `i`, on every [`QGemmBackend`] and at any pool size.
+    /// `i`, at any pool size.
     pub fn forward_batch<'w>(&self, x: &Tensor, ws: &'w mut QWorkspace) -> &'w Tensor {
         assert!(
             x.shape().len() >= 2,
@@ -409,8 +394,7 @@ impl QuantizedNet {
                     );
                 }
                 let gc = reuse_qbuf(&mut slot.gemm_c, out_c * big_n);
-                self.backend
-                    .matmul_bt_bias_requant_into(gc, weight, cols_all, bias, *out_c, taps, big_n);
+                matmul_bt_bias_requant_into(gc, weight, cols_all, bias, *out_c, taps, big_n);
                 // Reorder [out_c × N·positions] → [N, out_c, positions]
                 // (a pure Q8.8 copy — no arithmetic, no bit changes).
                 for i in 0..n {
@@ -431,8 +415,7 @@ impl QuantizedNet {
                 // The activation batch [N, in_f] IS the Bᵀ operand —
                 // zero packing. C[out_f × N] = requant(b + W · xᵀ).
                 let ct = reuse_qbuf(&mut slot.gemm_c, out_f * n);
-                self.backend
-                    .matmul_bt_bias_requant_into(ct, weight, input, bias, *out_f, *in_f, n);
+                matmul_bt_bias_requant_into(ct, weight, input, bias, *out_f, *in_f, n);
                 // Reorder [out_f × N] → [N, out_f] (pure copy).
                 let out = reuse_qbuf(&mut slot.out, n * out_f);
                 for i in 0..n {
@@ -675,32 +658,27 @@ mod tests {
 
     #[test]
     fn workspace_steady_state_allocates_nothing() {
-        let (_, _, mut q) = setup();
-        for be in QGemmBackend::ALL {
-            q.set_backend(be);
-            let x = Tensor::filled(&[4, 1, 16, 16], 0.3);
-            let mut ws = QWorkspace::for_net(&q);
-            let _ = q.forward_batch(&x, &mut ws);
-            let footprint = ws.footprint();
-            let ptr = q.forward_batch(&x, &mut ws).data().as_ptr();
-            for _ in 0..3 {
-                let out = q.forward_batch(&x, &mut ws);
-                assert_eq!(out.data().as_ptr(), ptr, "{be}: output buffer moved");
-                assert_eq!(ws.footprint(), footprint, "{be}: footprint grew");
-            }
+        let (_, _, q) = setup();
+        let x = Tensor::filled(&[4, 1, 16, 16], 0.3);
+        let mut ws = QWorkspace::for_net(&q);
+        let _ = q.forward_batch(&x, &mut ws);
+        let footprint = ws.footprint();
+        let ptr = q.forward_batch(&x, &mut ws).data().as_ptr();
+        for _ in 0..3 {
+            let out = q.forward_batch(&x, &mut ws);
+            assert_eq!(out.data().as_ptr(), ptr, "output buffer moved");
+            assert_eq!(ws.footprint(), footprint, "footprint grew");
         }
     }
 
     #[test]
-    fn backends_agree_bitwise() {
-        let (_, _, mut q) = setup();
+    fn lanes_and_scalar_tile_agree_bitwise() {
+        let (_, _, q) = setup();
         let x = Tensor::filled(&[2, 1, 16, 16], 0.4);
-        let mut outs = Vec::new();
-        for be in QGemmBackend::ALL {
-            q.set_backend(be);
-            let mut ws = QWorkspace::new();
-            outs.push(q.forward_batch(&x, &mut ws).clone());
-        }
+        let _lock = crate::simd::gate_lock();
+        let mut outs = vec![q.forward_batch(&x, &mut QWorkspace::new()).clone()];
+        let _scalar = crate::simd::force_scalar();
+        outs.push(q.forward_batch(&x, &mut QWorkspace::new()).clone());
         for o in &outs[1..] {
             assert_eq!(
                 outs[0]

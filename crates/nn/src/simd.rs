@@ -1,19 +1,18 @@
 //! Explicit SIMD kernel tier: runtime feature detection, the `NN_SIMD`
-//! knob, and the `core::arch` lane kernels behind the `Blocked`
-//! backend of both datapaths — the f32 lane tile of
-//! [`crate::GemmBackend::Blocked`] and the Q8.8 pair tile of
-//! [`crate::QGemmBackend::Blocked`].
+//! knob, and the `core::arch` lane kernels behind the one GEMM kernel
+//! of each datapath — the f32 lane tile of [`crate::backend`] and the
+//! Q8.8 pair tile of [`crate::qgemm`].
 //!
 //! # What lives here and why
 //!
-//! The blocked kernels on both datapaths are written so the *scalar*
+//! The kernels on both datapaths are written so the *scalar*
 //! code already has the lane-friendly shape — the pair-packed 4×16
 //! tile for Q8.8 (the `pmaddwd` pairing of `docs/fixed_point.md`),
 //! `MR×NR` register tiles for f32. This module is the explicit-lane
 //! realisation of those same shapes, and on both datapaths the lanes
 //! produce the scalar kernels' exact bits:
 //!
-//! * **Q8.8** (`qtile`): the lanes of the blocked kernel's 4×16 pair
+//! * **Q8.8** (`qtile`): the lanes of the kernel's 4×16 pair
 //!   tile ([`crate::qgemm`]) for rows that hold the `row_safe` overflow
 //!   certificate. Each weight row's `(a[2p], a[2p+1])` pair is
 //!   broadcast as one `i32` against a pair-packed `Bᵀ` panel, and
@@ -177,8 +176,8 @@ fn env_enabled() -> bool {
 
 /// The gate every lane dispatch checks: ISA support
 /// ([`available`]) ∧ `NN_SIMD` not `off` ∧ no live [`force_scalar`]
-/// guard. When `false`, the `Blocked` backends run their scalar
-/// kernels instead, with the same bits.
+/// guard. When `false`, both kernels run their scalar tiles instead,
+/// with the same bits.
 pub fn simd_active() -> bool {
     env_enabled() && FORCE_SCALAR.load(Ordering::SeqCst) == 0 && available()
 }
@@ -729,12 +728,12 @@ mod tests {
             let b = fill(k * n, 2);
             let mut got = vec![f32::NAN; m * n];
             matmul_f32(&mut got, &a, &b, m, k, n);
-            let want = crate::gemm::matmul(&a, &b, m, k, n);
+            let want = crate::difftest::matmul(&a, &b, m, k, n);
             assert_eq!(bits(&want), bits(&got), "A·B m={m} k={k} n={n}");
             let bt = fill(m * n, 3);
             let mut got = vec![f32::NAN; k * n];
             matmul_at_b_f32(&mut got, &a, &bt, m, k, n);
-            let want = crate::gemm::matmul_at_b(&a, &bt, m, k, n);
+            let want = crate::difftest::matmul_at_b(&a, &bt, m, k, n);
             assert_eq!(bits(&want), bits(&got), "Aᵀ·B m={m} k={k} n={n}");
         }
     }

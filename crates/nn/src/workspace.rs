@@ -16,8 +16,8 @@
 //!   iterations: in the steady state (same network, same batch size) a
 //!   forward/backward pair performs no workspace allocations —
 //!   [`Workspace::footprint`] is stable and the cached tensors keep
-//!   their addresses. (The GEMM kernels' internal packing panels are the
-//!   backends' own per-call temporaries, outside the workspace.)
+//!   their addresses. (The GEMM kernels' internal packing panels are
+//!   their own per-call temporaries, outside the workspace.)
 //! * Dropping the workspace frees all scratch at once; the network
 //!   itself holds only parameters.
 

@@ -1,6 +1,6 @@
 //! Batched ≡ serial equivalence suite (the batch-first API's contract).
 //!
-//! Pins, on **both** GEMM backends:
+//! Pins:
 //!
 //! 1. `Network::forward_batch` over `[N, ...]` is **bit-identical** to
 //!    `N` serial `Network::forward` calls, row for row.
@@ -16,7 +16,6 @@
 //!    accumulates the same `dW`/`db` bits as the full backward and
 //!    leaves the unread input gradient unallocated.
 
-use mramrl_nn::backend::GemmBackend;
 use mramrl_nn::spec::LayerSpec;
 use mramrl_nn::{NetworkSpec, Tensor, Workspace};
 use proptest::prelude::*;
@@ -119,7 +118,7 @@ fn all_param_grads(net: &mramrl_nn::Network) -> Vec<f32> {
 
 proptest! {
     /// Forward + backward bit-identity on the micro AlexNet (conv, relu,
-    /// pool, flatten, fc), every backend, batches 1–5, with and without a
+    /// pool, flatten, fc), batches 1–5, with and without a
     /// frozen prefix (the paper's partial-training topologies).
     #[test]
     fn micro_net_batched_equals_serial(
@@ -130,38 +129,34 @@ proptest! {
     ) {
         let spec = NetworkSpec::micro(hw, 1, 5);
         let (batched_x, samples) = batch_input(n, hw, seed);
-        for be in GemmBackend::ALL {
-            let mut serial = spec.build(seed % 1000);
-            let mut batched = spec.build(seed % 1000);
-            serial.set_gemm_backend(be);
-            batched.set_gemm_backend(be);
-            if tail > 0 {
-                serial.set_trainable_tail(2 * tail);
-                batched.set_trainable_tail(2 * tail);
-            }
-
-            // Serial reference: N forward/backward passes, grad = ones.
-            let mut serial_out = Vec::new();
-            for s in &samples {
-                let y = serial.forward(s);
-                serial.backward(&Tensor::filled(y.shape(), 1.0));
-                serial_out.extend_from_slice(y.data());
-            }
-
-            let mut ws = Workspace::for_spec(&spec);
-            let q = batched.forward_batch(&batched_x, &mut ws).clone();
-            prop_assert_eq!(
-                bits(&serial_out), bits(q.data()),
-                "forward {} hw={} n={} tail={}", be, hw, n, tail
-            );
-            batched
-                .backward_batch(&Tensor::filled(&[n, 5], 1.0), &mut ws)
-                .expect("forward ran");
-            prop_assert_eq!(
-                bits(&all_param_grads(&serial)), bits(&all_param_grads(&batched)),
-                "grads {} hw={} n={} tail={}", be, hw, n, tail
-            );
+        let mut serial = spec.build(seed % 1000);
+        let mut batched = spec.build(seed % 1000);
+        if tail > 0 {
+            serial.set_trainable_tail(2 * tail);
+            batched.set_trainable_tail(2 * tail);
         }
+
+        // Serial reference: N forward/backward passes, grad = ones.
+        let mut serial_out = Vec::new();
+        for s in &samples {
+            let y = serial.forward(s);
+            serial.backward(&Tensor::filled(y.shape(), 1.0));
+            serial_out.extend_from_slice(y.data());
+        }
+
+        let mut ws = Workspace::for_spec(&spec);
+        let q = batched.forward_batch(&batched_x, &mut ws).clone();
+        prop_assert_eq!(
+            bits(&serial_out), bits(q.data()),
+            "forward hw={} n={} tail={}", hw, n, tail
+        );
+        batched
+            .backward_batch(&Tensor::filled(&[n, 5], 1.0), &mut ws)
+            .expect("forward ran");
+        prop_assert_eq!(
+            bits(&all_param_grads(&serial)), bits(&all_param_grads(&batched)),
+            "grads hw={} n={} tail={}", hw, n, tail
+        );
     }
 
     /// Same contract through an LRN-bearing stack (cross-channel state,
@@ -176,73 +171,65 @@ proptest! {
         spec.validate().expect("lrn spec must chain");
         let (batched_x, samples) = batch_input(n, hw, seed);
         let grads = fill(n * 5, seed ^ 0xF00D);
-        for be in GemmBackend::ALL {
-            let mut serial = spec.build(7);
-            let mut batched = spec.build(7);
-            serial.set_gemm_backend(be);
-            batched.set_gemm_backend(be);
+        let mut serial = spec.build(7);
+        let mut batched = spec.build(7);
 
-            let mut serial_out = Vec::new();
-            for (i, s) in samples.iter().enumerate() {
-                let y = serial.forward(s);
-                serial.backward(&Tensor::from_vec(&[5], grads[i * 5..(i + 1) * 5].to_vec()));
-                serial_out.extend_from_slice(y.data());
-            }
-
-            let mut ws = Workspace::for_spec(&spec);
-            let q = batched.forward_batch(&batched_x, &mut ws).clone();
-            prop_assert_eq!(bits(&serial_out), bits(q.data()), "forward {} n={}", be, n);
-            batched
-                .backward_batch(&Tensor::from_vec(&[n, 5], grads.clone()), &mut ws)
-                .expect("forward ran");
-            prop_assert_eq!(
-                bits(&all_param_grads(&serial)), bits(&all_param_grads(&batched)),
-                "grads {} n={}", be, n
-            );
+        let mut serial_out = Vec::new();
+        for (i, s) in samples.iter().enumerate() {
+            let y = serial.forward(s);
+            serial.backward(&Tensor::from_vec(&[5], grads[i * 5..(i + 1) * 5].to_vec()));
+            serial_out.extend_from_slice(y.data());
         }
+
+        let mut ws = Workspace::for_spec(&spec);
+        let q = batched.forward_batch(&batched_x, &mut ws).clone();
+        prop_assert_eq!(bits(&serial_out), bits(q.data()), "forward n={}", n);
+        batched
+            .backward_batch(&Tensor::from_vec(&[n, 5], grads.clone()), &mut ws)
+            .expect("forward ran");
+        prop_assert_eq!(
+            bits(&all_param_grads(&serial)), bits(&all_param_grads(&batched)),
+            "grads n={}", n
+        );
     }
 }
 
 /// The batched ≡ serial contract survives pooled execution: the same
 /// forward/backward comparison as the proptests above, pinned under
 /// injected worker pools of 1, 2 and 7 executors (the parallel rule's
-/// splits engage where a pass is large enough; no backend may care).
+/// splits engage where a pass is large enough).
 #[test]
 fn pooled_execution_preserves_batched_equals_serial() {
     let spec = NetworkSpec::micro(12, 1, 5);
     let (batched_x, samples) = batch_input(4, 12, 99);
-    for be in GemmBackend::ALL {
-        let mut serial = spec.build(21);
-        serial.set_gemm_backend(be);
-        let mut serial_out = Vec::new();
-        for s in &samples {
-            let y = serial.forward(s);
-            serial.backward(&Tensor::filled(y.shape(), 1.0));
-            serial_out.extend_from_slice(y.data());
-        }
-        let serial_grads = all_param_grads(&serial);
+    let mut serial = spec.build(21);
+    let mut serial_out = Vec::new();
+    for s in &samples {
+        let y = serial.forward(s);
+        serial.backward(&Tensor::filled(y.shape(), 1.0));
+        serial_out.extend_from_slice(y.data());
+    }
+    let serial_grads = all_param_grads(&serial);
 
-        for pool_threads in [1usize, 2, 7] {
-            let pool = mramrl_nn::pool::ThreadPool::new(pool_threads);
-            let _installed = pool.install();
-            let mut batched = spec.build(21);
-            batched.set_gemm_backend(be);
-            let mut ws = Workspace::for_spec(&spec);
-            let q = batched.forward_batch(&batched_x, &mut ws).clone();
-            assert_eq!(
-                bits(&serial_out),
-                bits(q.data()),
-                "forward {be} pool={pool_threads}"
-            );
-            batched
-                .backward_batch(&Tensor::filled(&[4, 5], 1.0), &mut ws)
-                .expect("forward ran");
-            assert_eq!(
-                bits(&serial_grads),
-                bits(&all_param_grads(&batched)),
-                "grads {be} pool={pool_threads}"
-            );
-        }
+    for pool_threads in [1usize, 2, 7] {
+        let pool = mramrl_nn::pool::ThreadPool::new(pool_threads);
+        let _installed = pool.install();
+        let mut batched = spec.build(21);
+        let mut ws = Workspace::for_spec(&spec);
+        let q = batched.forward_batch(&batched_x, &mut ws).clone();
+        assert_eq!(
+            bits(&serial_out),
+            bits(q.data()),
+            "forward pool={pool_threads}"
+        );
+        batched
+            .backward_batch(&Tensor::filled(&[4, 5], 1.0), &mut ws)
+            .expect("forward ran");
+        assert_eq!(
+            bits(&serial_grads),
+            bits(&all_param_grads(&batched)),
+            "grads pool={pool_threads}"
+        );
     }
 }
 
@@ -251,34 +238,31 @@ fn pooled_execution_preserves_batched_equals_serial() {
 #[test]
 fn workspace_steady_state_allocates_nothing() {
     let spec = NetworkSpec::micro(16, 1, 5);
-    for be in GemmBackend::ALL {
-        let mut net = spec.build(3);
-        net.set_gemm_backend(be);
-        let (x, _) = batch_input(4, 16, 42);
-        let mut ws = Workspace::for_spec(&spec);
+    let mut net = spec.build(3);
+    let (x, _) = batch_input(4, 16, 42);
+    let mut ws = Workspace::for_spec(&spec);
 
-        // Warm-up iteration sizes every buffer.
-        let _ = net.forward_batch(&x, &mut ws);
+    // Warm-up iteration sizes every buffer.
+    let _ = net.forward_batch(&x, &mut ws);
+    net.backward_batch(&Tensor::filled(&[4, 5], 1.0), &mut ws)
+        .unwrap();
+    let footprint = ws.footprint();
+    let out_ptr = net.forward_batch(&x, &mut ws).data().as_ptr();
+
+    for _ in 0..3 {
+        let out = net.forward_batch(&x, &mut ws);
+        assert_eq!(
+            out.data().as_ptr(),
+            out_ptr,
+            "activation buffer must be reused, not reallocated"
+        );
         net.backward_batch(&Tensor::filled(&[4, 5], 1.0), &mut ws)
             .unwrap();
-        let footprint = ws.footprint();
-        let out_ptr = net.forward_batch(&x, &mut ws).data().as_ptr();
-
-        for _ in 0..3 {
-            let out = net.forward_batch(&x, &mut ws);
-            assert_eq!(
-                out.data().as_ptr(),
-                out_ptr,
-                "{be}: activation buffer must be reused, not reallocated"
-            );
-            net.backward_batch(&Tensor::filled(&[4, 5], 1.0), &mut ws)
-                .unwrap();
-            assert_eq!(
-                ws.footprint(),
-                footprint,
-                "{be}: steady-state footprint must not grow"
-            );
-        }
+        assert_eq!(
+            ws.footprint(),
+            footprint,
+            "steady-state footprint must not grow"
+        );
     }
 }
 
@@ -287,21 +271,17 @@ fn workspace_steady_state_allocates_nothing() {
 #[test]
 fn batch_of_one_equals_single_image() {
     let spec = NetworkSpec::micro(12, 1, 5);
-    for be in GemmBackend::ALL {
-        let mut a = spec.build(11);
-        let mut b = spec.build(11);
-        a.set_gemm_backend(be);
-        b.set_gemm_backend(be);
-        let x = Tensor::from_vec(&[1, 12, 12], fill(144, 5));
-        let y_single = a.forward(&x);
-        let mut ws = Workspace::for_spec(&spec);
-        let xb = Tensor::from_vec(&[1, 1, 12, 12], fill(144, 5));
-        let y_batch = b.forward_batch(&xb, &mut ws);
-        assert_eq!(bits(y_single.data()), bits(y_batch.data()), "{be}");
-    }
+    let mut a = spec.build(11);
+    let b = spec.build(11);
+    let x = Tensor::from_vec(&[1, 12, 12], fill(144, 5));
+    let y_single = a.forward(&x);
+    let mut ws = Workspace::for_spec(&spec);
+    let xb = Tensor::from_vec(&[1, 1, 12, 12], fill(144, 5));
+    let y_batch = b.forward_batch(&xb, &mut ws);
+    assert_eq!(bits(y_single.data()), bits(y_batch.data()));
 }
 
-/// A batched `Conv2d` pass on every bitwise backend matches the
+/// A batched `Conv2d` pass matches the
 /// direct-convolution oracle run sample by sample (`mramrl_nn::difftest`)
 /// to the documented tolerance: per-sample outputs and dX, and dW/db as
 /// the in-order sum of the per-sample oracle gradients. This pins the
@@ -316,55 +296,40 @@ fn batched_conv_matches_direct_oracle_per_sample() {
         (1usize, 4usize, 3usize, 1usize, 1usize, 8usize),
         (2, 3, 3, 2, 0, 9),
     ] {
-        for be in GemmBackend::ALL {
-            let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, 7);
-            conv.set_gemm_backend(be);
-            let x = Tensor::from_vec(&[n, in_c, hw, hw], fill(n * in_c * hw * hw, 3));
-            let mut ws = LayerWs::new();
-            conv.forward_batch(&x, &mut ws);
-            let y = ws.out.clone().unwrap();
-            let grad = Tensor::from_vec(y.shape(), fill(y.len(), 9));
-            conv.backward_batch(&grad, &mut ws).unwrap();
-            let gi = ws.grad_in.as_ref().unwrap();
+        let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, 7);
+        let x = Tensor::from_vec(&[n, in_c, hw, hw], fill(n * in_c * hw * hw, 3));
+        let mut ws = LayerWs::new();
+        conv.forward_batch(&x, &mut ws);
+        let y = ws.out.clone().unwrap();
+        let grad = Tensor::from_vec(y.shape(), fill(y.len(), 9));
+        conv.backward_batch(&grad, &mut ws).unwrap();
+        let gi = ws.grad_in.as_ref().unwrap();
 
-            let mut want_gw = vec![0.0f32; conv.weight().len()];
-            let mut want_gb = vec![0.0f32; out_c];
-            for i in 0..n {
-                let xi = Tensor::from_vec(&x.shape()[1..], x.sample(i).to_vec());
-                let gi_i = Tensor::from_vec(&y.shape()[1..], grad.sample(i).to_vec());
-                let want = conv_direct_forward(&conv, &xi);
-                assert_close(
-                    &format!("fwd {be} #{i}"),
-                    want.data(),
-                    y.sample(i),
-                    1e-4,
-                    0.0,
-                );
-                let (gw_i, gb_i, dx_i) = conv_direct_backward(&conv, &xi, &gi_i);
-                assert_close(
-                    &format!("dX {be} #{i}"),
-                    dx_i.data(),
-                    gi.sample(i),
-                    1e-4,
-                    0.0,
-                );
-                for (a, &v) in want_gw.iter_mut().zip(gw_i.data()) {
-                    *a += v;
-                }
-                for (a, &v) in want_gb.iter_mut().zip(gb_i.data()) {
-                    *a += v;
-                }
+        let mut want_gw = vec![0.0f32; conv.weight().len()];
+        let mut want_gb = vec![0.0f32; out_c];
+        for i in 0..n {
+            let xi = Tensor::from_vec(&x.shape()[1..], x.sample(i).to_vec());
+            let gi_i = Tensor::from_vec(&y.shape()[1..], grad.sample(i).to_vec());
+            let want = conv_direct_forward(&conv, &xi);
+            assert_close(&format!("fwd #{i}"), want.data(), y.sample(i), 1e-4, 0.0);
+            let (gw_i, gb_i, dx_i) = conv_direct_backward(&conv, &xi, &gi_i);
+            assert_close(&format!("dX #{i}"), dx_i.data(), gi.sample(i), 1e-4, 0.0);
+            for (a, &v) in want_gw.iter_mut().zip(gw_i.data()) {
+                *a += v;
             }
-            let (gw, gb) = (&conv.params()[0].grad, &conv.params()[1].grad);
-            assert_close(&format!("dW {be}"), &want_gw, gw.data(), 1e-4, 0.0);
-            assert_close(&format!("db {be}"), &want_gb, gb.data(), 1e-4, 0.0);
+            for (a, &v) in want_gb.iter_mut().zip(gb_i.data()) {
+                *a += v;
+            }
         }
+        let (gw, gb) = (&conv.params()[0].grad, &conv.params()[1].grad);
+        assert_close("dW", &want_gw, gw.data(), 1e-4, 0.0);
+        assert_close("db", &want_gb, gb.data(), 1e-4, 0.0);
     }
 }
 
 /// `backward_batch_params` accumulates bit-identical `dW`/`db` to
 /// `backward_batch` and writes no input gradient — for `Linear` and
-/// `Conv2d`, on every bitwise backend at batches 1–5.
+/// `Conv2d`, at batches 1–5.
 #[test]
 fn params_only_backward_matches_full_backward() {
     use mramrl_nn::{Conv2d, Layer, LayerWs, Linear};
@@ -375,31 +340,27 @@ fn params_only_backward_matches_full_backward() {
         (|| Box::new(Conv2d::new("c", 2, 3, 3, 2, 0, 7)), &[2, 9, 9]),
     ];
     for (make, sample_shape) in layers {
-        for be in GemmBackend::ALL {
-            for n in 1usize..6 {
-                let mut shape = vec![n];
-                shape.extend_from_slice(sample_shape);
-                let x = Tensor::from_vec(&shape, fill(shape.iter().product(), n as u64));
-                let mut full = make();
-                let mut params_only = make();
-                full.set_gemm_backend(be);
-                params_only.set_gemm_backend(be);
-                let (mut ws_full, mut ws_params) = (LayerWs::new(), LayerWs::new());
-                full.forward_batch(&x, &mut ws_full);
-                params_only.forward_batch(&x, &mut ws_params);
-                let y = ws_full.out.as_ref().expect("forward wrote out");
-                let grad = Tensor::from_vec(y.shape(), fill(y.len(), 31 + n as u64));
-                full.backward_batch(&grad, &mut ws_full).unwrap();
-                params_only
-                    .backward_batch_params(&grad, &mut ws_params)
-                    .unwrap();
-                let tag = format!("{} {be} n={n}", full.name());
-                for (a, b) in full.params().iter().zip(params_only.params()) {
-                    assert_eq!(bits(a.grad.data()), bits(b.grad.data()), "{tag}");
-                }
-                assert!(ws_full.grad_in.is_some(), "{tag}: full backward wrote dX");
-                assert!(ws_params.grad_in.is_none(), "{tag}: dX must be skipped");
+        for n in 1usize..6 {
+            let mut shape = vec![n];
+            shape.extend_from_slice(sample_shape);
+            let x = Tensor::from_vec(&shape, fill(shape.iter().product(), n as u64));
+            let mut full = make();
+            let mut params_only = make();
+            let (mut ws_full, mut ws_params) = (LayerWs::new(), LayerWs::new());
+            full.forward_batch(&x, &mut ws_full);
+            params_only.forward_batch(&x, &mut ws_params);
+            let y = ws_full.out.as_ref().expect("forward wrote out");
+            let grad = Tensor::from_vec(y.shape(), fill(y.len(), 31 + n as u64));
+            full.backward_batch(&grad, &mut ws_full).unwrap();
+            params_only
+                .backward_batch_params(&grad, &mut ws_params)
+                .unwrap();
+            let tag = format!("{} n={n}", full.name());
+            for (a, b) in full.params().iter().zip(params_only.params()) {
+                assert_eq!(bits(a.grad.data()), bits(b.grad.data()), "{tag}");
             }
+            assert!(ws_full.grad_in.is_some(), "{tag}: full backward wrote dX");
+            assert!(ws_params.grad_in.is_none(), "{tag}: dX must be skipped");
         }
     }
 }
@@ -415,39 +376,36 @@ fn frozen_prefix_backward_skips_the_stop_layers_input_gradient() {
     let spec = NetworkSpec::micro(16, 1, 5);
     let (batched_x, samples) = batch_input(3, 16, 77);
     for topo in Topology::ALL {
-        for be in GemmBackend::ALL {
-            let mut serial = spec.build(13);
-            let mut batched = spec.build(13);
-            for net in [&mut serial, &mut batched] {
-                net.set_gemm_backend(be);
-                topo.apply(net);
-            }
-            for s in &samples {
-                let y = serial.forward(s);
-                serial.backward(&Tensor::filled(y.shape(), 1.0));
-            }
-            let mut ws = Workspace::for_spec(&spec);
-            let _ = batched.forward_batch(&batched_x, &mut ws);
-            batched
-                .backward_batch(&Tensor::filled(&[3, 5], 1.0), &mut ws)
-                .expect("forward ran");
-
-            let names = batched.layer_names();
-            let stop = names
-                .iter()
-                .position(|name| batched.is_layer_trainable(name))
-                .expect("every topology trains something");
-            let tag = format!("{topo} {be}: stop at {}", names[stop]);
-            for (i, name) in names.iter().enumerate() {
-                let has_dx = ws.slot_mut(i).grad_in.is_some();
-                assert_eq!(has_dx, i > stop, "{tag}: slot {i} ({name})");
-            }
-            assert_eq!(
-                bits(&all_param_grads(&serial)),
-                bits(&all_param_grads(&batched)),
-                "{tag}"
-            );
+        let mut serial = spec.build(13);
+        let mut batched = spec.build(13);
+        for net in [&mut serial, &mut batched] {
+            topo.apply(net);
         }
+        for s in &samples {
+            let y = serial.forward(s);
+            serial.backward(&Tensor::filled(y.shape(), 1.0));
+        }
+        let mut ws = Workspace::for_spec(&spec);
+        let _ = batched.forward_batch(&batched_x, &mut ws);
+        batched
+            .backward_batch(&Tensor::filled(&[3, 5], 1.0), &mut ws)
+            .expect("forward ran");
+
+        let names = batched.layer_names();
+        let stop = names
+            .iter()
+            .position(|name| batched.is_layer_trainable(name))
+            .expect("every topology trains something");
+        let tag = format!("{topo}: stop at {}", names[stop]);
+        for (i, name) in names.iter().enumerate() {
+            let has_dx = ws.slot_mut(i).grad_in.is_some();
+            assert_eq!(has_dx, i > stop, "{tag}: slot {i} ({name})");
+        }
+        assert_eq!(
+            bits(&all_param_grads(&serial)),
+            bits(&all_param_grads(&batched)),
+            "{tag}"
+        );
     }
 }
 

@@ -2,25 +2,24 @@
 //! engine's contract) plus the argmax-fidelity measurement.
 //!
 //! Generators and comparators come from the shared
-//! [`mramrl_nn::difftest`] harness. Pins, on **every** integer GEMM
-//! backend ([`QGemmBackend::ALL`] — the whole integer datapath is
-//! bitwise, the blocked tile's lanes included) and under worker pools
-//! of every
+//! [`mramrl_nn::difftest`] harness. Pins, under worker pools of every
 //! [`mramrl_nn::difftest::POOL_SIZES`] width:
 //!
 //! 1. `QuantizedNet::forward_batch` over `[N, ...]` is **bit-identical**
-//!    to `N` serial `QuantizedNet::forward` calls — and to the `Naive`
-//!    oracle — row for row. Integer saturation makes the MAC chain
-//!    order-sensitive, so this is a real constraint on the blocked
-//!    tile, not a free property.
+//!    to `N` serial `QuantizedNet::forward` calls on the scalar tile
+//!    (`simd::force_scalar`), row for row, while the batch runs on the
+//!    lanes where the host has them. Integer saturation makes the MAC
+//!    chain order-sensitive, so this is a real constraint on the tile,
+//!    not a free property. The kernel itself is pinned against the
+//!    saturating oracle (`difftest::qmatmul_naive`) in
+//!    `simd_equivalence.rs`.
 //! 2. Greedy-action agreement between float and Q8.8 Q-values on random
 //!    nets stays above a pinned threshold (the paper's argmax-fidelity
 //!    claim, quantified instead of assumed).
 
-use mramrl_nn::difftest::{bits, fill01, sweep_pools, sweep_qbackends};
-use mramrl_nn::qgemm::QGemmBackend;
+use mramrl_nn::difftest::{bits, fill01, sweep_pools};
 use mramrl_nn::quant::{QWorkspace, QuantizedNet};
-use mramrl_nn::{NetworkSpec, Tensor};
+use mramrl_nn::{simd, NetworkSpec, Tensor};
 use proptest::prelude::*;
 
 /// Batched input `[n, 1, hw, hw]` plus its per-sample views.
@@ -34,8 +33,8 @@ fn batch_input(n: usize, hw: usize, seed: u64) -> (Tensor, Vec<Tensor>) {
 }
 
 proptest! {
-    /// (a) Quantised batched ≡ N serial quantised passes, bitwise, every
-    /// integer backend against the naive serial oracle, batches 1–5.
+    /// (a) Quantised batched ≡ N serial quantised passes on the scalar
+    /// tile, bitwise, batches 1–5.
     #[test]
     fn quantised_batched_equals_serial(
         hw in 8usize..17,
@@ -44,25 +43,24 @@ proptest! {
     ) {
         let spec = NetworkSpec::micro(hw, 1, 5);
         let net = spec.build(seed % 1000);
-        let mut q = QuantizedNet::from_network(&spec, &net).expect("own net matches own spec");
+        let q = QuantizedNet::from_network(&spec, &net).expect("own net matches own spec");
         let (batched_x, samples) = batch_input(n, hw, seed);
 
-        // Serial oracle: N batch-of-1 passes on the naive kernel.
-        q.set_backend(QGemmBackend::Naive);
+        // Serial reference: N batch-of-1 passes on the scalar tile.
         let mut serial_out = Vec::new();
-        for s in &samples {
-            serial_out.extend_from_slice(q.forward(s).data());
+        {
+            let _scalar = simd::force_scalar();
+            for s in &samples {
+                serial_out.extend_from_slice(q.forward(s).data());
+            }
         }
 
-        for be in QGemmBackend::ALL {
-            q.set_backend(be);
-            let mut ws = QWorkspace::for_net(&q);
-            let yb = q.forward_batch(&batched_x, &mut ws);
-            prop_assert_eq!(
-                bits(&serial_out), bits(yb.data()),
-                "batched {} hw={} n={}", be, hw, n
-            );
-        }
+        let mut ws = QWorkspace::for_net(&q);
+        let yb = q.forward_batch(&batched_x, &mut ws);
+        prop_assert_eq!(
+            bits(&serial_out), bits(yb.data()),
+            "batched hw={} n={}", hw, n
+        );
     }
 
     /// (b) Float-vs-Q8.8 greedy-action agreement on random (He-init)
@@ -102,49 +100,38 @@ proptest! {
 
 /// The batched ≡ serial contract survives pooled execution: the same
 /// bitwise comparison pinned under every injected pool width (Q8.8
-/// passes never fan out, so the backends must simply not care).
+/// passes never fan out, so the pool must simply not matter).
 #[test]
 fn pooled_execution_preserves_batched_equals_serial() {
     let spec = NetworkSpec::micro(12, 1, 5);
     let net = spec.build(21);
-    let mut q = QuantizedNet::from_network(&spec, &net).unwrap();
+    let q = QuantizedNet::from_network(&spec, &net).unwrap();
     let (batched_x, samples) = batch_input(4, 12, 99);
 
-    q.set_backend(QGemmBackend::Naive);
     let mut serial_out = Vec::new();
     for s in &samples {
         serial_out.extend_from_slice(q.forward(s).data());
     }
 
-    sweep_qbackends(|be| {
-        q.set_backend(be);
-        sweep_pools(|pool_threads| {
-            let mut ws = QWorkspace::for_net(&q);
-            let yb = q.forward_batch(&batched_x, &mut ws);
-            assert_eq!(
-                bits(&serial_out),
-                bits(yb.data()),
-                "{be} pool={pool_threads}"
-            );
-        });
+    sweep_pools(|pool_threads| {
+        let mut ws = QWorkspace::for_net(&q);
+        let yb = q.forward_batch(&batched_x, &mut ws);
+        assert_eq!(bits(&serial_out), bits(yb.data()), "pool={pool_threads}");
     });
 }
 
 /// Batch-of-1 through the engine equals the single-image wrapper, bit
-/// for bit, on every backend (the wrapper IS the batched path — this
+/// for bit (the wrapper IS the batched path — this
 /// pins that the demotion did not fork the numerics).
 #[test]
 fn batch_of_one_equals_single_image() {
     let spec = NetworkSpec::micro(12, 1, 5);
     let net = spec.build(11);
-    let mut q = QuantizedNet::from_network(&spec, &net).unwrap();
+    let q = QuantizedNet::from_network(&spec, &net).unwrap();
     let x = Tensor::from_vec(&[1, 12, 12], fill01(144, 5));
     let xb = Tensor::from_vec(&[1, 1, 12, 12], fill01(144, 5));
-    sweep_qbackends(|be| {
-        q.set_backend(be);
-        let y_single = q.forward(&x);
-        let mut ws = QWorkspace::for_net(&q);
-        let y_batch = q.forward_batch(&xb, &mut ws);
-        assert_eq!(bits(y_single.data()), bits(y_batch.data()), "{be}");
-    });
+    let y_single = q.forward(&x);
+    let mut ws = QWorkspace::for_net(&q);
+    let y_batch = q.forward_batch(&xb, &mut ws);
+    assert_eq!(bits(y_single.data()), bits(y_batch.data()));
 }

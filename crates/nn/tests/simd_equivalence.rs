@@ -5,8 +5,9 @@
 //! [`mramrl_nn::difftest`] harness (see `docs/gemm_backends.md` and
 //! `docs/fixed_point.md`):
 //!
-//! 1. **Q8.8 bitwise**: `QGemmBackend::Blocked` equals the `Naive`
-//!    saturating oracle to the bit on every shape, pool width and
+//! 1. **Q8.8 bitwise**: the kernel
+//!    (`qgemm::matmul_bt_bias_requant_into`) equals the saturating
+//!    oracle (`difftest::qmatmul_naive`) to the bit on every shape, pool width and
 //!    batch — certified rows ride the 4×16 pair tile (`pmaddwd` lanes
 //!    where the host has them), uncertified rows the scalar saturating
 //!    chain, and the certificate is what keeps the two
@@ -18,15 +19,16 @@
 //!    [`mramrl_nn::simd::force_scalar`].
 //! 3. **Certificate boundary**: rows constructed to sit exactly at,
 //!    one unit below, and one unit above the [`row_safe`] L1
-//!    threshold flip the verdict at the right point, and both integer
-//!    backends agree bitwise on either side of it.
+//!    threshold flip the verdict at the right point, and the kernel
+//!    agrees with the oracle bitwise on either side of it.
 //! 4. **Forced fallback**: under [`mramrl_nn::simd::force_scalar`]
 //!    (the in-process face of the `NN_SIMD=off` knob) both datapaths
 //!    run their scalar kernels with the oracle's bits — so the fallback
 //!    path is CI-gated even on AVX2 hosts, and the CI matrix's
 //!    `NN_SIMD=off` leg re-runs this whole suite with the env knob.
-//! 5. **f32 lanes bitwise**: `GemmBackend::Blocked`'s lane tile and its
-//!    scalar tile both equal the naive oracle to the bit, for `A·B` and
+//! 5. **f32 lanes bitwise**: the f32 kernel's lane tile and its scalar
+//!    tile both equal the naive oracle (`difftest::matmul`,
+//!    `difftest::matmul_at_b`) to the bit, for `A·B` and
 //!    `Aᵀ·B`, on every shape the batch-TD net's conv and FC passes
 //!    produce at batch 32 and batch 1 (forward, `dW` and `dX`, the
 //!    per-layer probe's CONV1 `dX` included), and on ragged tiles:
@@ -36,10 +38,11 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mramrl_fixed::Q8_8;
-use mramrl_nn::backend::GemmBackend;
-use mramrl_nn::difftest::{assert_bitwise, bits, fill, qbits, qfill, sweep_pools};
-use mramrl_nn::qgemm::{row_safe, QGemmBackend};
-use mramrl_nn::{simd, LayerSpec, NetworkSpec};
+use mramrl_nn::difftest::{
+    self, assert_bitwise, bits, fill, qbits, qfill, qmatmul_naive, sweep_pools,
+};
+use mramrl_nn::qgemm::{matmul_bt_bias_requant_into, row_safe};
+use mramrl_nn::{backend, simd, LayerSpec, NetworkSpec};
 use proptest::prelude::*;
 
 /// Serialises the tests that take a [`simd::force_scalar`] guard or
@@ -60,25 +63,38 @@ fn lanes_and_scalar(mut f: impl FnMut(&str)) {
     f("scalar");
 }
 
-/// Runs one integer GEMM on the given backend into a fresh buffer.
-fn qmm(
-    be: QGemmBackend,
-    a: &[Q8_8],
-    bt: &[Q8_8],
-    bias: &[Q8_8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Vec<Q8_8> {
+/// The integer kernel into a fresh buffer.
+fn qmm(a: &[Q8_8], bt: &[Q8_8], bias: &[Q8_8], m: usize, k: usize, n: usize) -> Vec<Q8_8> {
     let mut c = vec![Q8_8::from_raw(0); m * n];
-    be.matmul_bt_bias_requant_into(&mut c, a, bt, bias, m, k, n);
+    matmul_bt_bias_requant_into(&mut c, a, bt, bias, m, k, n);
+    c
+}
+
+/// The saturating oracle into a fresh buffer.
+fn qoracle(a: &[Q8_8], bt: &[Q8_8], bias: &[Q8_8], m: usize, k: usize, n: usize) -> Vec<Q8_8> {
+    let mut c = vec![Q8_8::from_raw(0); m * n];
+    qmatmul_naive(&mut c, a, bt, bias, m, k, n);
+    c
+}
+
+/// The f32 kernel's `A·B` into a fresh buffer.
+fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![f32::NAN; m * n];
+    backend::matmul_into(&mut c, a, b, m, k, n);
+    c
+}
+
+/// The f32 kernel's `Aᵀ·B` into a fresh buffer.
+fn matmul_at_b(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![f32::NAN; k * n];
+    backend::matmul_at_b_into(&mut c, a, b, m, k, n);
     c
 }
 
 proptest! {
     /// Contract 1 at property scale: random ragged shapes (whole and
     /// partial panels, odd `k`, short row groups, sub-`QMIN_N` columns,
-    /// empty dims), random operands, `Blocked` vs the saturating oracle,
+    /// empty dims), random operands, the kernel vs the saturating oracle,
     /// bit for bit.
     #[test]
     fn qsimd_matches_naive_bitwise(
@@ -90,13 +106,13 @@ proptest! {
         let a = qfill(m * k, seed);
         let bt = qfill(n * k, seed ^ 0xBEEF);
         let bias = qfill(m, seed ^ 0xB1A5);
-        let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
-        let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, m, k, n);
+        let want = qoracle(&a, &bt, &bias, m, k, n);
+        let got = qmm(&a, &bt, &bias, m, k, n);
         prop_assert_eq!(qbits(&want), qbits(&got), "m={} k={} n={}", m, k, n);
     }
 
     /// Contract 5 at property scale: random ragged shapes, special
-    /// values included, `Blocked` on lanes and on the scalar tile vs
+    /// values included, the kernel on lanes and on the scalar tile vs
     /// the naive oracle, both products, bit for bit.
     #[test]
     fn f32_lanes_match_naive_bitwise(
@@ -114,13 +130,13 @@ proptest! {
     /// magnitudes only) land the bound exactly on `i32::MAX - 1`
     /// (certified), `i32::MAX` (first uncertified value) and
     /// `i32::MAX + 1` (uncertified): the verdict flips exactly at the
-    /// strict `< i32::MAX` comparison, and every integer backend
-    /// produces the oracle's bits on both sides of the flip — the
+    /// strict `< i32::MAX` comparison, and the kernel produces the
+    /// oracle's bits on both sides of the flip — the
     /// tile must hand the row to the saturating chain the moment the
     /// certificate fails. The certified row's all-positive draws sum
     /// to within 128 of `i32::MAX`.
     #[test]
-    fn certificate_boundary_flips_exactly_and_all_backends_agree(seed in 0u64..1 << 40) {
+    fn certificate_boundary_flips_exactly_and_the_kernel_agrees(seed in 0u64..1 << 40) {
         // 65538 × 32767 = 2_147_483_646 = i32::MAX - 1.
         let full = 65538usize;
         let sign = |i: usize| if (seed >> (i % 40)) & 1 == 0 { 1i16 } else { -1i16 };
@@ -139,9 +155,9 @@ proptest! {
             let k = arow.len();
             // ±1 entries keep max|b| = 1 while exercising sign mixes.
             let bt: Vec<Q8_8> = (0..n * k).map(|i| Q8_8::from_raw(sign(i * 3))).collect();
-            let want = qmm(QGemmBackend::Naive, arow, &bt, &[zero], 1, k, n);
+            let want = qoracle(arow, &bt, &[zero], 1, k, n);
             let mut got = Vec::new();
-            lanes_and_scalar(|_| got.push(qmm(QGemmBackend::Blocked, arow, &bt, &[zero], 1, k, n)));
+            lanes_and_scalar(|_| got.push(qmm(arow, &bt, &[zero], 1, k, n)));
             for (path, got) in ["lanes", "scalar"].iter().zip(&got) {
                 prop_assert_eq!(qbits(&want), qbits(got), "{} k={} L1-case", path, k);
             }
@@ -171,9 +187,9 @@ fn qsimd_mixed_rows_match_naive_at_every_pool_size() {
     let bias = qfill(m, 53);
     assert!(!row_safe(&a[3 * k..4 * k], bias[3], 32768));
     assert!(row_safe(&a[..k], bias[0], 32768));
-    let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
+    let want = qoracle(&a, &bt, &bias, m, k, n);
     sweep_pools(|pool_threads| {
-        let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, m, k, n);
+        let got = qmm(&a, &bt, &bias, m, k, n);
         assert_eq!(qbits(&want), qbits(&got), "pool={pool_threads}");
     });
 }
@@ -191,9 +207,9 @@ fn tile_edges_match_naive_with_lanes_and_scalar() {
                 let a = qfill(m * k, seed);
                 let bt = qfill(n * k, seed ^ 0xBEEF);
                 let bias = qfill(m, seed ^ 0xB1A5);
-                let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
+                let want = qoracle(&a, &bt, &bias, m, k, n);
                 lanes_and_scalar(|path| {
-                    let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, m, k, n);
+                    let got = qmm(&a, &bt, &bias, m, k, n);
                     assert_eq!(qbits(&want), qbits(&got), "{path} m={m} k={k} n={n}");
                 });
             }
@@ -219,9 +235,9 @@ fn uncertified_row_inside_a_tile_matches_naive() {
     for row in [0usize, 2, 3] {
         assert!(row_safe(&a[row * k..(row + 1) * k], bias[row], max_b));
     }
-    let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, m, k, n);
+    let want = qoracle(&a, &bt, &bias, m, k, n);
     lanes_and_scalar(|path| {
-        let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, m, k, n);
+        let got = qmm(&a, &bt, &bias, m, k, n);
         assert_eq!(qbits(&want), qbits(&got), "{path}");
     });
 }
@@ -251,18 +267,17 @@ fn requant_near_i32_max_matches_naive() {
         let a: Vec<Q8_8> = [&small[..], &hot, &small, &small].concat();
         let bias = [Q8_8::from_raw(5), bias_hot, Q8_8::from_raw(-5), Q8_8::ZERO];
         let bt = vec![Q8_8::from_raw(1); n * k];
-        let want = qmm(QGemmBackend::Naive, &a, &bt, &bias, 4, k, n);
+        let want = qoracle(&a, &bt, &bias, 4, k, n);
         assert_eq!(want[n], Q8_8::MAX, "the hot row saturates high");
         lanes_and_scalar(|path| {
-            let got = qmm(QGemmBackend::Blocked, &a, &bt, &bias, 4, k, n);
+            let got = qmm(&a, &bt, &bias, 4, k, n);
             assert_eq!(qbits(&want), qbits(&got), "{path} k={k}");
         });
     }
 }
 
 /// Contract 4: under [`simd::force_scalar`] the SIMD tier is inert —
-/// `simd_active()` reports off, the f32 `Blocked` backend runs its
-/// scalar tile and the integer tile runs on scalar adds, both with the
+/// `simd_active()` reports off, the f32 kernel runs its scalar tile and the integer tile runs on scalar adds, both with the
 /// oracle's bits — and activity resumes when the guard drops. This is
 /// the in-process twin of the CI matrix's `NN_SIMD=off` leg, runnable
 /// on any host.
@@ -279,22 +294,22 @@ fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
         let b = fill(k * n, 62, true);
         assert_bitwise(
             "fallback matmul ≡ naive",
-            &GemmBackend::Naive.matmul(&a, &b, m, k, n),
-            &GemmBackend::Blocked.matmul(&a, &b, m, k, n),
+            &difftest::matmul(&a, &b, m, k, n),
+            &matmul(&a, &b, m, k, n),
         );
         let bt = fill(m * n, 63, true);
         assert_bitwise(
             "fallback at_b ≡ naive",
-            &GemmBackend::Naive.matmul_at_b(&a, &bt, m, k, n),
-            &GemmBackend::Blocked.matmul_at_b(&a, &bt, m, k, n),
+            &difftest::matmul_at_b(&a, &bt, m, k, n),
+            &matmul_at_b(&a, &bt, m, k, n),
         );
 
         let qa = qfill(m * k, 64);
         let qbt = qfill(n * k, 65);
         let qbias = qfill(m, 66);
         assert_eq!(
-            qbits(&qmm(QGemmBackend::Naive, &qa, &qbt, &qbias, m, k, n)),
-            qbits(&qmm(QGemmBackend::Blocked, &qa, &qbt, &qbias, m, k, n)),
+            qbits(&qoracle(&qa, &qbt, &qbias, m, k, n)),
+            qbits(&qmm(&qa, &qbt, &qbias, m, k, n)),
             "fallback qgemm ≡ oracle"
         );
     }
@@ -305,18 +320,18 @@ fn forced_fallback_collapses_both_datapaths_onto_scalar_kernels() {
     );
 }
 
-/// Contract 5's check: `A[m×k]·B[k×n]` and `A[m×k]ᵀ·B[m×n]` on
-/// `Blocked`, lanes on and scalar forced, against the naive oracle.
+/// Contract 5's check: `A[m×k]·B[k×n]` and `A[m×k]ᵀ·B[m×n]` on the
+/// kernel, lanes on and scalar forced, against the naive oracle.
 fn f32_products_match_naive(m: usize, k: usize, n: usize, seed: u64, specials: bool) {
     let a = fill(m * k, seed, specials);
     let b = fill(k * n, seed ^ 0xF32, specials);
     let bt = fill(m * n, seed ^ 0xF33, specials);
-    let want = bits(&GemmBackend::Naive.matmul(&a, &b, m, k, n));
-    let want_t = bits(&GemmBackend::Naive.matmul_at_b(&a, &bt, m, k, n));
+    let want = bits(&difftest::matmul(&a, &b, m, k, n));
+    let want_t = bits(&difftest::matmul_at_b(&a, &bt, m, k, n));
     lanes_and_scalar(|path| {
-        let got = GemmBackend::Blocked.matmul(&a, &b, m, k, n);
+        let got = matmul(&a, &b, m, k, n);
         assert_eq!(want, bits(&got), "{path} A·B m={m} k={k} n={n}");
-        let got_t = GemmBackend::Blocked.matmul_at_b(&a, &bt, m, k, n);
+        let got_t = matmul_at_b(&a, &bt, m, k, n);
         assert_eq!(want_t, bits(&got_t), "{path} Aᵀ·B m={m} k={k} n={n}");
     });
 }
@@ -392,13 +407,15 @@ fn f32_batch_td_shapes_match_naive_with_lanes_and_scalar() {
             let at_b = label.ends_with("dW");
             let a = fill(m * k, i as u64, false);
             let b = fill(if at_b { m * n } else { k * n }, i as u64 ^ 0xB, false);
-            let run = |be: GemmBackend| match at_b {
-                true => be.matmul_at_b(&a, &b, m, k, n),
-                false => be.matmul(&a, &b, m, k, n),
-            };
-            let want = bits(&run(GemmBackend::Naive));
+            let want = bits(&match at_b {
+                true => difftest::matmul_at_b(&a, &b, m, k, n),
+                false => difftest::matmul(&a, &b, m, k, n),
+            });
             lanes_and_scalar(|path| {
-                let got = run(GemmBackend::Blocked);
+                let got = match at_b {
+                    true => matmul_at_b(&a, &b, m, k, n),
+                    false => matmul(&a, &b, m, k, n),
+                };
                 assert_eq!(want, bits(&got), "{path} batch {batch} {label}");
             });
         }

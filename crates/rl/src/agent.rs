@@ -4,8 +4,7 @@
 // selection must never diverge from `Tensor::argmax`-based serial
 // selection on ties.
 use mramrl_nn::{
-    argmax, GemmBackend, Loss, Network, NetworkSpec, QGemmBackend, QWorkspace, QuantizedNet, Sgd,
-    Tensor, Workspace,
+    argmax, Loss, Network, NetworkSpec, QWorkspace, QuantizedNet, Sgd, Tensor, Workspace,
 };
 
 use crate::replay::{Transition, TransitionBatch};
@@ -138,11 +137,8 @@ impl QAgent {
     /// and deployment tooling (weight-byte accounting, cost models).
     pub fn quantized_snapshot(&mut self) -> &QuantizedNet {
         if self.qsnap.is_none() {
-            let mut snap = QuantizedNet::from_network(&self.spec, &self.net)
+            let snap = QuantizedNet::from_network(&self.spec, &self.net)
                 .expect("agent's network is built from its own spec");
-            snap.set_backend(QGemmBackend::from_gemm(
-                self.net.gemm_backend().unwrap_or_default(),
-            ));
             self.qsnap = Some(std::sync::Arc::new(snap));
         }
         self.qsnap.as_ref().expect("just built")
@@ -209,21 +205,11 @@ impl QAgent {
         &mut self.net
     }
 
-    /// Routes both networks' conv/FC matrix products through `backend`
-    /// (the target network's forward pass is just as hot as the online
-    /// one — every TD update evaluates it).
-    ///
-    /// Note: every [`crate::Trainer`] entry point re-applies its own
-    /// `TrainerConfig::backend` at the start of every run — to pick a
-    /// backend for training, set it on the config rather than (only)
-    /// here.
-    pub fn set_gemm_backend(&mut self, backend: GemmBackend) {
-        self.net.set_gemm_backend(backend);
-        self.target.set_gemm_backend(backend);
-        // The snapshot mirrors the float backend choice (naive→naive,
-        // blocked→blocked); rebuild on next use.
-        self.invalidate_quantized();
-    }
+    /// Does nothing: there is one GEMM kernel per datapath. Kept for
+    /// `perfbench`, whose per-layer probe calls it; ROADMAP item 3's
+    /// benchmark PR removes it.
+    #[doc(hidden)]
+    pub fn set_gemm_backend(&mut self, _: mramrl_nn::backend::Blocked) {}
 
     /// Discount factor.
     pub fn gamma(&self) -> f32 {
@@ -367,7 +353,7 @@ impl QAgent {
     /// i.e. right after [`QAgent::apply_update`]), the accumulated
     /// gradients and returned TD errors are **bit-identical** to calling
     /// [`QAgent::accumulate_td`] serially on the same transitions in
-    /// order, on every [`GemmBackend`] and at any `NN_POOL_THREADS` —
+    /// order, at any `NN_POOL_THREADS` —
     /// the equivalence proptests pin this.
     pub fn accumulate_td_batch(&mut self, batch: &TransitionBatch) -> Vec<f32> {
         let fwd = self.td_forward(batch);

@@ -24,7 +24,7 @@
 //! interleaving's single buffer.
 //!
 //! With more than one executor on the persistent `mramrl_nn::pool`, the
-//! whole vec-step runs multi-core on every backend: lane rendering fans
+//! whole vec-step runs multi-core: lane rendering fans
 //! out inside [`VecEnv::step`] / [`mramrl_env::step_fleets`], the agent
 //! overlaps its independent target/online forwards, and in
 //! deployment-precision acting the trainer also overlaps the learner's
@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mramrl_env::{step_fleets, Action, EnvKind, Image, VecEnv};
-use mramrl_nn::{GemmBackend, QWorkspace, QuantizedNet, Sgd, Tensor};
+use mramrl_nn::{QWorkspace, QuantizedNet, Sgd, Tensor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -77,10 +77,6 @@ pub struct TrainerConfig {
     pub log_every: u64,
     /// RNG seed for exploration/replay sampling.
     pub seed: u64,
-    /// GEMM backend for every network product in the run (both the online
-    /// and target nets). Defaults to [`mramrl_nn::backend::default_backend`],
-    /// i.e. the `NN_GEMM_BACKEND` env knob.
-    pub backend: GemmBackend,
     /// Environment lanes **per fleet**: [`Trainer::build_vec_env`] and
     /// [`Trainer::build_fleets`] size their fleets from this, and the
     /// learner's TD batches are one transition per lane per round. A
@@ -121,7 +117,6 @@ impl TrainerConfig {
             metrics_window: ((iters as usize) / 4).max(16),
             log_every: (iters / 64).max(1),
             seed,
-            backend: mramrl_nn::backend::default_backend(),
             num_envs: 1,
             actor_precision: ActingPrecision::Float32,
             snapshot_refresh: 16,
@@ -467,8 +462,8 @@ impl Trainer {
     /// final weights) is identical to the *pinned serial interleaving*
     /// of the same fleets — one round-robin loop, single replay buffer,
     /// single RNG — documented in `docs/training.md` and executed by the
-    /// reference driver in the `actor_learner` test suite, on every
-    /// bitwise backend at any `NN_POOL_THREADS`. One fleet reduces to
+    /// reference driver in the `actor_learner` test suite, at any
+    /// `NN_POOL_THREADS`. One fleet reduces to
     /// [`Trainer::run_vec`] exactly.
     ///
     /// `iters` counts environment steps across **all** lanes of all
@@ -537,7 +532,6 @@ impl Trainer {
         );
         let lanes = n * k;
 
-        agent.set_gemm_backend(cfg.backend);
         // The trainer owns the acting datapath: TD math runs float on
         // the live net; `cfg.actor_precision` selects the actors'
         // forward (a frozen trainer-held snapshot in Q8.8 mode — the

@@ -10,9 +10,9 @@
 //!   the FC tail training (`Topology::L4`), where backpropagation stops
 //!   at the first trainable layer;
 //! * `run_parallel(1)` ≡ `run_vec` exactly;
-//! * the trajectory is invariant across the bitwise GEMM backends and
-//!   pool sizes {1, 2, 7} — every bitwise backend runs the same conv
-//!   algorithm, and parallelism changes throughput, never bits;
+//! * the trajectory is invariant across pool sizes {1, 2, 7} and
+//!   between the GEMM kernels' AVX2 lanes and their scalar tiles —
+//!   parallelism and lanes change throughput, never bits;
 //! * deployment-precision actors really act on the *stale* snapshot
 //!   (refresh cadence is observable), and the rollout hot path reaches
 //!   zero steady-state frame allocation (the `Workspace::footprint`
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use mramrl_env::{DepthCamera, DroneEnv, VecEnv};
 use mramrl_nn::pool::ThreadPool;
-use mramrl_nn::{GemmBackend, NetworkSpec, QWorkspace, QuantizedNet, Sgd, Tensor};
+use mramrl_nn::{simd, NetworkSpec, QWorkspace, QuantizedNet, Sgd, Tensor};
 use mramrl_rl::{
     ActingPrecision, MovingAverage, QAgent, ReplayBuffer, SafeFlightTracker, Topology, TrainLog,
     Trainer, TrainerConfig, Transition, TransitionBatch,
@@ -110,7 +110,6 @@ fn pinned_serial_reference(
     let k = fleets[0].len();
     let lanes = n * k;
 
-    agent.set_gemm_backend(cfg.backend);
     agent.set_acting_precision(ActingPrecision::Float32);
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5EED_5EED);
     let sgd = Sgd::new(cfg.lr).with_grad_clip(cfg.grad_clip);
@@ -245,16 +244,17 @@ fn pinned_serial_reference(
 
 /// Runs the engine and the serial reference on `n` fleets of `k` lanes,
 /// both agents training under `topo`, asserts they agree to the bit,
-/// and returns the engine's curve and final weights.
+/// and returns the engine's curve and final weights. With
+/// `scalar_reference`, the reference runs under [`simd::force_scalar`]
+/// while the engine keeps the lanes the host has.
 fn assert_matches_reference(
     n: usize,
     k: usize,
     q88: bool,
-    backend: GemmBackend,
     topo: Topology,
+    scalar_reference: bool,
 ) -> (CurveBits, Vec<u8>) {
     let mut c = cfg(96, 17, k);
-    c.backend = backend;
     if q88 {
         c.actor_precision = ActingPrecision::FixedQ8_8;
     }
@@ -266,9 +266,10 @@ fn assert_matches_reference(
 
     let mut ref_agent = new_agent(17, topo);
     let mut fl = fleets(17, n, k);
+    let _scalar = scalar_reference.then(simd::force_scalar);
     let (ref_curve, ref_weights) = pinned_serial_reference(&c, &mut ref_agent, &mut fl, q88);
 
-    let tag = format!("n={n}, k={k}, q88={q88}, {backend:?}, {topo}");
+    let tag = format!("n={n}, k={k}, q88={q88}, {topo}, scalar_reference={scalar_reference}");
     assert_eq!(
         curve_bits(&log),
         ref_curve,
@@ -289,29 +290,23 @@ fn run_parallel_matches_pinned_serial_interleaving() {
     for &n in &[1usize, 2, 4] {
         for k in [1usize, 2] {
             for q88 in [false, true] {
-                assert_matches_reference(n, k, q88, GemmBackend::Naive, Topology::E2E);
+                assert_matches_reference(n, k, q88, Topology::E2E, false);
             }
         }
     }
 }
 
-/// The equivalence holds on every bitwise backend, and the backends
-/// agree with each other: `Naive` and `Blocked` both run the one im2col
-/// GEMM conv algorithm under the summation-order contract, so curves and
-/// saved weights are the same bytes on both. Pinned
-/// on all-trainable nets and on the frozen-trunk L4 tail (the deployed
-/// point, where the round's backward stops at FC2 and skips its input
-/// gradient).
+/// The equivalence holds with the serial reference on the kernels'
+/// scalar tiles and the engine on their lanes: both tiles keep the
+/// oracle's summation order, so curves and saved weights are the same
+/// bytes. Pinned on all-trainable nets and on the frozen-trunk L4 tail
+/// (the deployed point, where the round's backward stops at FC2 and
+/// skips its input gradient).
 #[test]
-fn reference_equivalence_holds_per_backend() {
+fn reference_equivalence_holds_lanes_vs_scalar() {
     for topo in [Topology::E2E, Topology::L4] {
         for q88 in [false, true] {
-            let naive = assert_matches_reference(2, 2, q88, GemmBackend::Naive, topo);
-            let got = assert_matches_reference(2, 2, q88, GemmBackend::Blocked, topo);
-            assert_eq!(
-                naive, got,
-                "Blocked trajectory differs from Naive (q88={q88}, {topo})"
-            );
+            assert_matches_reference(2, 2, q88, topo, true);
         }
     }
 }
@@ -334,38 +329,34 @@ fn one_fleet_equals_run_vec() {
     assert_eq!(a1.net().save_weights(), a2.net().save_weights());
 }
 
-/// Within each bitwise backend, the trajectory is invariant across pool
-/// sizes {1, 2, 7} — in both acting precisions, on all-trainable nets
-/// and on the frozen-trunk L4 tail. On multi-thread pools the round
-/// overlaps the TD forward pair, and in Q8.8 acting the learner's
-/// backward with the actors' forward; neither may show. Cross-backend
-/// equality is `reference_equivalence_holds_per_backend`'s job.
+/// The trajectory is invariant across pool sizes {1, 2, 7} — in both
+/// acting precisions, on all-trainable nets and on the frozen-trunk L4
+/// tail. On multi-thread pools the round overlaps the TD forward pair,
+/// and in Q8.8 acting the learner's backward with the actors' forward;
+/// neither may show.
 #[test]
-fn pool_invariance_per_bitwise_backend() {
+fn pool_invariance() {
     for topo in [Topology::E2E, Topology::L4] {
         for q88 in [false, true] {
-            for backend in GemmBackend::ALL {
-                let mut reference: Option<(CurveBits, Vec<u8>)> = None;
-                for pool_threads in [1usize, 2, 7] {
-                    let pool = ThreadPool::new(pool_threads);
-                    let _installed = pool.install();
-                    let mut c = cfg(64, 23, 2);
-                    c.backend = backend;
-                    if q88 {
-                        c.actor_precision = ActingPrecision::FixedQ8_8;
-                    }
-                    let mut agent = new_agent(23, topo);
-                    let mut fl = fleets(23, 2, 2);
-                    let log = Trainer::new(c).run_parallel(&mut agent, &mut fl);
-                    let got = (curve_bits(&log), agent.net().save_weights());
-                    match &reference {
-                        None => reference = Some(got),
-                        Some(want) => assert_eq!(
-                            want, &got,
-                            "trajectory changed under {backend:?} × {pool_threads} threads \
-                             (q88={q88}, {topo})"
-                        ),
-                    }
+            let mut reference: Option<(CurveBits, Vec<u8>)> = None;
+            for pool_threads in [1usize, 2, 7] {
+                let pool = ThreadPool::new(pool_threads);
+                let _installed = pool.install();
+                let mut c = cfg(64, 23, 2);
+                if q88 {
+                    c.actor_precision = ActingPrecision::FixedQ8_8;
+                }
+                let mut agent = new_agent(23, topo);
+                let mut fl = fleets(23, 2, 2);
+                let log = Trainer::new(c).run_parallel(&mut agent, &mut fl);
+                let got = (curve_bits(&log), agent.net().save_weights());
+                match &reference {
+                    None => reference = Some(got),
+                    Some(want) => assert_eq!(
+                        want, &got,
+                        "trajectory changed under {pool_threads} threads \
+                         (q88={q88}, {topo})"
+                    ),
                 }
             }
         }

@@ -1,11 +1,10 @@
 //! Pooled TD-accumulation equivalence: `QAgent::accumulate_td_batch` —
 //! with its concurrent target/online forwards and the pooled per-sample
 //! conv passes underneath — must stay **bit-identical** to serial
-//! `accumulate_td` calls on every GEMM backend and at every pool size
+//! `accumulate_td` calls at every pool size
 //! (`NN_POOL_THREADS` ∈ {1, 2, 7}, swept in-process via
 //! `ThreadPool::install`).
 
-use mramrl_nn::backend::GemmBackend;
 use mramrl_nn::pool::ThreadPool;
 use mramrl_nn::{NetworkSpec, Tensor};
 use mramrl_rl::{QAgent, Transition, TransitionBatch};
@@ -55,7 +54,7 @@ fn all_grads(agent: &QAgent) -> Vec<f32> {
 
 proptest! {
     /// Batched TD accumulation (gradients and TD errors) is bit-identical
-    /// to the serial transition loop for every backend × pool size ×
+    /// to the serial transition loop for every pool size ×
     /// Double-DQN setting.
     #[test]
     fn pooled_td_accumulation_matches_serial_bitwise(
@@ -69,27 +68,23 @@ proptest! {
         let refs: Vec<&Transition> = ts.iter().collect();
         let batch = TransitionBatch::from_transitions(&refs);
 
-        for be in GemmBackend::ALL {
-            let mut serial = QAgent::new(&spec, 17).with_double_q(double_q);
-            serial.set_gemm_backend(be);
-            let serial_td: Vec<f32> = ts.iter().map(|t| serial.accumulate_td(t)).collect();
-            let serial_grads = all_grads(&serial);
+        let mut serial = QAgent::new(&spec, 17).with_double_q(double_q);
+        let serial_td: Vec<f32> = ts.iter().map(|t| serial.accumulate_td(t)).collect();
+        let serial_grads = all_grads(&serial);
 
-            for pool_threads in [1usize, 2, 7] {
-                let pool = ThreadPool::new(pool_threads);
-                let _installed = pool.install();
-                let mut batched = QAgent::new(&spec, 17).with_double_q(double_q);
-                batched.set_gemm_backend(be);
-                let batched_td = batched.accumulate_td_batch(&batch);
-                prop_assert_eq!(
-                    bits(&serial_td), bits(&batched_td),
-                    "td {} pool={} n={} double_q={}", be, pool_threads, n, double_q
-                );
-                prop_assert_eq!(
-                    bits(&serial_grads), bits(&all_grads(&batched)),
-                    "grads {} pool={} n={} double_q={}", be, pool_threads, n, double_q
-                );
-            }
+        for pool_threads in [1usize, 2, 7] {
+            let pool = ThreadPool::new(pool_threads);
+            let _installed = pool.install();
+            let mut batched = QAgent::new(&spec, 17).with_double_q(double_q);
+            let batched_td = batched.accumulate_td_batch(&batch);
+            prop_assert_eq!(
+                bits(&serial_td), bits(&batched_td),
+                "td pool={} n={} double_q={}", pool_threads, n, double_q
+            );
+            prop_assert_eq!(
+                bits(&serial_grads), bits(&all_grads(&batched)),
+                "grads pool={} n={} double_q={}", pool_threads, n, double_q
+            );
         }
     }
 }
@@ -107,20 +102,12 @@ fn pooled_greedy_actions_match_serial() {
         data.extend_from_slice(o.data());
     }
     let batch = Tensor::from_vec(&[4, 1, 8, 8], data);
-    for be in GemmBackend::ALL {
-        let mut serial = QAgent::new(&spec, 21);
-        serial.set_gemm_backend(be);
-        let want: Vec<usize> = obs.iter().map(|o| serial.greedy_action(o)).collect();
-        for pool_threads in [1usize, 2, 7] {
-            let pool = ThreadPool::new(pool_threads);
-            let _installed = pool.install();
-            let mut agent = QAgent::new(&spec, 21);
-            agent.set_gemm_backend(be);
-            assert_eq!(
-                agent.greedy_actions(&batch),
-                want,
-                "{be} pool={pool_threads}"
-            );
-        }
+    let mut serial = QAgent::new(&spec, 21);
+    let want: Vec<usize> = obs.iter().map(|o| serial.greedy_action(o)).collect();
+    for pool_threads in [1usize, 2, 7] {
+        let pool = ThreadPool::new(pool_threads);
+        let _installed = pool.install();
+        let mut agent = QAgent::new(&spec, 21);
+        assert_eq!(agent.greedy_actions(&batch), want, "pool={pool_threads}");
     }
 }

@@ -3,16 +3,15 @@
 //!
 //! Pins that [`QAgent`]'s quantised acting mode (1) selects exactly the
 //! actions the [`QuantizedNet`] engine's Q-values imply, bit for bit,
-//! on every integer backend and pool size, (2) never acts on a stale
-//! snapshot after a weight update, and (3) — the paper's argmax-fidelity
+//! at every pool size, (2) never acts on a stale snapshot after a
+//! weight update, within a run or across runs, and (3) — the paper's argmax-fidelity
 //! claim, **measured, not assumed** — agrees with float greedy acting on
 //! at least 80 % of frames once the policy has trained.
 
 use mramrl_env::{DepthCamera, DroneEnv, EnvKind, VecEnv};
-use mramrl_nn::qgemm::QGemmBackend;
-use mramrl_nn::quant::QWorkspace;
-use mramrl_nn::{argmax, NetworkSpec, Tensor};
-use mramrl_rl::{evaluate_vec, ActingPrecision, QAgent, Trainer, TrainerConfig};
+use mramrl_nn::quant::{QWorkspace, QuantizedNet};
+use mramrl_nn::{argmax, simd, NetworkSpec, Tensor};
+use mramrl_rl::{evaluate_vec, ActingPrecision, QAgent, TrainLog, Trainer, TrainerConfig};
 
 fn spec() -> NetworkSpec {
     NetworkSpec::micro(16, 1, 5)
@@ -36,40 +35,24 @@ fn tiny_env(seed: u64) -> DroneEnv {
         .with_camera(DepthCamera::new(16, 16, 1.5, 20.0, 0.01))
 }
 
-/// Quantised greedy actions equal argmax over the snapshot's own
-/// batched Q-values, on every integer backend × pool size — the agent
-/// adds routing, never arithmetic.
+/// Quantised greedy actions equal argmax over the Q-values of an
+/// independent quantisation of the agent's weights, run on the scalar
+/// tile, at every pool size — the agent adds routing, never arithmetic.
 #[test]
 fn quantised_acting_matches_engine_bitwise() {
     let obs = obs_batch(4, 16, 7);
-    for be in QGemmBackend::ALL {
-        for pool_threads in [1usize, 2, 7] {
-            let pool = mramrl_nn::pool::ThreadPool::new(pool_threads);
-            let _installed = pool.install();
-            let mut agent =
-                QAgent::new(&spec(), 3).with_acting_precision(ActingPrecision::FixedQ8_8);
-            let mut engine = agent.quantized_snapshot().clone();
-            engine.set_backend(be);
-            // Match the agent's snapshot backend to the one under test.
-            agent.quantized_snapshot(); // ensure built
+    for pool_threads in [1usize, 2, 7] {
+        let pool = mramrl_nn::pool::ThreadPool::new(pool_threads);
+        let _installed = pool.install();
+        let mut agent = QAgent::new(&spec(), 3).with_acting_precision(ActingPrecision::FixedQ8_8);
+        let engine = QuantizedNet::from_network(&spec(), agent.net()).expect("own spec");
+        let want: Vec<usize> = {
+            let _scalar = simd::force_scalar();
             let mut ws = QWorkspace::for_net(&engine);
-            let want: Vec<usize> = {
-                let q = engine.q_values_batch(&obs, &mut ws);
-                (0..q.batch()).map(|i| argmax(q.sample(i))).collect()
-            };
-            // Drive the agent's own snapshot through the same backend.
-            let mut agent2 =
-                QAgent::new(&spec(), 3).with_acting_precision(ActingPrecision::FixedQ8_8);
-            agent2.set_gemm_backend(match be {
-                QGemmBackend::Naive => mramrl_nn::GemmBackend::Naive,
-                QGemmBackend::Blocked => mramrl_nn::GemmBackend::Blocked,
-            });
-            assert_eq!(
-                agent2.greedy_actions(&obs),
-                want,
-                "backend={be} pool={pool_threads}"
-            );
-        }
+            let q = engine.q_values_batch(&obs, &mut ws);
+            (0..q.batch()).map(|i| argmax(q.sample(i))).collect()
+        };
+        assert_eq!(agent.greedy_actions(&obs), want, "pool={pool_threads}");
     }
 }
 
@@ -124,10 +107,60 @@ fn snapshot_refreshes_after_weight_update() {
     assert_ne!(before.data(), after.data(), "stale Q8.8 snapshot");
 
     // And the refreshed snapshot matches a from-scratch quantisation.
-    let fresh = agent.quantized_snapshot().clone();
+    let fresh = QuantizedNet::from_network(&spec(), agent.net()).expect("own spec");
     let mut ws = QWorkspace::for_net(&fresh);
     let want = fresh.q_values_batch(&obs, &mut ws);
     assert_eq!(after.data(), want.data());
+}
+
+/// Across runs: a Q8.8-acting `run_parallel` that follows an earlier
+/// run and a `net_mut()` weight edit on the same agent acts on the
+/// edited weights, not on a snapshot cached before the edit. The agent
+/// with that history must train exactly like a fresh agent loaded with
+/// the same weights. The actors never refresh, so a stale run-start
+/// snapshot would steer the whole second run.
+#[test]
+fn run_after_a_weight_edit_acts_on_the_current_weights() {
+    let run = |agent: &mut QAgent| -> (TrainLog, Vec<u8>) {
+        let mut cfg = TrainerConfig::online(64, 41);
+        cfg.num_envs = 2;
+        cfg.actor_precision = ActingPrecision::FixedQ8_8;
+        cfg.snapshot_refresh = u64::MAX;
+        let envs = (0..4).map(|i| tiny_env(41 + i)).collect();
+        let mut fleets = VecEnv::from_envs(envs).split(2);
+        let log = Trainer::new(cfg).run_parallel(agent, &mut fleets);
+        (log, agent.net().save_weights())
+    };
+    let edited = spec().build(4242).save_weights();
+
+    let mut agent = QAgent::new(&spec(), 40);
+    run(&mut agent);
+    agent.quantized_snapshot(); // cache a snapshot of the old weights
+    agent
+        .net_mut()
+        .load_weights(&edited)
+        .expect("same structure");
+    agent.net_mut().zero_grads();
+    agent.sync_target();
+    let (log, weights) = run(&mut agent);
+
+    let mut fresh = QAgent::new(&spec(), 7);
+    fresh.load_transfer(&edited).expect("same structure");
+    let (want_log, want_weights) = run(&mut fresh);
+    let curve = |l: &TrainLog| -> Vec<(u64, u32, u32)> {
+        l.curve
+            .iter()
+            .map(|p| {
+                (
+                    p.iter,
+                    p.cumulative_reward.to_bits(),
+                    p.avg_return.to_bits(),
+                )
+            })
+            .collect()
+    };
+    assert_eq!(curve(&log), curve(&want_log), "curve");
+    assert_eq!(weights, want_weights, "final weights");
 }
 
 /// The measured fidelity claim: after a short training run, float and

@@ -27,7 +27,7 @@
 //! * [`replay_trace`] / [`RequestTrace`] — the determinism harness: a
 //!   trace of logical-time request and publish events replayed through
 //!   the identical batching policy produces an [`ActionLog`] that is
-//!   **bit-identical** across GEMM backends and pool sizes (the same
+//!   **bit-identical** across pool sizes, lanes on or off (the same
 //!   discipline as the pool combinators; pinned in
 //!   `crates/serve/tests/determinism.rs`).
 //!

@@ -5,7 +5,7 @@
 //! carries *logical* microsecond timestamps, and [`replay_trace`] runs
 //! the exact dynamic-batching policy ([`crate::ServeConfig`]) against
 //! those timestamps. Fixed trace + fixed snapshots ⇒ a bit-identical
-//! [`ActionLog`], across GEMM backends and pool sizes — the same
+//! [`ActionLog`], across pool sizes, lanes on or off — the same
 //! discipline the pool combinators pin (`docs/threading.md`), one layer
 //! up.
 
@@ -188,8 +188,8 @@ impl ActionLog {
 /// Decisions come from [`decide_batch`] — the same flush body as the
 /// live worker. Engine passes run on the caller's thread and current
 /// pool unless `cfg.pool` is set, in which case it is installed for the
-/// duration; either way the log is bit-identical at any pool size and
-/// GEMM backend (pinned in `crates/serve/tests/determinism.rs`).
+/// duration; either way the log is bit-identical at any pool size,
+/// lanes on or off (pinned in `crates/serve/tests/determinism.rs`).
 pub fn replay_trace(
     trace: &RequestTrace,
     initial: Arc<QuantizedNet>,

@@ -1,7 +1,8 @@
 //! The serving determinism contract:
 //!
 //! * a fixed request trace + fixed snapshots replays to a
-//!   **byte-identical** action log across GEMM backends and pool sizes;
+//!   **byte-identical** action log across pool sizes, on the integer
+//!   kernel's lanes and on its scalar tile;
 //! * snapshot hot-swap never yields a mixed-generation response — every
 //!   decision matches the single-net forward of the generation it is
 //!   stamped with;
@@ -12,7 +13,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mramrl_nn::pool::ThreadPool;
-use mramrl_nn::{NetworkSpec, QGemmBackend, QuantizedNet, Tensor};
+use mramrl_nn::{simd, NetworkSpec, QuantizedNet, Tensor};
 use mramrl_serve::{replay_trace, RequestTrace, ServeConfig, Service, SnapshotStore, TraceEvent};
 
 const OBS_SHAPE: [usize; 3] = [1, 16, 16];
@@ -21,11 +22,9 @@ fn spec() -> NetworkSpec {
     NetworkSpec::micro(16, 1, 5)
 }
 
-fn qnet(seed: u64, backend: QGemmBackend) -> Arc<QuantizedNet> {
+fn qnet(seed: u64) -> Arc<QuantizedNet> {
     let spec = spec();
-    let mut q = QuantizedNet::from_network(&spec, &spec.build(seed)).expect("valid spec");
-    q.set_backend(backend);
-    Arc::new(q)
+    Arc::new(QuantizedNet::from_network(&spec, &spec.build(seed)).expect("valid spec"))
 }
 
 /// A small deterministic set of distinct observations.
@@ -55,7 +54,7 @@ fn expected_actions(net: &QuantizedNet, obs: &[Tensor]) -> Vec<usize> {
 }
 
 #[test]
-fn replay_is_bit_identical_across_backends_and_pools() {
+fn replay_is_bit_identical_across_lanes_and_pools() {
     let trace = RequestTrace::synthetic_fleet(6, 20, 300, OBS_SHAPE, 9);
     let cfg = ServeConfig {
         max_batch: 4,
@@ -63,22 +62,23 @@ fn replay_is_bit_identical_across_backends_and_pools() {
         pool: None,
     };
     let mut reference: Option<(Vec<u8>, u64)> = None;
-    for backend in QGemmBackend::ALL {
+    for scalar in [false, true] {
+        let _scalar = scalar.then(simd::force_scalar);
         for pool_threads in [1usize, 4] {
             let pool = ThreadPool::new(pool_threads);
             let _installed = pool.install();
-            let log = replay_trace(&trace, qnet(42, backend), &cfg);
+            let log = replay_trace(&trace, qnet(42), &cfg);
             assert_eq!(
                 log.records().len(),
                 trace.len(),
-                "{backend:?} pool={pool_threads}: every request decided exactly once"
+                "scalar={scalar} pool={pool_threads}: every request decided exactly once"
             );
             let bytes = (log.to_bytes(), log.digest());
             match &reference {
                 None => reference = Some(bytes),
                 Some(r) => assert_eq!(
                     r, &bytes,
-                    "{backend:?} pool={pool_threads}: action log diverged"
+                    "scalar={scalar} pool={pool_threads}: action log diverged"
                 ),
             }
         }
@@ -92,8 +92,8 @@ fn replay_batching_policy_is_deadline_or_max_batch() {
     // [4 (cap), 1 (deadline), 1 (end of trace)] — visible through seq
     // ordering and the one-flush-one-generation stamp after a publish
     // lands between the groups.
-    let net0 = qnet(1, QGemmBackend::Blocked);
-    let net1 = qnet(2001, QGemmBackend::Blocked);
+    let net0 = qnet(1);
+    let net1 = qnet(2001);
     let obs = obs_set(1).remove(0);
     let mut events: Vec<TraceEvent> = (0..5u64)
         .map(|i| TraceEvent::Request {
@@ -137,8 +137,7 @@ fn replay_hot_swap_has_no_torn_reads() {
     // the single-net forward of the generation it is stamped with —
     // a batch computed partly on one net and stamped with another
     // cannot pass wherever the two nets disagree.
-    let backend = QGemmBackend::Blocked;
-    let nets: Vec<Arc<QuantizedNet>> = (0..4u64).map(|g| qnet(g * 1000 + 7, backend)).collect();
+    let nets: Vec<Arc<QuantizedNet>> = (0..4u64).map(|g| qnet(g * 1000 + 7)).collect();
     let drones = 12u64;
     let obs = obs_set(drones as usize);
     let expected: Vec<Vec<usize>> = nets.iter().map(|n| expected_actions(n, &obs)).collect();
@@ -197,8 +196,7 @@ fn replay_hot_swap_has_no_torn_reads() {
 
 #[test]
 fn live_service_matches_engine_and_stays_generation_pure() {
-    let backend = QGemmBackend::Blocked;
-    let nets: Vec<Arc<QuantizedNet>> = (0..6u64).map(|g| qnet(g * 1000 + 7, backend)).collect();
+    let nets: Vec<Arc<QuantizedNet>> = (0..6u64).map(|g| qnet(g * 1000 + 7)).collect();
     let n_obs = 8usize;
     let obs = obs_set(n_obs);
     let expected: Vec<Vec<usize>> = nets.iter().map(|n| expected_actions(n, &obs)).collect();
@@ -269,7 +267,7 @@ fn live_service_matches_engine_and_stays_generation_pure() {
 
 #[test]
 fn live_service_coalesces_under_load() {
-    let store = Arc::new(SnapshotStore::new(qnet(42, QGemmBackend::Blocked)));
+    let store = Arc::new(SnapshotStore::new(qnet(42)));
     let service = Service::spawn(
         Arc::clone(&store),
         ServeConfig {
@@ -303,8 +301,7 @@ fn live_service_coalesces_under_load() {
 
 #[test]
 fn live_service_pool_injection_changes_nothing() {
-    let backend = QGemmBackend::Blocked;
-    let net = qnet(42, backend);
+    let net = qnet(42);
     let obs = obs_set(6);
     let expected = expected_actions(&net, &obs);
     for pool_threads in [1usize, 4] {

@@ -11,8 +11,9 @@ pub enum FcDirection {
     /// Backward: column-wise vector propagation, row-wise pSUM
     /// accumulation — the vector-*transposed*-matrix product of Fig. 8,
     /// computed without physically transposing the weight tiles.
-    /// (Software twin: `mramrl_nn`'s `matmul_at_b` backends, which also
-    /// never materialise the transpose — see `docs/gemm_backends.md`.)
+    /// (Software twin: `mramrl_nn`'s `backend::matmul_at_b_into`, which
+    /// also never materialises the transpose — see
+    /// `docs/gemm_backends.md`.)
     Transposed,
 }
 

@@ -22,11 +22,10 @@
 //! sets, active PEs, pass counts — and an ideal-dataflow cycle roofline.
 //! Absolute post-synthesis timing calibration lives in `mramrl-accel`.
 //!
-//! The *software* twin of these GEMM dataflows is the pluggable backend
-//! suite in `mramrl_nn::backend` (naive/blocked kernels behind
-//! `matmul` / `matmul_at_b`; see `docs/gemm_backends.md`): the forward
-//! Fig. 7 dataflow corresponds to `matmul`, the transposed Fig. 8
-//! dataflow to `matmul_at_b`. Changing software backends never changes
+//! The *software* twin of these GEMM dataflows is the f32 kernel in
+//! `mramrl_nn::backend` (see `docs/gemm_backends.md`): the forward
+//! Fig. 7 dataflow corresponds to `matmul_into`, the transposed Fig. 8
+//! dataflow to `matmul_at_b_into`. The software kernel never changes
 //! any cycle count modelled here — it only changes how fast the
 //! simulation itself runs.
 //!

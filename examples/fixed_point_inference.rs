@@ -25,11 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     agent.set_acting_precision(ActingPrecision::FixedQ8_8);
     let qnet: QuantizedNet = agent.quantized_snapshot().clone();
     println!(
-        "Quantised model: {} bytes of 16-bit weights+biases (float would be {} bytes of f32), \
-         backend: {}",
+        "Quantised model: {} bytes of 16-bit weights+biases (float would be {} bytes of f32)",
         qnet.weight_bytes(),
         qnet.weight_bytes() * 2,
-        qnet.backend(),
     );
     for (name, bytes) in qnet.layer_weight_bytes() {
         println!("  {name:>6}: {bytes:>6} B (STT-MRAM-resident, read-only in flight)");

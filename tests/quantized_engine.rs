@@ -5,7 +5,7 @@
 use mramrl::env::{DepthCamera, VecEnv};
 use mramrl::fixed::Q8_8;
 use mramrl::mem::{PlacementPlan, PlacementRequest, StorageClass};
-use mramrl::nn::qgemm::QGemmBackend;
+use mramrl::nn::{difftest, qgemm};
 use mramrl::rl::{evaluate_vec, ActingPrecision};
 use mramrl::systolic::{ArraySpec, FcArraySim};
 use mramrl::{DroneEnv, EnvKind, NetworkSpec, QAgent};
@@ -26,7 +26,7 @@ fn grid_vals(len: usize, seed: u64) -> Vec<f32> {
 /// weights) and the engine's integer GEMM compute the **same bits**:
 /// both are bias-seeded ascending-`k` Acc32 chains, re-quantised once.
 /// This is the one test that pins the functional hardware model to the
-/// deployable engine.
+/// deployable engine's kernel and to its test oracle.
 #[test]
 fn systolic_batched_fc_matches_qgemm_engine_bitwise() {
     for (in_f, out_f, n) in [(33usize, 31usize, 4usize), (100, 70, 8)] {
@@ -43,9 +43,14 @@ fn systolic_batched_fc_matches_qgemm_engine_bitwise() {
         let wq: Vec<Q8_8> = w.iter().map(|&v| Q8_8::from_f32(v)).collect();
         let bq: Vec<Q8_8> = b.iter().map(|&v| Q8_8::from_f32(v)).collect();
         let xq: Vec<Q8_8> = xs.iter().map(|&v| Q8_8::from_f32(v)).collect();
-        for be in QGemmBackend::ALL {
+        type QGemm = fn(&mut [Q8_8], &[Q8_8], &[Q8_8], &[Q8_8], usize, usize, usize);
+        let gemms: [(&str, QGemm); 2] = [
+            ("kernel", qgemm::matmul_bt_bias_requant_into),
+            ("oracle", difftest::qmatmul_naive),
+        ];
+        for (be, gemm) in gemms {
             let mut c = vec![Q8_8::ZERO; out_f * n];
-            be.matmul_bt_bias_requant_into(&mut c, &wq, &xq, &bq, out_f, in_f, n);
+            gemm(&mut c, &wq, &xq, &bq, out_f, in_f, n);
             for v in 0..n {
                 for j in 0..out_f {
                     assert_eq!(
