@@ -211,8 +211,8 @@ fn main() {
          \"seed\": {seed},\n  \"online_iters\": {online_iters},\n  \"tl_iters\": {tl_iters},\n  \
          \"eval_steps\": {eval_steps},\n  \"lanes\": {lanes},\n  \"movers\": {movers},\n  \
          \"camera_px\": {px},\n  \"acting_precision\": \"q8.8\",\n  \
-         \"determinism\": \"no timings, no backend/pool identity: bytes match across the \
-         bitwise GEMM family and any pool size\",\n  \
+         \"determinism\": \"no timings, no pool identity: bytes match across any pool \
+         size and NN_SIMD on or off\",\n  \
          \"worlds\": [{worlds}],\n  \"degradations\": [{degs}],\n  \
          \"cells\": [\n{cells}\n  ],\n  \
          \"grid_mean_sfd_m\": {{\n{gm}\n  }},\n  \

@@ -119,7 +119,7 @@ pub fn render_json(
         let _ = writeln!(s, "    {}{}", point_json(&results[i]), comma);
     }
     s.push_str("  ],\n");
-    s.push_str("  \"determinism\": \"every field above is byte-identical across NN_POOL_THREADS in {1,2,7} and the bitwise GEMM backends; only `timing` varies run to run\"");
+    s.push_str("  \"determinism\": \"every field above is byte-identical across NN_POOL_THREADS in {1,2,7} and NN_SIMD on or off; only `timing` varies run to run\"");
     match timing {
         Some(t) => {
             s.push_str(",\n");

@@ -42,11 +42,12 @@ use crate::workspace::LayerWs;
 /// # Examples
 ///
 /// ```
-/// use mramrl_nn::{Conv2d, Layer, Tensor};
+/// use mramrl_nn::{Conv2d, Layer, LayerWs, Tensor};
 ///
-/// let mut conv = Conv2d::new("CONV1", 1, 4, 3, 1, 1, 42);
-/// let y = conv.forward(&Tensor::zeros(&[1, 8, 8]));
-/// assert_eq!(y.shape(), &[4, 8, 8]);
+/// let conv = Conv2d::new("CONV1", 1, 4, 3, 1, 1, 42);
+/// let mut ws = LayerWs::new();
+/// conv.forward_batch(&Tensor::zeros(&[2, 1, 8, 8]), &mut ws); // a batch of 2
+/// assert_eq!(ws.out.unwrap().shape(), &[2, 4, 8, 8]);
 /// assert_eq!(conv.param_count(), 4 * 9 + 4);
 /// ```
 #[derive(Debug)]
@@ -59,7 +60,6 @@ pub struct Conv2d {
     pad: usize,
     weight: ParamTensor,
     bias: ParamTensor,
-    scratch: LayerWs,
 }
 
 impl Conv2d {
@@ -116,7 +116,6 @@ impl Conv2d {
             pad,
             weight,
             bias,
-            scratch: LayerWs::new(),
         }
     }
 
@@ -247,10 +246,6 @@ impl Layer for Conv2d {
         ws: &mut LayerWs,
     ) -> Result<(), NnError> {
         self.backward_into(grad_output, ws, false)
-    }
-
-    fn scratch_mut(&mut self) -> &mut LayerWs {
-        &mut self.scratch
     }
 
     fn params(&self) -> Vec<&ParamTensor> {
@@ -403,6 +398,7 @@ impl Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward1, forward1};
 
     #[test]
     fn identity_kernel_passes_through() {
@@ -410,7 +406,7 @@ mod tests {
         conv.weight.value.data_mut()[0] = 1.0;
         conv.bias.value.data_mut()[0] = 0.0;
         let x = Tensor::from_vec(&[1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = conv.forward(&x);
+        let y = forward1(&conv, &x, &mut LayerWs::new());
         assert_eq!(y.data(), x.data());
     }
 
@@ -423,18 +419,18 @@ mod tests {
         }
         conv.bias.value.data_mut()[0] = 0.5;
         let x = Tensor::from_vec(&[1, 3, 3], (1..=9).map(|v| v as f32).collect());
-        let y = conv.forward(&x);
+        let y = forward1(&conv, &x, &mut LayerWs::new());
         assert_eq!(y.shape(), &[1, 1, 1]);
         assert_eq!(y.data()[0], 45.0 + 0.5);
     }
 
     #[test]
     fn stride_and_padding_shapes() {
-        let mut conv = Conv2d::new("c", 3, 96, 11, 4, 0, 1);
-        let y = conv.forward(&Tensor::zeros(&[3, 227, 227]));
+        let conv = Conv2d::new("c", 3, 96, 11, 4, 0, 1);
+        let y = forward1(&conv, &Tensor::zeros(&[3, 227, 227]), &mut LayerWs::new());
         assert_eq!(y.shape(), &[96, 55, 55]);
-        let mut conv2 = Conv2d::new("c2", 8, 4, 5, 1, 2, 1);
-        let y2 = conv2.forward(&Tensor::zeros(&[8, 27, 27]));
+        let conv2 = Conv2d::new("c2", 8, 4, 5, 1, 2, 1);
+        let y2 = forward1(&conv2, &Tensor::zeros(&[8, 27, 27]), &mut LayerWs::new());
         assert_eq!(y2.shape(), &[4, 27, 27]);
     }
 
@@ -442,9 +438,10 @@ mod tests {
     fn bias_gradient_equals_grad_sum() {
         let mut conv = Conv2d::new("c", 1, 2, 3, 1, 1, 3);
         let x = Tensor::filled(&[1, 4, 4], 0.3);
-        let _ = conv.forward(&x);
+        let mut ws = LayerWs::new();
+        let _ = forward1(&conv, &x, &mut ws);
         let g = Tensor::filled(&[2, 4, 4], 1.0);
-        let _ = conv.backward(&g);
+        let _ = backward1(&mut conv, &g, &mut ws);
         // Each output channel saw 16 unit gradients.
         assert_eq!(conv.bias.grad.data(), &[16.0, 16.0]);
     }
@@ -454,19 +451,13 @@ mod tests {
         let mut conv = Conv2d::new("c", 1, 1, 3, 1, 0, 3);
         let x = Tensor::filled(&[1, 3, 3], 1.0);
         let g = Tensor::filled(&[1, 1, 1], 1.0);
-        let _ = conv.forward(&x);
-        let _ = conv.backward(&g);
+        let mut ws = LayerWs::new();
+        let _ = forward1(&conv, &x, &mut ws);
+        let _ = backward1(&mut conv, &g, &mut ws);
         let first = conv.weight.grad.data()[0];
-        let _ = conv.forward(&x);
-        let _ = conv.backward(&g);
+        let _ = forward1(&conv, &x, &mut ws);
+        let _ = backward1(&mut conv, &g, &mut ws);
         assert_eq!(conv.weight.grad.data()[0], 2.0 * first);
-    }
-
-    #[test]
-    #[should_panic(expected = "backward called before forward")]
-    fn backward_without_forward_panics() {
-        let mut conv = Conv2d::new("c", 1, 1, 3, 1, 0, 3);
-        let _ = conv.backward(&Tensor::zeros(&[1, 1, 1]));
     }
 
     #[test]
@@ -487,18 +478,19 @@ mod tests {
             WeightInit::HeUniform.init(&[2, 5, 5], 4, 4, &mut rng)
         };
         // Loss = sum(output): grad_output = ones.
-        let y = conv.forward(&x);
+        let mut ws = LayerWs::new();
+        let y = forward1(&conv, &x, &mut ws);
         let ones = Tensor::filled(y.shape(), 1.0);
-        let grad_in = conv.backward(&ones);
+        let grad_in = backward1(&mut conv, &ones, &mut ws);
 
         let eps = 1e-3f32;
         // Check a scattering of weight gradients.
         for idx in [0usize, 7, 20, 33, 52] {
             let orig = conv.weight.value.data()[idx];
             conv.weight.value.data_mut()[idx] = orig + eps;
-            let y_plus = conv.forward(&x).sum();
+            let y_plus = forward1(&conv, &x, &mut ws).sum();
             conv.weight.value.data_mut()[idx] = orig - eps;
-            let y_minus = conv.forward(&x).sum();
+            let y_minus = forward1(&conv, &x, &mut ws).sum();
             conv.weight.value.data_mut()[idx] = orig;
             let numeric = (y_plus - y_minus) / (2.0 * eps);
             let analytic = conv.weight.grad.data()[idx];
@@ -511,9 +503,9 @@ mod tests {
         for idx in [0usize, 12, 24, 49] {
             let mut x2 = x.clone();
             x2.data_mut()[idx] += eps;
-            let y_plus = conv.forward(&x2).sum();
+            let y_plus = forward1(&conv, &x2, &mut ws).sum();
             x2.data_mut()[idx] -= 2.0 * eps;
-            let y_minus = conv.forward(&x2).sum();
+            let y_minus = forward1(&conv, &x2, &mut ws).sum();
             let numeric = (y_plus - y_minus) / (2.0 * eps);
             let analytic = grad_in.data()[idx];
             assert!(

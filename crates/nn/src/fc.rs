@@ -1,4 +1,4 @@
-//! Fully-connected (linear) layer.
+//! Fully-connected (linear) layer: one GEMM per batched pass.
 
 use rand::rngs::SmallRng;
 
@@ -24,10 +24,10 @@ use crate::workspace::LayerWs;
 /// pool size.
 ///
 /// Bit-identity: every output element and every `dW`/`db` element is
-/// reduced in the same ascending order as the serial single-image pass
+/// reduced in the same ascending order as a batch-of-1 pass
 /// (per-sample contraction first, samples in ascending order), so a
-/// batched pass from zeroed accumulators is bit-identical to `N` serial
-/// passes.
+/// batched pass from zeroed accumulators is bit-identical to `N`
+/// batch-of-1 passes.
 ///
 /// The bias is added **after** the full dot product, never as the
 /// accumulator's seed, so every product is a plain `+0.0`-seeded GEMM
@@ -36,11 +36,12 @@ use crate::workspace::LayerWs;
 /// # Examples
 ///
 /// ```
-/// use mramrl_nn::{Linear, Layer, Tensor};
+/// use mramrl_nn::{Layer, LayerWs, Linear, Tensor};
 ///
-/// let mut fc = Linear::new("FC5", 8, 5, 0);
-/// let y = fc.forward(&Tensor::zeros(&[8]));
-/// assert_eq!(y.shape(), &[5]);
+/// let fc = Linear::new("FC5", 8, 5, 0);
+/// let mut ws = LayerWs::new();
+/// fc.forward_batch(&Tensor::zeros(&[4, 8]), &mut ws); // a batch of 4
+/// assert_eq!(ws.out.unwrap().shape(), &[4, 5]);
 /// assert_eq!(fc.param_count(), 8 * 5 + 5);
 /// ```
 #[derive(Debug)]
@@ -50,7 +51,6 @@ pub struct Linear {
     out_f: usize,
     weight: ParamTensor,
     bias: ParamTensor,
-    scratch: LayerWs,
 }
 
 impl Linear {
@@ -80,7 +80,6 @@ impl Linear {
             out_f,
             weight,
             bias,
-            scratch: LayerWs::new(),
         }
     }
 
@@ -169,10 +168,6 @@ impl Layer for Linear {
         ws: &mut LayerWs,
     ) -> Result<(), NnError> {
         self.backward_into(grad_output, ws, false)
-    }
-
-    fn scratch_mut(&mut self) -> &mut LayerWs {
-        &mut self.scratch
     }
 
     fn params(&self) -> Vec<&ParamTensor> {
@@ -264,13 +259,18 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward1, forward1};
 
     #[test]
     fn known_product() {
         let mut fc = Linear::new("f", 2, 2, 0);
         fc.weight.value = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         fc.bias.value = Tensor::from_vec(&[2], vec![0.5, -0.5]);
-        let y = fc.forward(&Tensor::from_vec(&[2], vec![1.0, 1.0]));
+        let y = forward1(
+            &fc,
+            &Tensor::from_vec(&[2], vec![1.0, 1.0]),
+            &mut LayerWs::new(),
+        );
         assert_eq!(y.data(), &[3.5, 6.5]);
     }
 
@@ -290,8 +290,9 @@ mod tests {
     #[test]
     fn backward_shapes_and_bias_grad() {
         let mut fc = Linear::new("f", 3, 2, 1);
-        let _ = fc.forward(&Tensor::filled(&[3], 1.0));
-        let gi = fc.backward(&Tensor::from_vec(&[2], vec![1.0, -1.0]));
+        let mut ws = LayerWs::new();
+        let _ = forward1(&fc, &Tensor::filled(&[3], 1.0), &mut ws);
+        let gi = backward1(&mut fc, &Tensor::from_vec(&[2], vec![1.0, -1.0]), &mut ws);
         assert_eq!(gi.shape(), &[3]);
         assert_eq!(fc.bias.grad.data(), &[1.0, -1.0]);
     }
@@ -311,20 +312,21 @@ mod tests {
             let mut rng = crate::init::rng_from_seed(3);
             WeightInit::HeUniform.init(&[6], 6, 6, &mut rng)
         };
-        let y = fc.forward(&x);
+        let mut ws = LayerWs::new();
+        let y = forward1(&fc, &x, &mut ws);
         // Loss: weighted sum so gradients differ per output.
         let gvec: Vec<f32> = (0..4).map(|i| 0.5 + i as f32).collect();
         let loss = |out: &Tensor| -> f32 { out.data().iter().zip(&gvec).map(|(o, g)| o * g).sum() };
         let _ = loss(&y);
-        let grad_in = fc.backward(&Tensor::from_vec(&[4], gvec.clone()));
+        let grad_in = backward1(&mut fc, &Tensor::from_vec(&[4], gvec.clone()), &mut ws);
 
         let eps = 1e-3f32;
         for idx in [0usize, 5, 11, 17, 23] {
             let orig = fc.weight.value.data()[idx];
             fc.weight.value.data_mut()[idx] = orig + eps;
-            let p = loss(&fc.forward(&x));
+            let p = loss(&forward1(&fc, &x, &mut ws));
             fc.weight.value.data_mut()[idx] = orig - eps;
-            let m = loss(&fc.forward(&x));
+            let m = loss(&forward1(&fc, &x, &mut ws));
             fc.weight.value.data_mut()[idx] = orig;
             let numeric = (p - m) / (2.0 * eps);
             let analytic = fc.weight.grad.data()[idx];
@@ -336,9 +338,9 @@ mod tests {
         for idx in 0..6 {
             let mut x2 = x.clone();
             x2.data_mut()[idx] += eps;
-            let p = loss(&fc.forward(&x2));
+            let p = loss(&forward1(&fc, &x2, &mut ws));
             x2.data_mut()[idx] -= 2.0 * eps;
-            let m = loss(&fc.forward(&x2));
+            let m = loss(&forward1(&fc, &x2, &mut ws));
             let numeric = (p - m) / (2.0 * eps);
             let analytic = grad_in.data()[idx];
             assert!(

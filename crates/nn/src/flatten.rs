@@ -13,25 +13,22 @@ use crate::workspace::LayerWs;
 /// # Examples
 ///
 /// ```
-/// use mramrl_nn::{Flatten, Layer, Tensor};
+/// use mramrl_nn::{Flatten, Layer, LayerWs, Tensor};
 ///
-/// let mut f = Flatten::new("flatten");
-/// let y = f.forward(&Tensor::zeros(&[256, 6, 6]));
-/// assert_eq!(y.shape(), &[9216]); // the paper's FC1 input width
+/// let f = Flatten::new("flatten");
+/// let mut ws = LayerWs::new();
+/// f.forward_batch(&Tensor::zeros(&[1, 256, 6, 6]), &mut ws);
+/// assert_eq!(ws.out.unwrap().shape(), &[1, 9216]); // the paper's FC1 input width
 /// ```
 #[derive(Debug, Default)]
 pub struct Flatten {
     name: String,
-    scratch: LayerWs,
 }
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            scratch: LayerWs::new(),
-        }
+        Self { name: name.into() }
     }
 }
 
@@ -63,10 +60,6 @@ impl Layer for Flatten {
         Ok(())
     }
 
-    fn scratch_mut(&mut self) -> &mut LayerWs {
-        &mut self.scratch
-    }
-
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         vec![input_shape.iter().product()]
     }
@@ -75,14 +68,16 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward1, forward1};
 
     #[test]
     fn roundtrip_preserves_data() {
         let mut f = Flatten::new("f");
+        let mut ws = LayerWs::new();
         let x = Tensor::from_vec(&[2, 1, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = f.forward(&x);
+        let y = forward1(&f, &x, &mut ws);
         assert_eq!(y.shape(), &[4]);
-        let g = f.backward(&y);
+        let g = backward1(&mut f, &y, &mut ws);
         assert_eq!(g.shape(), &[2, 1, 2]);
         assert_eq!(g.data(), x.data());
     }

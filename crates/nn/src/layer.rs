@@ -1,4 +1,4 @@
-//! The layer abstraction.
+//! The layer abstraction: one batched, stateless pass contract.
 
 use crate::error::NnError;
 use crate::tensor::Tensor;
@@ -7,7 +7,7 @@ use crate::workspace::LayerWs;
 /// A learnable parameter with its gradient accumulator and (lazily
 /// allocated) momentum state.
 ///
-/// Gradients **accumulate** across `backward` calls — exactly the paper's
+/// Gradients **accumulate** across `backward_batch` calls — exactly the paper's
 /// batching scheme, where the global buffer stores "the sum of weight and
 /// bias gradients" over N serial images before one update (§III-D).
 #[derive(Debug, Clone, PartialEq)]
@@ -64,11 +64,8 @@ impl ParamTensor {
 ///   [`Layer::backward_batch_params`] is the same pass minus the input
 ///   gradient, for the layer where backpropagation stops.
 ///
-/// The legacy single-image [`Layer::forward`]/[`Layer::backward`] survive
-/// as default-implemented batch-of-1 wrappers over a layer-owned scratch
-/// slot ([`Layer::scratch_mut`]) — the figure binaries and the systolic
-/// cycle-model cross-checks keep their `[C,H,W]`-in/`[C,H,W]`-out shape
-/// conventions and panicking contract.
+/// There is no single-image call: one image is a batch of one, a
+/// `[1, ...]` tensor through the same two passes.
 ///
 /// Layers are `Send + Sync`: `forward_batch` takes `&self` with all
 /// mutable state in the caller's workspace, so one layer (and one
@@ -79,10 +76,10 @@ impl ParamTensor {
 /// **Bit-identity contract:** with gradient accumulators starting from
 /// zero (the batch boundary), a single `forward_batch`/`backward_batch`
 /// over `N` samples produces bit-for-bit the same activations and
-/// accumulated gradients as `N` serial single-image passes.
+/// accumulated gradients as `N` batch-of-1 passes.
 /// Implementations guarantee this by reducing each
 /// output element — and each *per-sample* gradient contribution — in the
-/// same ascending contraction order as the serial path, and by adding
+/// same ascending contraction order as a batch of one, and by adding
 /// per-sample contributions in ascending sample order (see
 /// `docs/batching.md`).
 pub trait Layer: Send + Sync {
@@ -95,7 +92,7 @@ pub trait Layer: Send + Sync {
     /// # Panics
     ///
     /// Implementations panic on input-shape mismatches (programming
-    /// errors, same policy as the legacy contract).
+    /// errors).
     fn forward_batch(&self, x: &Tensor, ws: &mut LayerWs);
 
     /// Batched backward: reads the state `forward_batch` left in `ws`,
@@ -132,47 +129,6 @@ pub trait Layer: Send + Sync {
         self.backward_batch(grad_output, ws)
     }
 
-    /// The layer-owned batch-of-1 scratch slot backing the legacy
-    /// [`Layer::forward`]/[`Layer::backward`] wrappers.
-    fn scratch_mut(&mut self) -> &mut LayerWs;
-
-    /// Single-image forward (`[C,H,W]`/`[F]` in and out): a batch-of-1
-    /// wrapper over [`Layer::forward_batch`].
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let x = input.clone().unsqueezed0();
-        let mut ws = core::mem::take(self.scratch_mut());
-        self.forward_batch(&x, &mut ws);
-        let out = ws
-            .out
-            .clone()
-            .expect("forward_batch must write ws.out")
-            .squeezed0();
-        *self.scratch_mut() = ws;
-        out
-    }
-
-    /// Single-image backward: a batch-of-1 wrapper over
-    /// [`Layer::backward_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward` (with the underlying
-    /// [`NnError::BackwardBeforeForward`] message) or on a gradient shape
-    /// mismatch.
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let g = grad_output.clone().unsqueezed0();
-        let mut ws = core::mem::take(self.scratch_mut());
-        let result = self.backward_batch(&g, &mut ws);
-        let grad_in = ws.grad_in.clone();
-        *self.scratch_mut() = ws;
-        match result {
-            Ok(()) => grad_in
-                .expect("backward_batch must write ws.grad_in")
-                .squeezed0(),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Learnable parameters (empty for ReLU/pool layers).
     fn params(&self) -> Vec<&ParamTensor> {
         Vec::new()
@@ -193,8 +149,29 @@ pub trait Layer: Send + Sync {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One image through `layer` as a batch of one: `x` is `[C,H,W]` or
+    /// `[F]`, the result drops the batch axis again.
+    pub(crate) fn forward1(layer: &dyn Layer, x: &Tensor, ws: &mut LayerWs) -> Tensor {
+        layer.forward_batch(&x.clone().unsqueezed0(), ws);
+        ws.out
+            .clone()
+            .expect("forward_batch wrote ws.out")
+            .squeezed0()
+    }
+
+    /// The batch-of-1 backward matching [`forward1`]; returns `dX`.
+    pub(crate) fn backward1(layer: &mut dyn Layer, g: &Tensor, ws: &mut LayerWs) -> Tensor {
+        layer
+            .backward_batch(&g.clone().unsqueezed0(), ws)
+            .expect("forward1 ran first");
+        ws.grad_in
+            .clone()
+            .expect("backward_batch wrote ws.grad_in")
+            .squeezed0()
+    }
 
     #[test]
     fn param_tensor_grad_starts_zero() {

@@ -33,26 +33,27 @@
 //!   float [`Workspace`] (see `docs/fixed_point.md`);
 //! * weight (de)serialisation for the transfer-learning hand-off.
 //!
-//! The paper trains with **batch-size-N gradient accumulation** (§III-D);
-//! the primary API is batch-first: [`Network::forward_batch`] /
+//! The paper trains with **batch-size-N gradient accumulation** (§III-D),
+//! and the engine has one API, batch-first: [`Network::forward_batch`] /
 //! [`Network::backward_batch`] process `[N, ...]` tensors against a
 //! caller-owned, reusable [`Workspace`] and are **bit-identical** to `N`
-//! serial single-image passes (see `docs/batching.md`). The single-image `forward` / `backward` survive
-//! as batch-of-1 wrappers (§V: the platform "serially process\[es\] one
-//! image at a time"); gradients accumulate until [`Network::apply_sgd`]
-//! either way.
+//! batch-of-1 passes (see `docs/batching.md`). The platform's
+//! "serially process\[es\] one image at a time" (§V) is the `N = 1`
+//! case of the same call; gradients accumulate until
+//! [`Network::apply_sgd`] either way.
 //!
 //! # Examples
 //!
 //! ```
-//! use mramrl_nn::{NetworkSpec, Sgd};
+//! use mramrl_nn::{NetworkSpec, Tensor};
 //!
 //! // A tiny conv net: 5 actions from an 8×8 depth image.
 //! let spec = NetworkSpec::micro(8, 1, 5);
-//! let mut net = spec.build(42);
-//! let image = mramrl_nn::Tensor::zeros(&[1, 8, 8]);
-//! let q_values = net.forward(&image);
-//! assert_eq!(q_values.shape(), &[5]);
+//! let net = spec.build(42);
+//! let mut ws = net.workspace();
+//! let image = Tensor::zeros(&[1, 1, 8, 8]); // one image: a batch of 1
+//! let q_values = net.forward_batch(&image, &mut ws);
+//! assert_eq!(q_values.shape(), &[1, 5]);
 //! ```
 
 // `deny` rather than `forbid`: the whole crate is `#![deny(unsafe_code)]`

@@ -21,12 +21,13 @@ use crate::workspace::LayerWs;
 /// # Examples
 ///
 /// ```
-/// use mramrl_nn::{Lrn, Layer, Tensor};
+/// use mramrl_nn::{Layer, LayerWs, Lrn, Tensor};
 ///
-/// let mut lrn = Lrn::alexnet("norm1");
-/// let y = lrn.forward(&Tensor::filled(&[8, 4, 4], 1.0));
+/// let lrn = Lrn::alexnet("norm1");
+/// let mut ws = LayerWs::new();
+/// lrn.forward_batch(&Tensor::filled(&[1, 8, 4, 4], 1.0), &mut ws);
 /// // Normalisation shrinks activations slightly.
-/// assert!(y.data().iter().all(|&v| v < 1.0 && v > 0.5));
+/// assert!(ws.out.unwrap().data().iter().all(|&v| v < 1.0 && v > 0.5));
 /// ```
 #[derive(Debug)]
 pub struct Lrn {
@@ -35,7 +36,6 @@ pub struct Lrn {
     alpha: f32,
     beta: f32,
     k: f32,
-    scratch: LayerWs,
 }
 
 impl Lrn {
@@ -52,7 +52,6 @@ impl Lrn {
             alpha,
             beta,
             k,
-            scratch: LayerWs::new(),
         }
     }
 
@@ -205,10 +204,6 @@ impl Layer for Lrn {
         Ok(())
     }
 
-    fn scratch_mut(&mut self) -> &mut LayerWs {
-        &mut self.scratch
-    }
-
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         input_shape.to_vec()
     }
@@ -218,22 +213,23 @@ impl Layer for Lrn {
 mod tests {
     use super::*;
     use crate::init::{rng_from_seed, WeightInit};
+    use crate::layer::tests::{backward1, forward1};
 
     #[test]
     fn zero_input_passes_through() {
-        let mut lrn = Lrn::alexnet("n");
-        let y = lrn.forward(&Tensor::zeros(&[4, 2, 2]));
+        let lrn = Lrn::alexnet("n");
+        let y = forward1(&lrn, &Tensor::zeros(&[4, 2, 2]), &mut LayerWs::new());
         assert_eq!(y.sum(), 0.0);
     }
 
     #[test]
     fn normalisation_shrinks_large_activations_more() {
-        let mut lrn = Lrn::new("n", 3, 0.5, 0.75, 2.0);
+        let lrn = Lrn::new("n", 3, 0.5, 0.75, 2.0);
         let mut x = Tensor::zeros(&[3, 1, 1]);
         *x.at3_mut(0, 0, 0) = 1.0;
         *x.at3_mut(1, 0, 0) = 10.0;
         *x.at3_mut(2, 0, 0) = 5.0;
-        let y = lrn.forward(&x);
+        let y = forward1(&lrn, &x, &mut LayerWs::new());
         // Channel 1's window sees channel 2's energy too; channel 0's does
         // not extend past the edge — so channel 1 is normalised harder.
         let shrink0 = y.at3(0, 0, 0) / 1.0;
@@ -263,19 +259,24 @@ mod tests {
         let mut lrn = Lrn::new("n", 3, 0.3, 0.75, 2.0);
         let mut rng = rng_from_seed(17);
         let x = WeightInit::HeUniform.init(&[4, 2, 2], 2, 2, &mut rng);
-        let y = lrn.forward(&x);
+        let mut ws = LayerWs::new();
+        let y = forward1(&lrn, &x, &mut ws);
         let gvec: Vec<f32> = (0..y.len()).map(|i| 0.1 * (i as f32 + 1.0)).collect();
         let loss = |out: &Tensor| -> f32 { out.data().iter().zip(&gvec).map(|(o, g)| o * g).sum() };
         let _ = loss(&y);
-        let grad_in = lrn.backward(&Tensor::from_vec(y.shape(), gvec.clone()));
+        let grad_in = backward1(
+            &mut lrn,
+            &Tensor::from_vec(y.shape(), gvec.clone()),
+            &mut ws,
+        );
 
         let eps = 1e-3f32;
         for idx in 0..x.len() {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
-            let p = loss(&lrn.forward(&xp));
+            let p = loss(&forward1(&lrn, &xp, &mut ws));
             xp.data_mut()[idx] -= 2.0 * eps;
-            let m = loss(&lrn.forward(&xp));
+            let m = loss(&forward1(&lrn, &xp, &mut ws));
             let numeric = (p - m) / (2.0 * eps);
             let analytic = grad_in.data()[idx];
             assert!(

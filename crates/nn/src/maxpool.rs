@@ -20,18 +20,18 @@ use crate::workspace::LayerWs;
 /// # Examples
 ///
 /// ```
-/// use mramrl_nn::{MaxPool2d, Layer, Tensor};
+/// use mramrl_nn::{Layer, LayerWs, MaxPool2d, Tensor};
 ///
-/// let mut pool = MaxPool2d::new("pool1", 3, 2);
-/// let y = pool.forward(&Tensor::zeros(&[96, 55, 55]));
-/// assert_eq!(y.shape(), &[96, 27, 27]);
+/// let pool = MaxPool2d::new("pool1", 3, 2);
+/// let mut ws = LayerWs::new();
+/// pool.forward_batch(&Tensor::zeros(&[1, 96, 55, 55]), &mut ws);
+/// assert_eq!(ws.out.unwrap().shape(), &[1, 96, 27, 27]);
 /// ```
 #[derive(Debug)]
 pub struct MaxPool2d {
     name: String,
     k: usize,
     stride: usize,
-    scratch: LayerWs,
 }
 
 impl MaxPool2d {
@@ -46,7 +46,6 @@ impl MaxPool2d {
             name: name.into(),
             k,
             stride,
-            scratch: LayerWs::new(),
         }
     }
 
@@ -125,10 +124,6 @@ impl Layer for MaxPool2d {
         Ok(())
     }
 
-    fn scratch_mut(&mut self) -> &mut LayerWs {
-        &mut self.scratch
-    }
-
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         let (h, w) = self.out_hw(input_shape[1], input_shape[2]);
         vec![input_shape[0], h, w]
@@ -138,6 +133,7 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward1, forward1};
 
     #[test]
     fn alexnet_pool_pyramid() {
@@ -149,7 +145,7 @@ mod tests {
 
     #[test]
     fn picks_window_maxima() {
-        let mut p = MaxPool2d::new("p", 2, 2);
+        let p = MaxPool2d::new("p", 2, 2);
         let x = Tensor::from_vec(
             &[1, 4, 4],
             vec![
@@ -159,7 +155,7 @@ mod tests {
                 -3.0, -4.0, 0.0, 9.0,
             ],
         );
-        let y = p.forward(&x);
+        let y = forward1(&p, &x, &mut LayerWs::new());
         assert_eq!(y.data(), &[4.0, 8.0, -1.0, 9.0]);
     }
 
@@ -167,8 +163,9 @@ mod tests {
     fn backward_routes_to_argmax() {
         let mut p = MaxPool2d::new("p", 2, 2);
         let x = Tensor::from_vec(&[1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let _ = p.forward(&x);
-        let g = p.backward(&Tensor::from_vec(&[1, 1, 1], vec![7.0]));
+        let mut ws = LayerWs::new();
+        let _ = forward1(&p, &x, &mut ws);
+        let g = backward1(&mut p, &Tensor::from_vec(&[1, 1, 1], vec![7.0]), &mut ws);
         assert_eq!(g.data(), &[0.0, 0.0, 0.0, 7.0]);
     }
 
@@ -178,9 +175,10 @@ mod tests {
         // 5×5 input with the global max at the shared centre (2,2).
         let mut x = Tensor::zeros(&[1, 5, 5]);
         *x.at3_mut(0, 2, 2) = 10.0;
-        let y = p.forward(&x);
+        let mut ws = LayerWs::new();
+        let y = forward1(&p, &x, &mut ws);
         assert_eq!(y.shape(), &[1, 2, 2]);
-        let g = p.backward(&Tensor::filled(&[1, 2, 2], 1.0));
+        let g = backward1(&mut p, &Tensor::filled(&[1, 2, 2], 1.0), &mut ws);
         // All four 3×3 windows contain (2,2): gradient 4 accumulates there.
         assert_eq!(g.at3(0, 2, 2), 4.0);
         assert_eq!(g.sum(), 4.0);
@@ -211,7 +209,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "pool window exceeds input")]
     fn window_too_large_panics() {
-        let mut p = MaxPool2d::new("p", 4, 2);
-        let _ = p.forward(&Tensor::zeros(&[1, 3, 3]));
+        let p = MaxPool2d::new("p", 4, 2);
+        let _ = forward1(&p, &Tensor::zeros(&[1, 3, 3]), &mut LayerWs::new());
     }
 }

@@ -1,4 +1,5 @@
-//! The network container: layer stack, freezing, batched SGD.
+//! The network container: layer stack, freezing, the batched forward and
+//! backward passes, and SGD.
 
 use crate::error::NnError;
 use crate::layer::Layer;
@@ -9,10 +10,14 @@ use crate::workspace::Workspace;
 /// A feed-forward stack of layers with per-layer freezing.
 ///
 /// Freezing implements the paper's partial-training topologies: with only
-/// the FC tail trainable, [`Network::backward`] truncates backpropagation
-/// at the earliest trainable layer — precisely the compute the platform
-/// saves (Fig. 3(b) shows backprop stopping at FC4/FC3/FC2 for the
-/// L2/L3/L4 configurations).
+/// the FC tail trainable, [`Network::backward_batch`] truncates
+/// backpropagation at the earliest trainable layer — precisely the
+/// compute the platform saves (Fig. 3(b) shows backprop stopping at
+/// FC4/FC3/FC2 for the L2/L3/L4 configurations).
+///
+/// The network holds only layers and their parameters; every pass runs
+/// on `[N, ...]` tensors against a caller-owned [`Workspace`]. One image
+/// is a batch of one.
 ///
 /// # Examples
 ///
@@ -21,8 +26,9 @@ use crate::workspace::Workspace;
 ///
 /// let mut net = NetworkSpec::micro(16, 1, 5).build(7);
 /// net.set_trainable_tail(2); // the "L2" topology
-/// let q = net.forward(&Tensor::zeros(&[1, 16, 16]));
-/// net.backward(&Tensor::filled(q.shape(), 1.0));
+/// let mut ws = net.workspace();
+/// let q = net.forward_batch(&Tensor::zeros(&[1, 1, 16, 16]), &mut ws).clone();
+/// net.backward_batch(&Tensor::filled(q.shape(), 1.0), &mut ws).unwrap();
 /// assert!(net.trainable_param_count() < net.param_count());
 /// ```
 pub struct Network {
@@ -153,26 +159,13 @@ impl Network {
         Workspace::with_layers(self.layers.len())
     }
 
-    /// Forward pass through every layer (single image).
-    ///
-    /// A batch-of-1 convenience over the batched path, using each
-    /// layer's own scratch slot — the figure binaries and systolic
-    /// cross-checks keep their `[C,H,W]` conventions.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
-    }
-
     /// Batched forward pass: `x` is `[N, ...]`; activations and backward
     /// state live in the caller-owned `ws`, which is reused across
     /// iterations (zero steady-state workspace allocations). Returns the
     /// final activation `[N, actions]`, borrowed from the workspace.
     ///
-    /// Bit-identity: the result rows equal `N` serial [`Network::forward`]
-    /// calls, bit for bit.
+    /// Bit-identity: the result rows equal `N` batch-of-1 calls, bit for
+    /// bit.
     pub fn forward_batch<'w>(&self, x: &Tensor, ws: &'w mut Workspace) -> &'w Tensor {
         ws.ensure_layers(self.layers.len());
         let slots = ws.slots_mut();
@@ -189,10 +182,12 @@ impl Network {
     }
 
     /// Batched backward pass over the state `forward_batch` left in `ws`,
-    /// truncated at the earliest trainable layer exactly like
-    /// [`Network::backward`]. Parameter gradients accumulate **batch
-    /// sums** (§III-D), bit-identical — from zeroed accumulators — to `N`
-    /// serial [`Network::backward`] calls.
+    /// truncated at the earliest trainable layer: a frozen prefix is
+    /// skipped entirely, as on the platform, while frozen layers
+    /// *between* trainable ones still propagate. Parameter gradients
+    /// accumulate **batch sums** (§III-D) into the trainable layers,
+    /// bit-identical — from zeroed accumulators — to `N` batch-of-1
+    /// calls.
     ///
     /// The earliest trainable layer runs
     /// [`Layer::backward_batch_params`]: its input gradient has no
@@ -240,30 +235,6 @@ impl Network {
             }
         }
         Ok(())
-    }
-
-    /// Backward pass, truncated at the earliest trainable layer.
-    ///
-    /// Gradients accumulate into trainable layers' parameter accumulators;
-    /// frozen layers *between* trainable ones still propagate (but a frozen
-    /// prefix is skipped entirely, as on the platform).
-    pub fn backward(&mut self, grad_output: &Tensor) {
-        let stop = self
-            .trainable
-            .iter()
-            .position(|&t| t)
-            .unwrap_or(self.layers.len());
-        let mut grad = grad_output.clone();
-        for i in (stop..self.layers.len()).rev() {
-            grad = self.layers[i].backward(&grad);
-            if !self.trainable[i] {
-                // Frozen pass-through layer: its params (if any) must not
-                // accumulate. Clear whatever backward just added.
-                for p in self.layers[i].params_mut() {
-                    p.zero_grad();
-                }
-            }
-        }
     }
 
     /// Zeroes every gradient accumulator.
@@ -447,11 +418,23 @@ mod tests {
         NetworkSpec::micro(16, 1, 5).build(3)
     }
 
+    /// One `[1, 16, 16]` image as a batch of one.
+    fn image(v: f32) -> Tensor {
+        Tensor::filled(&[1, 1, 16, 16], v)
+    }
+
+    /// A batch-of-1 forward, then a backward of all-ones `dL/dQ`.
+    fn forward_backward_ones(net: &mut Network, x: &Tensor, ws: &mut Workspace) {
+        let q = net.forward_batch(x, ws).clone();
+        net.backward_batch(&Tensor::filled(q.shape(), 1.0), ws)
+            .unwrap();
+    }
+
     #[test]
     fn forward_shape() {
-        let mut net = micro();
-        let y = net.forward(&Tensor::zeros(&[1, 16, 16]));
-        assert_eq!(y.shape(), &[5]);
+        let net = micro();
+        let y = net.forward_batch(&image(0.0), &mut net.workspace()).clone();
+        assert_eq!(y.shape(), &[1, 5]);
     }
 
     #[test]
@@ -478,13 +461,12 @@ mod tests {
     fn frozen_layers_receive_no_updates() {
         let mut net = micro();
         net.set_trainable_tail(1);
-        let x = Tensor::filled(&[1, 16, 16], 0.5);
         let before: Vec<f32> = net
             .layers()
             .flat_map(|l| l.params().into_iter().flat_map(|p| p.value.data().to_vec()))
             .collect();
-        let y = net.forward(&x);
-        net.backward(&Tensor::filled(y.shape(), 1.0));
+        let mut ws = net.workspace();
+        forward_backward_ones(&mut net, &image(0.5), &mut ws);
         net.apply_sgd(&Sgd::new(0.1), 1);
         let after: Vec<f32> = net
             .layers()
@@ -502,18 +484,19 @@ mod tests {
         // Sanity: SGD on the full net fits a constant target.
         let mut net = micro();
         let sgd = Sgd::new(0.01);
-        let x = Tensor::filled(&[1, 16, 16], 0.3);
+        let mut ws = net.workspace();
+        let x = image(0.3);
         let target = 1.5f32;
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..60 {
-            let y = net.forward(&x);
+            let y = net.forward_batch(&x, &mut ws);
             let mut grad = Tensor::zeros(y.shape());
             let err = y.data()[0] - target;
             grad.data_mut()[0] = 2.0 * err;
             last_loss = err * err;
             first_loss.get_or_insert(last_loss);
-            net.backward(&grad);
+            net.backward_batch(&grad, &mut ws).unwrap();
             net.apply_sgd(&sgd, 1);
         }
         assert!(
@@ -528,15 +511,12 @@ mod tests {
         // The platform accumulates per-image gradient sums in the global
         // buffer (§III-D); verify the software semantics match: backward
         // twice then one update == the sum of the two gradients.
-        let xs = [
-            Tensor::filled(&[1, 16, 16], 0.2),
-            Tensor::filled(&[1, 16, 16], 0.7),
-        ];
+        let xs = [image(0.2), image(0.7)];
         let grad_after = |inputs: &[Tensor]| -> Vec<f32> {
             let mut net = NetworkSpec::micro(16, 1, 5).build(13);
+            let mut ws = net.workspace();
             for x in inputs {
-                let y = net.forward(x);
-                net.backward(&Tensor::filled(y.shape(), 1.0));
+                forward_backward_ones(&mut net, x, &mut ws);
             }
             net.layers()
                 .flat_map(|l| l.params().into_iter().flat_map(|p| p.grad.data().to_vec()))
@@ -557,9 +537,8 @@ mod tests {
     #[test]
     fn apply_sgd_clears_accumulators() {
         let mut net = NetworkSpec::micro(16, 1, 5).build(14);
-        let x = Tensor::filled(&[1, 16, 16], 0.5);
-        let y = net.forward(&x);
-        net.backward(&Tensor::filled(y.shape(), 1.0));
+        let mut ws = net.workspace();
+        forward_backward_ones(&mut net, &image(0.5), &mut ws);
         assert!(net.grad_norm() > 0.0);
         net.apply_sgd(&Sgd::new(0.01), 1);
         assert_eq!(net.grad_norm(), 0.0);
@@ -569,13 +548,14 @@ mod tests {
     fn copy_weights_roundtrip() {
         let mut a = micro();
         let b = NetworkSpec::micro(16, 1, 5).build(99);
-        let x = Tensor::filled(&[1, 16, 16], 0.7);
-        let ya_before = a.forward(&x);
+        let x = image(0.7);
+        let mut ws = a.workspace();
+        let ya_before = a.forward_batch(&x, &mut ws).clone();
         a.copy_weights_from(&b).unwrap();
-        let ya_after = a.forward(&x);
+        let ya_after = a.forward_batch(&x, &mut ws).clone();
         assert_ne!(ya_before.data(), ya_after.data());
-        let mut b2 = NetworkSpec::micro(16, 1, 5).build(99);
-        assert_eq!(ya_after.data(), b2.forward(&x).data());
+        let b2 = NetworkSpec::micro(16, 1, 5).build(99);
+        assert_eq!(ya_after.data(), b2.forward_batch(&x, &mut ws).data());
     }
 
     #[test]
@@ -599,9 +579,11 @@ mod tests {
     #[test]
     fn grad_norm_positive_after_backward() {
         let mut net = micro();
-        let y = net.forward(&Tensor::filled(&[1, 16, 16], 0.2));
+        let mut ws = net.workspace();
+        let y = net.forward_batch(&image(0.2), &mut ws).clone();
         assert_eq!(net.grad_norm(), 0.0);
-        net.backward(&Tensor::filled(y.shape(), 1.0));
+        net.backward_batch(&Tensor::filled(y.shape(), 1.0), &mut ws)
+            .unwrap();
         assert!(net.grad_norm() > 0.0);
     }
 }

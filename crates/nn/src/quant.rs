@@ -20,9 +20,10 @@
 //!   process `[N, ...]` batches against a caller-owned, reusable
 //!   [`QWorkspace`] (zero steady-state allocations, mirroring
 //!   [`crate::workspace::Workspace`]);
-//! * the single-image [`QuantizedNet::forward`] survives as a batch-of-1
-//!   wrapper (§V: the platform "serially process\[es\] one image at a
-//!   time").
+//! * [`QuantizedNet::forward`] takes one image (§V: the platform
+//!   "serially process\[es\] one image at a time") as a batch of one
+//!   through a throwaway workspace — a one-shot convenience;
+//!   steady-state callers hold a [`QWorkspace`] and batch.
 //!
 //! Batched output row `i` is **bit-identical** to the serial forward of
 //! sample `i` — the integer MAC chain per output
@@ -161,7 +162,7 @@ fn reuse_qbuf(buf: &mut Vec<Q8_8>, len: usize) -> &mut [Q8_8] {
 /// use mramrl_nn::quant::{QWorkspace, QuantizedNet};
 ///
 /// let spec = NetworkSpec::micro(16, 1, 5);
-/// let mut net = spec.build(3);
+/// let net = spec.build(3);
 /// let qnet = QuantizedNet::from_network(&spec, &net)?;
 /// // Batched deployment-mode inference against a reusable workspace.
 /// let mut ws = QWorkspace::for_net(&qnet);
@@ -169,8 +170,8 @@ fn reuse_qbuf(buf: &mut Vec<Q8_8>, len: usize) -> &mut [Q8_8] {
 /// let qy = qnet.q_values_batch(&x, &mut ws);
 /// assert_eq!(qy.shape(), &[2, 5]);
 /// // Fixed-point Q-values track the float network closely.
-/// let y = net.forward(&Tensor::filled(&[1, 16, 16], 0.5));
-/// for (a, b) in qy.sample(0).iter().zip(y.data()) {
+/// let y = net.forward_batch(&x, &mut net.workspace()).clone();
+/// for (a, b) in qy.sample(0).iter().zip(y.sample(0)) {
 ///     assert!((a - b).abs() < 0.25);
 /// }
 /// # Ok::<(), mramrl_nn::NnError>(())
@@ -555,9 +556,17 @@ mod tests {
         (spec, net, q)
     }
 
+    /// The float network on one image, as a batch of one.
+    fn float1(net: &Network, x: &Tensor) -> Tensor {
+        let x = x.clone().unsqueezed0();
+        net.forward_batch(&x, &mut net.workspace())
+            .clone()
+            .squeezed0()
+    }
+
     #[test]
     fn quantised_tracks_float_within_tolerance() {
-        let (_, mut net, q) = setup();
+        let (_, net, q) = setup();
         let mut rng = rng_from_seed(4);
         for trial in 0..10 {
             let x = WeightInit::HeUniform.init(&[1, 16, 16], 256, 256, &mut rng);
@@ -566,7 +575,7 @@ mod tests {
                 x.shape(),
                 x.data().iter().map(|v| v.abs().min(1.0)).collect(),
             );
-            let yf = net.forward(&x);
+            let yf = float1(&net, &x);
             let yq = q.forward(&x);
             for (a, b) in yq.data().iter().zip(yf.data()) {
                 assert!((a - b).abs() < 0.3, "trial {trial}: {a} vs {b}");
@@ -576,7 +585,7 @@ mod tests {
 
     #[test]
     fn greedy_action_usually_agrees() {
-        let (_, mut net, q) = setup();
+        let (_, net, q) = setup();
         let mut rng = rng_from_seed(8);
         let mut agree = 0;
         let trials = 20;
@@ -586,7 +595,7 @@ mod tests {
                 x.shape(),
                 x.data().iter().map(|v| v.abs().min(1.0)).collect(),
             );
-            if net.forward(&x).argmax() == q.forward(&x).argmax() {
+            if float1(&net, &x).argmax() == q.forward(&x).argmax() {
                 agree += 1;
             }
         }
@@ -624,7 +633,7 @@ mod tests {
         }
         let q = QuantizedNet::from_network(&spec, &net).unwrap();
         let x = Tensor::filled(&[1, 16, 16], 0.25);
-        let yf = net.forward(&x);
+        let yf = float1(&net, &x);
         let yq = q.forward(&x);
         for (a, b) in yq.data().iter().zip(yf.data()) {
             // LRN float-vs-Q8.8 re-quantisation leaves ≤ 1.5 LSB per layer.

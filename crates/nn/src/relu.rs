@@ -14,25 +14,22 @@ use crate::workspace::LayerWs;
 /// # Examples
 ///
 /// ```
-/// use mramrl_nn::{Relu, Layer, Tensor};
+/// use mramrl_nn::{Layer, LayerWs, Relu, Tensor};
 ///
-/// let mut relu = Relu::new("relu1");
-/// let y = relu.forward(&Tensor::from_vec(&[3], vec![-1.0, 0.0, 2.0]));
-/// assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
+/// let relu = Relu::new("relu1");
+/// let mut ws = LayerWs::new();
+/// relu.forward_batch(&Tensor::from_vec(&[1, 3], vec![-1.0, 0.0, 2.0]), &mut ws);
+/// assert_eq!(ws.out.unwrap().data(), &[0.0, 0.0, 2.0]);
 /// ```
 #[derive(Debug, Default)]
 pub struct Relu {
     name: String,
-    scratch: LayerWs,
 }
 
 impl Relu {
     /// Creates a ReLU layer.
     pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            scratch: LayerWs::new(),
-        }
+        Self { name: name.into() }
     }
 }
 
@@ -76,10 +73,6 @@ impl Layer for Relu {
         Ok(())
     }
 
-    fn scratch_mut(&mut self) -> &mut LayerWs {
-        &mut self.scratch
-    }
-
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
         input_shape.to_vec()
     }
@@ -88,19 +81,29 @@ impl Layer for Relu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward1, forward1};
 
     #[test]
     fn forward_clamps_negatives() {
-        let mut r = Relu::new("r");
-        let y = r.forward(&Tensor::from_vec(&[4], vec![-2.0, -0.0, 0.5, 3.0]));
+        let r = Relu::new("r");
+        let y = forward1(
+            &r,
+            &Tensor::from_vec(&[4], vec![-2.0, -0.0, 0.5, 3.0]),
+            &mut LayerWs::new(),
+        );
         assert_eq!(y.data(), &[0.0, 0.0, 0.5, 3.0]);
     }
 
     #[test]
     fn backward_masks_gradient() {
         let mut r = Relu::new("r");
-        let _ = r.forward(&Tensor::from_vec(&[4], vec![-2.0, 1.0, -1.0, 3.0]));
-        let g = r.backward(&Tensor::filled(&[4], 1.0));
+        let mut ws = LayerWs::new();
+        let _ = forward1(
+            &r,
+            &Tensor::from_vec(&[4], vec![-2.0, 1.0, -1.0, 3.0]),
+            &mut ws,
+        );
+        let g = backward1(&mut r, &Tensor::filled(&[4], 1.0), &mut ws);
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -108,8 +111,9 @@ mod tests {
     fn gradient_at_zero_is_zero() {
         // Subgradient choice: f'(0) = 0 (strict inequality in forward).
         let mut r = Relu::new("r");
-        let _ = r.forward(&Tensor::from_vec(&[1], vec![0.0]));
-        let g = r.backward(&Tensor::filled(&[1], 5.0));
+        let mut ws = LayerWs::new();
+        let _ = forward1(&r, &Tensor::from_vec(&[1], vec![0.0]), &mut ws);
+        let g = backward1(&mut r, &Tensor::filled(&[1], 5.0), &mut ws);
         assert_eq!(g.data(), &[0.0]);
     }
 

@@ -3,7 +3,8 @@
 //! The paper's flow downloads the meta-trained model onto the drone's NVM
 //! and SRAM before deployment (§II-D step 1). This module provides the
 //! byte-level hand-off: a self-describing little-endian format (magic,
-//! tensor count, per-tensor dims + `f32` payload).
+//! tensor count, per-tensor dims + `f32` payload). A load checks the
+//! whole blob before it writes a single weight.
 
 use crate::error::NnError;
 use crate::network::Network;
@@ -35,6 +36,11 @@ impl Network {
     /// Loads weights previously produced by [`Network::save_weights`] into
     /// this (structurally identical) network.
     ///
+    /// All or nothing: the magic, the tensor count, every shape, every
+    /// payload length and the absence of trailing bytes are checked
+    /// before any weight is written, so an `Err` leaves the network
+    /// exactly as it was.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::WeightFormat`] on malformed bytes and
@@ -61,7 +67,8 @@ impl Network {
                 context: format!("tensor count {} vs {}", params.len(), count),
             });
         }
-        for t in params {
+        let mut payloads: Vec<&[u8]> = Vec::with_capacity(count);
+        for t in &params {
             let ndim = cur.u32()? as usize;
             if ndim == 0 || ndim > 8 {
                 return Err(NnError::WeightFormat {
@@ -77,14 +84,17 @@ impl Network {
                     context: format!("tensor shape {:?} vs {:?}", t.shape(), shape),
                 });
             }
-            for v in t.data_mut() {
-                *v = cur.f32()?;
-            }
+            payloads.push(cur.take(4 * t.len())?);
         }
         if cur.pos != bytes.len() {
             return Err(NnError::WeightFormat {
                 reason: "trailing bytes".into(),
             });
+        }
+        for (t, payload) in params.into_iter().zip(payloads) {
+            for (v, b) in t.data_mut().iter_mut().zip(payload.chunks_exact(4)) {
+                *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            }
         }
         Ok(())
     }
@@ -115,11 +125,6 @@ impl<'a> Cursor<'a> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
-
-    fn f32(&mut self) -> Result<f32, NnError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
 }
 
 #[cfg(test)]
@@ -129,44 +134,47 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_outputs() {
-        let mut a = NetworkSpec::micro(16, 1, 5).build(11);
-        let x = Tensor::filled(&[1, 16, 16], 0.4);
-        let y_a = a.forward(&x);
+        let a = NetworkSpec::micro(16, 1, 5).build(11);
+        let x = Tensor::filled(&[1, 1, 16, 16], 0.4);
+        let mut ws = a.workspace();
+        let y_a = a.forward_batch(&x, &mut ws).clone();
         let bytes = a.save_weights();
 
         let mut b = NetworkSpec::micro(16, 1, 5).build(999);
-        assert_ne!(b.forward(&x).data(), y_a.data());
+        assert_ne!(b.forward_batch(&x, &mut ws).data(), y_a.data());
         b.load_weights(&bytes).unwrap();
-        assert_eq!(b.forward(&x).data(), y_a.data());
+        assert_eq!(b.forward_batch(&x, &mut ws).data(), y_a.data());
+    }
+
+    /// Loads a seed-1 net's bytes, edited by `edit`, into a seed-999
+    /// net. The load must fail and leave every weight where it was;
+    /// returns its error.
+    fn failed_load(edit: impl FnOnce(&mut Vec<u8>)) -> NnError {
+        let mut bytes = NetworkSpec::micro(16, 1, 5).build(1).save_weights();
+        edit(&mut bytes);
+        let mut net = NetworkSpec::micro(16, 1, 5).build(999);
+        let before = net.save_weights();
+        let err = net.load_weights(&bytes).expect_err("malformed blob");
+        assert!(net.save_weights() == before, "a failed load wrote weights");
+        err
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut net = NetworkSpec::micro(16, 1, 5).build(0);
-        let mut bytes = net.save_weights();
-        bytes[0] = b'X';
-        assert!(matches!(
-            net.load_weights(&bytes),
-            Err(NnError::WeightFormat { .. })
-        ));
+        let err = failed_load(|b| b[0] = b'X');
+        assert!(matches!(err, NnError::WeightFormat { .. }));
     }
 
     #[test]
     fn truncated_rejected() {
-        let mut net = NetworkSpec::micro(16, 1, 5).build(0);
-        let bytes = net.save_weights();
-        assert!(net.load_weights(&bytes[..bytes.len() - 3]).is_err());
+        let err = failed_load(|b| b.truncate(b.len() - 3));
+        assert!(matches!(err, NnError::WeightFormat { reason } if reason == "truncated"));
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut net = NetworkSpec::micro(16, 1, 5).build(0);
-        let mut bytes = net.save_weights();
-        bytes.push(0);
-        assert!(matches!(
-            net.load_weights(&bytes),
-            Err(NnError::WeightFormat { reason }) if reason == "trailing bytes"
-        ));
+        let err = failed_load(|b| b.push(0));
+        assert!(matches!(err, NnError::WeightFormat { reason } if reason == "trailing bytes"));
     }
 
     #[test]

@@ -604,9 +604,10 @@ mod tests {
         for hw in [8usize, 16, 40, 64] {
             let spec = NetworkSpec::micro(hw, 1, 5);
             spec.validate().unwrap_or_else(|e| panic!("hw={hw}: {e}"));
-            let mut net = spec.build(1);
-            let y = net.forward(&crate::Tensor::zeros(&[1, hw, hw]));
-            assert_eq!(y.shape(), &[5], "hw={hw}");
+            let net = spec.build(1);
+            let x = crate::Tensor::zeros(&[1, 1, hw, hw]);
+            let y = net.forward_batch(&x, &mut net.workspace()).clone();
+            assert_eq!(y.shape(), &[1, 5], "hw={hw}");
         }
     }
 

@@ -1,12 +1,13 @@
-//! A minimal dense tensor.
+//! A minimal dense tensor, batch-first on every network pass.
 
 use core::fmt;
 
 /// A dense, row-major `f32` tensor.
 ///
-/// Shapes follow the `[channels, height, width]` convention for images and
-/// `[features]` for vectors; batch dimension is deliberately absent (the
-/// platform processes one image at a time, §V).
+/// Every network pass is batch-first: `[N, C, H, W]` for images and
+/// `[N, F]` for feature vectors. The platform's one image at a time (§V)
+/// is `N = 1`. One sample on its own is `[C, H, W]` or `[F]`, the shape
+/// the replay buffer stores and [`Tensor::at3`] indexes.
 ///
 /// # Examples
 ///
@@ -98,11 +99,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the tensor with a new shape of equal volume.
     ///
     /// # Panics
@@ -127,9 +123,8 @@ impl Tensor {
 
     /// Prepends a batch dimension of 1: `[C,H,W] → [1,C,H,W]` (no copy).
     ///
-    /// The inverse of [`Tensor::squeezed0`]; together they let the
-    /// single-image `forward`/`backward` wrappers ride the batched layer
-    /// kernels as a batch of one.
+    /// The inverse of [`Tensor::squeezed0`]: together they send one
+    /// sample through a batched pass as a batch of one.
     pub fn unsqueezed0(mut self) -> Self {
         self.shape.insert(0, 1);
         self
@@ -223,12 +218,6 @@ impl Tensor {
         &mut self.data[(c * h + y) * w + x]
     }
 
-    /// Flat index for `[C, H, W]` tensors (bounds unchecked in release).
-    #[inline]
-    pub fn idx3(&self, c: usize, y: usize, x: usize) -> usize {
-        (c * self.shape[1] + y) * self.shape[2] + x
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -262,18 +251,6 @@ impl Tensor {
     pub fn scale(&mut self, k: f32) {
         for v in &mut self.data {
             *v *= k;
-        }
-    }
-
-    /// Element-wise in-place add of another tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "tensor shape mismatch in add");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
         }
     }
 
@@ -329,7 +306,6 @@ mod tests {
         assert_eq!(t.at3(0, 0, 0), 0.0);
         assert_eq!(t.at3(1, 0, 1), 5.0);
         assert_eq!(t.at3(1, 1, 1), 7.0);
-        assert_eq!(t.idx3(1, 1, 0), 6);
     }
 
     #[test]
@@ -370,9 +346,7 @@ mod tests {
 
     #[test]
     fn arithmetic_helpers() {
-        let mut a = Tensor::filled(&[3], 1.0);
-        let b = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]);
-        a.add_assign(&b);
+        let mut a = Tensor::from_vec(&[3], vec![2.0, 3.0, 4.0]);
         a.scale(2.0);
         assert_eq!(a.data(), &[4.0, 6.0, 8.0]);
         a.fill_zero();

@@ -1,7 +1,7 @@
 //! Caller-owned scratch state for the batched layer contract.
 //!
-//! The batched API ([`crate::Layer::forward_batch`] /
-//! [`crate::Layer::backward_batch`]) makes layers stateless: everything a
+//! The layer contract ([`crate::Layer::forward_batch`] /
+//! [`crate::Layer::backward_batch`]) keeps layers stateless: everything a
 //! backward pass needs — cached activations, pooling argmaxes, ReLU
 //! masks, LRN denominators — plus every im2col/GEMM scratch matrix lives
 //! in a [`Workspace`] the *caller* owns, one [`LayerWs`] slot per layer.
@@ -110,12 +110,6 @@ impl LayerWs {
         &mut buf[..]
     }
 
-    /// Drops cached forward state (keeps allocations). After this,
-    /// `backward_batch` reports [`crate::NnError::BackwardBeforeForward`].
-    pub fn invalidate(&mut self) {
-        self.batch = 0;
-    }
-
     /// Total buffer footprint in scalar elements (stability across
     /// iterations is the steady-state zero-allocation check).
     pub fn footprint(&self) -> usize {
@@ -174,11 +168,6 @@ impl Workspace {
         Self::with_layers(spec.layers.len())
     }
 
-    /// Number of layer slots.
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Grows the slot vector to at least `layers` entries (never
     /// shrinks — a larger sibling network may share the workspace).
     pub fn ensure_layers(&mut self, layers: usize) {
@@ -200,13 +189,6 @@ impl Workspace {
     /// neighbouring layers).
     pub fn slots_mut(&mut self) -> &mut [LayerWs] {
         &mut self.slots
-    }
-
-    /// Drops every slot's cached forward state (keeps allocations).
-    pub fn invalidate(&mut self) {
-        for s in &mut self.slots {
-            s.invalidate();
-        }
     }
 
     /// Total buffer footprint in scalar elements across all slots.
@@ -241,19 +223,8 @@ mod tests {
     fn workspace_grows_but_never_shrinks() {
         let mut ws = Workspace::with_layers(2);
         ws.ensure_layers(5);
-        assert_eq!(ws.num_slots(), 5);
+        assert_eq!(ws.slots_mut().len(), 5);
         ws.ensure_layers(1);
-        assert_eq!(ws.num_slots(), 5);
-    }
-
-    #[test]
-    fn invalidate_resets_batch_marker_only() {
-        let mut ws = Workspace::with_layers(1);
-        ws.slot_mut(0).batch = 3;
-        ws.slot_mut(0).im2col = vec![1.0; 8];
-        ws.invalidate();
-        assert_eq!(ws.slot_mut(0).batch, 0);
-        assert_eq!(ws.slot_mut(0).im2col.len(), 8);
-        assert!(ws.footprint() >= 8);
+        assert_eq!(ws.slots_mut().len(), 5);
     }
 }

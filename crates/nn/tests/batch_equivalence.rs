@@ -3,11 +3,11 @@
 //! Pins:
 //!
 //! 1. `Network::forward_batch` over `[N, ...]` is **bit-identical** to
-//!    `N` serial `Network::forward` calls, row for row.
+//!    `N` batch-of-1 `forward_batch` calls, row for row.
 //! 2. From zeroed accumulators, one `backward_batch` accumulates
-//!    **bit-identical** parameter gradients to `N` serial
-//!    `forward`+`backward` passes over the same samples in order —
-//!    including through LRN and with a frozen prefix.
+//!    **bit-identical** parameter gradients to `N` batch-of-1
+//!    `forward_batch`+`backward_batch` passes over the same samples in
+//!    order — including through LRN and with a frozen prefix.
 //! 3. Steady state allocates nothing from the workspace: after the first
 //!    iteration the footprint is constant and the cached activation
 //!    buffers keep their addresses.
@@ -17,7 +17,7 @@
 //!    leaves the unread input gradient unallocated.
 
 use mramrl_nn::spec::LayerSpec;
-use mramrl_nn::{NetworkSpec, Tensor, Workspace};
+use mramrl_nn::{Network, NetworkSpec, Tensor, Workspace};
 use proptest::prelude::*;
 
 /// Deterministic value stream in [-1, 1).
@@ -110,7 +110,19 @@ fn batch_input(n: usize, hw: usize, seed: u64) -> (Tensor, Vec<Tensor>) {
     (batched, samples)
 }
 
-fn all_param_grads(net: &mramrl_nn::Network) -> Vec<f32> {
+/// One sample through `net` as a batch of one: forward, then backward
+/// with `dq` as the sample's `dL/dQ` row. Returns the sample's Q row.
+fn pass1(net: &mut Network, ws: &mut Workspace, x: &Tensor, dq: &[f32]) -> Vec<f32> {
+    let q = net
+        .forward_batch(&x.clone().unsqueezed0(), ws)
+        .data()
+        .to_vec();
+    net.backward_batch(&Tensor::from_vec(&[1, dq.len()], dq.to_vec()), ws)
+        .expect("forward ran");
+    q
+}
+
+fn all_param_grads(net: &Network) -> Vec<f32> {
     net.layers()
         .flat_map(|l| l.params().into_iter().flat_map(|p| p.grad.data().to_vec()))
         .collect()
@@ -136,12 +148,11 @@ proptest! {
             batched.set_trainable_tail(2 * tail);
         }
 
-        // Serial reference: N forward/backward passes, grad = ones.
+        // Serial reference: N batch-of-1 passes, grad = ones.
         let mut serial_out = Vec::new();
+        let mut sws = serial.workspace();
         for s in &samples {
-            let y = serial.forward(s);
-            serial.backward(&Tensor::filled(y.shape(), 1.0));
-            serial_out.extend_from_slice(y.data());
+            serial_out.extend(pass1(&mut serial, &mut sws, s, &[1.0; 5]));
         }
 
         let mut ws = Workspace::for_spec(&spec);
@@ -175,10 +186,9 @@ proptest! {
         let mut batched = spec.build(7);
 
         let mut serial_out = Vec::new();
+        let mut sws = serial.workspace();
         for (i, s) in samples.iter().enumerate() {
-            let y = serial.forward(s);
-            serial.backward(&Tensor::from_vec(&[5], grads[i * 5..(i + 1) * 5].to_vec()));
-            serial_out.extend_from_slice(y.data());
+            serial_out.extend(pass1(&mut serial, &mut sws, s, &grads[i * 5..(i + 1) * 5]));
         }
 
         let mut ws = Workspace::for_spec(&spec);
@@ -204,10 +214,9 @@ fn pooled_execution_preserves_batched_equals_serial() {
     let (batched_x, samples) = batch_input(4, 12, 99);
     let mut serial = spec.build(21);
     let mut serial_out = Vec::new();
+    let mut sws = serial.workspace();
     for s in &samples {
-        let y = serial.forward(s);
-        serial.backward(&Tensor::filled(y.shape(), 1.0));
-        serial_out.extend_from_slice(y.data());
+        serial_out.extend(pass1(&mut serial, &mut sws, s, &[1.0; 5]));
     }
     let serial_grads = all_param_grads(&serial);
 
@@ -264,21 +273,6 @@ fn workspace_steady_state_allocates_nothing() {
             "steady-state footprint must not grow"
         );
     }
-}
-
-/// The legacy single-image wrappers and the batched path share one
-/// numeric contract: batch-of-1 == single image, bit for bit.
-#[test]
-fn batch_of_one_equals_single_image() {
-    let spec = NetworkSpec::micro(12, 1, 5);
-    let mut a = spec.build(11);
-    let b = spec.build(11);
-    let x = Tensor::from_vec(&[1, 12, 12], fill(144, 5));
-    let y_single = a.forward(&x);
-    let mut ws = Workspace::for_spec(&spec);
-    let xb = Tensor::from_vec(&[1, 1, 12, 12], fill(144, 5));
-    let y_batch = b.forward_batch(&xb, &mut ws);
-    assert_eq!(bits(y_single.data()), bits(y_batch.data()));
 }
 
 /// A batched `Conv2d` pass matches the
@@ -368,8 +362,8 @@ fn params_only_backward_matches_full_backward() {
 /// With a frozen prefix (L2/L3/L4) or none (E2E), the batched network
 /// backward stops at the earliest trainable layer without computing its
 /// input gradient: that slot's `grad_in` stays unallocated, every later
-/// slot still carries one, and the parameter gradients equal the serial
-/// single-image backward's, which still computes every input gradient.
+/// slot still carries one, and the parameter gradients equal `N`
+/// batch-of-1 passes'.
 #[test]
 fn frozen_prefix_backward_skips_the_stop_layers_input_gradient() {
     use mramrl_nn::Topology;
@@ -381,9 +375,9 @@ fn frozen_prefix_backward_skips_the_stop_layers_input_gradient() {
         for net in [&mut serial, &mut batched] {
             topo.apply(net);
         }
+        let mut sws = serial.workspace();
         for s in &samples {
-            let y = serial.forward(s);
-            serial.backward(&Tensor::filled(y.shape(), 1.0));
+            pass1(&mut serial, &mut sws, s, &[1.0; 5]);
         }
         let mut ws = Workspace::for_spec(&spec);
         let _ = batched.forward_batch(&batched_x, &mut ws);

@@ -181,9 +181,13 @@ fn conv_gemm_matches_direct_conv() {
     ] {
         let x = Tensor::from_vec(&[in_c, hw, hw], fill(in_c * hw * hw, 99, false));
         let mut conv = Conv2d::new("c", in_c, out_c, k, stride, pad, 7);
-        let y = conv.forward(&x);
+        let mut ws = LayerWs::new();
+        conv.forward_batch(&x.clone().unsqueezed0(), &mut ws);
+        let y = ws.out.clone().unwrap().squeezed0();
         let grad = Tensor::from_vec(y.shape(), fill(y.len(), 7, false));
-        let gi = conv.backward(&grad);
+        conv.backward_batch(&grad.clone().unsqueezed0(), &mut ws)
+            .unwrap();
+        let gi = ws.grad_in.as_ref().unwrap();
         let (want_gw, want_gb, want_gi) = conv_direct_backward(&conv, &x, &grad);
         let want_y = conv_direct_forward(&conv, &x);
         let tag = format!("k={k} s={stride} p={pad}");
@@ -201,7 +205,10 @@ fn conv_gemm_matches_direct_conv() {
 fn network_forward_bitwise_lanes_and_scalar() {
     use mramrl_nn::NetworkSpec;
     let spec = NetworkSpec::micro(16, 1, 5);
-    let x = Tensor::from_vec(&[1, 16, 16], fill(256, 11, false));
-    let [(_, want), (_, got)] = lanes_and_scalar(|| spec.build(3).forward(&x));
+    let x = Tensor::from_vec(&[1, 1, 16, 16], fill(256, 11, false));
+    let [(_, want), (_, got)] = lanes_and_scalar(|| {
+        let net = spec.build(3);
+        net.forward_batch(&x, &mut net.workspace()).clone()
+    });
     assert_eq!(bits(want.data()), bits(got.data()));
 }

@@ -30,7 +30,7 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
 proptest! {
     /// Batched conv forward/backward — one fused GEMM over the batch and
     /// the ascending-sample `dW`/`db` accumulation — is bit-identical to
-    /// N serial single-image passes at every pool size.
+    /// N batch-of-1 passes at every pool size.
     #[test]
     fn pooled_conv_dw_batched_equals_serial(
         hw in 5usize..10,
@@ -52,16 +52,18 @@ proptest! {
         let out_hw = (hw + 2 * pad - k) / stride + 1;
         let gdata = fill(n * out_c * out_hw * out_hw, seed ^ 0xF00D);
 
-        // Serial oracle: N single-image passes.
+        // Serial oracle: N batch-of-1 passes.
         let mut serial = Conv2d::new("c", in_c, out_c, k, stride, pad, 11);
+        let mut sws = LayerWs::new();
         let mut serial_out = Vec::new();
         let mut serial_gi = Vec::new();
         let plane = out_c * out_hw * out_hw;
         for (i, x) in xs.iter().enumerate() {
-            let y = serial.forward(x);
-            serial_out.extend_from_slice(y.data());
-            let g = Tensor::from_vec(y.shape(), gdata[i * plane..(i + 1) * plane].to_vec());
-            serial_gi.extend_from_slice(serial.backward(&g).data());
+            serial.forward_batch(&x.clone().unsqueezed0(), &mut sws);
+            serial_out.extend_from_slice(sws.out.as_ref().unwrap().data());
+            let g = Tensor::from_vec(&[1, out_c, out_hw, out_hw], gdata[i * plane..(i + 1) * plane].to_vec());
+            serial.backward_batch(&g, &mut sws).expect("forward ran");
+            serial_gi.extend_from_slice(sws.grad_in.as_ref().unwrap().data());
         }
         let serial_gw = serial.params()[0].grad.clone();
         let serial_gb = serial.params()[1].grad.clone();

@@ -1,25 +1,31 @@
 //! Property tests for the CNN library.
 
-use mramrl_nn::{Layer, Linear, MaxPool2d, NetworkSpec, Relu, Sgd, Tensor};
+use mramrl_nn::{Layer, LayerWs, Linear, MaxPool2d, NetworkSpec, Relu, Sgd, Tensor};
 use proptest::prelude::*;
 
 fn arb_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-4.0f32..4.0, len..=len)
 }
 
+/// `x` through `layer` as a batched forward; returns the activation.
+fn forward(layer: &dyn Layer, x: &Tensor, ws: &mut LayerWs) -> Tensor {
+    layer.forward_batch(x, ws);
+    ws.out.clone().expect("forward_batch wrote ws.out")
+}
+
 proptest! {
     /// ReLU: non-negative output, identity on positives, idempotent.
     #[test]
     fn relu_properties(data in arb_vec(32)) {
-        let mut r = Relu::new("r");
-        let x = Tensor::from_vec(&[32], data);
-        let y = r.forward(&x);
+        let r = Relu::new("r");
+        let mut ws = LayerWs::new();
+        let x = Tensor::from_vec(&[1, 32], data);
+        let y = forward(&r, &x, &mut ws);
         for (xi, yi) in x.data().iter().zip(y.data()) {
             prop_assert!(*yi >= 0.0);
             if *xi > 0.0 { prop_assert_eq!(xi, yi); }
         }
-        let mut r2 = Relu::new("r2");
-        let y2 = r2.forward(&y);
+        let y2 = forward(&Relu::new("r2"), &y, &mut LayerWs::new());
         prop_assert_eq!(y2.data(), y.data());
     }
 
@@ -27,9 +33,9 @@ proptest! {
     /// the input, and output max == input max for full coverage windows.
     #[test]
     fn pool_selects_existing_values(data in arb_vec(64)) {
-        let mut p = MaxPool2d::new("p", 2, 2);
-        let x = Tensor::from_vec(&[1, 8, 8], data);
-        let y = p.forward(&x);
+        let p = MaxPool2d::new("p", 2, 2);
+        let x = Tensor::from_vec(&[1, 1, 8, 8], data);
+        let y = forward(&p, &x, &mut LayerWs::new());
         for v in y.data() {
             prop_assert!(x.data().contains(v));
         }
@@ -39,14 +45,15 @@ proptest! {
     /// Linear layer is linear: f(a·x) − f(0) == a·(f(x) − f(0)).
     #[test]
     fn linear_is_linear(data in arb_vec(8), a in -3.0f32..3.0) {
-        let mut fc = Linear::new("f", 8, 4, 5);
-        let x = Tensor::from_vec(&[8], data);
-        let zero = Tensor::zeros(&[8]);
-        let f0 = fc.forward(&zero);
-        let fx = fc.forward(&x);
+        let fc = Linear::new("f", 8, 4, 5);
+        let mut ws = LayerWs::new();
+        let x = Tensor::from_vec(&[1, 8], data);
+        let zero = Tensor::zeros(&[1, 8]);
+        let f0 = forward(&fc, &zero, &mut ws);
+        let fx = forward(&fc, &x, &mut ws);
         let mut ax = x.clone();
         ax.scale(a);
-        let fax = fc.forward(&ax);
+        let fax = forward(&fc, &ax, &mut ws);
         for i in 0..4 {
             let lhs = fax.data()[i] - f0.data()[i];
             let rhs = a * (fx.data()[i] - f0.data()[i]);
@@ -59,10 +66,12 @@ proptest! {
     #[test]
     fn linear_backward_is_adjoint(data in arb_vec(6), g in arb_vec(3)) {
         let mut fc = Linear::new("f", 6, 3, 2);
-        let x = Tensor::from_vec(&[6], data);
-        let gt = Tensor::from_vec(&[3], g);
-        let y = fc.forward(&x);
-        let gi = fc.backward(&gt);
+        let mut ws = LayerWs::new();
+        let x = Tensor::from_vec(&[1, 6], data);
+        let gt = Tensor::from_vec(&[1, 3], g);
+        let y = forward(&fc, &x, &mut ws);
+        fc.backward_batch(&gt, &mut ws).unwrap();
+        let gi = ws.grad_in.as_ref().unwrap();
         // <gi, x> relates to <g, y - b> by linearity: W^T g · x == g · W x.
         let b = fc.bias().data();
         let lhs: f32 = gi.data().iter().zip(x.data()).map(|(a, b)| a * b).sum();
@@ -84,13 +93,14 @@ proptest! {
     /// Weight serialisation round-trips bit-exactly for any seed.
     #[test]
     fn serialize_roundtrip(seed in 0u64..1000) {
-        let mut a = NetworkSpec::micro(8, 1, 3).build(seed);
+        let a = NetworkSpec::micro(8, 1, 3).build(seed);
         let bytes = a.save_weights();
         let mut b = NetworkSpec::micro(8, 1, 3).build(seed + 1);
         b.load_weights(&bytes).unwrap();
-        let x = Tensor::filled(&[1, 8, 8], 0.3);
-        let ya = a.forward(&x);
-        let yb = b.forward(&x);
+        let x = Tensor::filled(&[1, 1, 8, 8], 0.3);
+        let mut ws = a.workspace();
+        let ya = a.forward_batch(&x, &mut ws).clone();
+        let yb = b.forward_batch(&x, &mut ws);
         prop_assert_eq!(ya.data(), yb.data());
     }
 

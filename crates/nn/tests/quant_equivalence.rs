@@ -78,15 +78,16 @@ proptest! {
         obs_seed in 0u64..1 << 40,
     ) {
         let spec = NetworkSpec::micro(hw, 1, 5);
-        let mut net = spec.build(net_seed);
+        let net = spec.build(net_seed);
         let q = QuantizedNet::from_network(&spec, &net).expect("own net matches own spec");
         let trials = 32usize;
-        let (batched_x, samples) = batch_input(trials, hw, obs_seed);
+        let (batched_x, _) = batch_input(trials, hw, obs_seed);
         let mut ws = QWorkspace::for_net(&q);
         let qy = q.forward_batch(&batched_x, &mut ws).clone();
+        let fy = net.forward_batch(&batched_x, &mut net.workspace()).clone();
         let mut agree = 0usize;
-        for (i, s) in samples.iter().enumerate() {
-            let af = net.forward(s).argmax();
+        for i in 0..trials {
+            let af = mramrl_nn::argmax(fy.sample(i));
             let aq = mramrl_nn::argmax(qy.sample(i));
             agree += usize::from(af == aq);
         }

@@ -13,10 +13,11 @@
 //!    chain, and the certificate is what keeps the two
 //!    indistinguishable.
 //! 2. **Tile edges**: every `k` parity, partial panels and short row
-//!    groups, an uncertified row inside a tile and a certified sum
-//!    within 128 of `i32::MAX` (the re-quantisation's rounding add)
-//!    produce the oracle's bits, with the lanes on and under
-//!    [`mramrl_nn::simd::force_scalar`].
+//!    groups, an uncertified row inside a tile, uncertified rows whose
+//!    chains saturate at `i32::MAX` and at `i32::MIN` and leave the
+//!    rail again, and a certified sum within 128 of `i32::MAX` (the
+//!    re-quantisation's rounding add) produce the oracle's bits, with
+//!    the lanes on and under [`mramrl_nn::simd::force_scalar`].
 //! 3. **Certificate boundary**: rows constructed to sit exactly at,
 //!    one unit below, and one unit above the [`row_safe`] L1
 //!    threshold flip the verdict at the right point, and the kernel
@@ -234,6 +235,63 @@ fn uncertified_row_inside_a_tile_matches_naive() {
     assert!(!row_safe(&a[k..2 * k], bias[1], max_b), "row 1 must fail");
     for row in [0usize, 2, 3] {
         assert!(row_safe(&a[row * k..(row + 1) * k], bias[row], max_b));
+    }
+    let want = qoracle(&a, &bt, &bias, m, k, n);
+    lanes_and_scalar(|path| {
+        let got = qmm(&a, &bt, &bias, m, k, n);
+        assert_eq!(qbits(&want), qbits(&got), "{path}");
+    });
+}
+
+/// Contract 2: uncertified rows whose ascending chains really hit the
+/// `i32` rails and come back. Row 1 climbs by four near-`2³⁰` products
+/// and then falls by two; row 3 does the mirror image. Against a column
+/// of `+32767`s row 1 crosses `i32::MAX` and row 3 `i32::MIN`, against
+/// a column of `-32768`s the other way round, so both rails clamp and
+/// the chain leaves the rail again — a wrapping, unclamped or reordered
+/// chain would give other bits. The certified rows 0, 2 and 4 share
+/// the tiles, with the lanes on and with the scalar tile forced.
+#[test]
+fn saturating_rows_cross_both_i32_rails_and_match_naive() {
+    const BIG: i16 = i16::MAX;
+    let (m, k, n) = (5usize, 25usize, 17usize);
+    let mut a = qfill(m * k, 91);
+    for (row, sign) in [(1usize, 1i16), (3, -1)] {
+        for (i, v) in a[row * k..row * k + 6].iter_mut().enumerate() {
+            let up = if i < 4 { sign } else { -sign };
+            *v = Q8_8::from_raw(if up > 0 { BIG } else { i16::MIN });
+        }
+    }
+    let mut bt = qfill(n * k, 92);
+    for j in 0..n {
+        let b = if j % 2 == 0 { BIG } else { i16::MIN };
+        for v in &mut bt[j * k..j * k + 6] {
+            *v = Q8_8::from_raw(b);
+        }
+    }
+    let bias = qfill(m, 93);
+    let max_b = 32768;
+    for row in 0..m {
+        let safe = row_safe(&a[row * k..(row + 1) * k], bias[row], max_b);
+        assert_eq!(safe, row % 2 == 0, "row {row} certificate");
+    }
+    // Each hot row's chain, in exact arithmetic, leaves the i32 range
+    // upwards in one column parity and downwards in the other.
+    for row in [1usize, 3] {
+        for j in 0..n {
+            let mut sum = i64::from(bias[row].raw()) << 8;
+            let (mut above, mut below) = (false, false);
+            for p in 0..k {
+                sum += i64::from(a[row * k + p].raw()) * i64::from(bt[j * k + p].raw());
+                above |= sum > i64::from(i32::MAX);
+                below |= sum < i64::from(i32::MIN);
+            }
+            let want_above = (row == 1) == (j % 2 == 0);
+            assert!(
+                above == want_above && below != want_above,
+                "row {row} col {j}"
+            );
+        }
     }
     let want = qoracle(&a, &bt, &bias, m, k, n);
     lanes_and_scalar(|path| {

@@ -54,9 +54,9 @@ pub enum ActingPrecision {
 ///
 /// let spec = NetworkSpec::micro(16, 1, 5);
 /// let mut agent = QAgent::new(&spec, 7);
-/// let obs = Tensor::zeros(&[1, 16, 16]);
-/// let action = agent.greedy_action(&obs);
-/// assert!(action < 5);
+/// let obs = Tensor::zeros(&[1, 1, 16, 16]); // one frame: a batch of 1
+/// let actions = agent.greedy_actions(&obs);
+/// assert!(actions[0] < 5);
 /// ```
 pub struct QAgent {
     net: Network,
@@ -118,10 +118,10 @@ impl QAgent {
     }
 
     /// Switches the acting datapath: [`ActingPrecision::FixedQ8_8`]
-    /// routes [`QAgent::q_values`], [`QAgent::q_values_batch`],
-    /// [`QAgent::greedy_action`] and [`QAgent::greedy_actions`] through
-    /// a Q8.8 snapshot of the online network — deployment-mode acting,
-    /// as the silicon would run it. TD accumulation stays float.
+    /// routes [`QAgent::q_values_batch`], [`QAgent::q_values_batch_into`]
+    /// and [`QAgent::greedy_actions`] through a Q8.8 snapshot of the
+    /// online network — deployment-mode acting, as the silicon would run
+    /// it. TD accumulation stays float.
     pub fn set_acting_precision(&mut self, p: ActingPrecision) {
         self.acting = p;
     }
@@ -216,44 +216,13 @@ impl QAgent {
         self.gamma
     }
 
-    /// Q-values for an observation, on the selected acting datapath
-    /// (float network, or the Q8.8 snapshot in deployment mode).
-    pub fn q_values(&mut self, obs: &Tensor) -> Tensor {
+    /// The one acting dispatch: `obs` (`[N, ...]`) through the selected
+    /// datapath — the float online network, or the Q8.8 snapshot in
+    /// deployment mode — against the agent's reusable workspace, which
+    /// the returned `[N, actions]` Q-values are borrowed from.
+    fn act(&mut self, obs: &Tensor) -> &Tensor {
         match self.acting {
-            ActingPrecision::Float32 => self.net.forward(obs),
-            ActingPrecision::FixedQ8_8 => {
-                // Batch-of-1 through the agent's reusable workspace:
-                // unlike the engine's `forward` wrapper, which builds a
-                // throwaway workspace per call, the snapshot's layer
-                // buffers are reused across calls. Each call still
-                // allocates the `[1, ...]` copy of `obs` and the
-                // returned Q-value tensor. Bit-identical to the wrapper
-                // by the batched ≡ serial contract.
-                self.quantized_snapshot();
-                let Self { qsnap, qws, .. } = self;
-                qsnap
-                    .as_ref()
-                    .expect("ensured above")
-                    .forward_batch(&obs.clone().unsqueezed0(), qws)
-                    .clone()
-                    .squeezed0()
-            }
-        }
-    }
-
-    /// Greedy action for an observation.
-    pub fn greedy_action(&mut self, obs: &Tensor) -> usize {
-        self.q_values(obs).argmax()
-    }
-
-    /// Q-values for a batch of observations `[N, ...]` → `[N, actions]`,
-    /// on the selected acting datapath.
-    ///
-    /// One batched pass against the agent's reusable workspace; row `i`
-    /// is bit-identical to `q_values(obs_i)` on either datapath.
-    pub fn q_values_batch(&mut self, obs: &Tensor) -> Tensor {
-        match self.acting {
-            ActingPrecision::Float32 => self.net.forward_batch(obs, &mut self.ws).clone(),
+            ActingPrecision::Float32 => self.net.forward_batch(obs, &mut self.ws),
             ActingPrecision::FixedQ8_8 => {
                 self.quantized_snapshot();
                 let Self { qsnap, qws, .. } = self;
@@ -261,9 +230,19 @@ impl QAgent {
                     .as_ref()
                     .expect("ensured above")
                     .q_values_batch(obs, qws)
-                    .clone()
             }
         }
+    }
+
+    /// Q-values for a batch of observations `[N, ...]` → `[N, actions]`,
+    /// on the selected acting datapath. One observation is a batch of
+    /// one, `[1, ...]`.
+    ///
+    /// One batched pass against the agent's reusable workspace; row `i`
+    /// is bit-identical to a batch-of-1 call on `obs_i` on either
+    /// datapath.
+    pub fn q_values_batch(&mut self, obs: &Tensor) -> Tensor {
+        self.act(obs).clone()
     }
 
     /// [`QAgent::q_values_batch`] into a caller-owned output tensor —
@@ -271,65 +250,45 @@ impl QAgent {
     /// whenever its volume already matches (see [`Tensor::copy_from`]),
     /// so steady-state acting allocates nothing.
     pub fn q_values_batch_into(&mut self, obs: &Tensor, out: &mut Tensor) {
-        match self.acting {
-            ActingPrecision::Float32 => {
-                let Self { net, ws, .. } = self;
-                out.copy_from(net.forward_batch(obs, ws));
-            }
-            ActingPrecision::FixedQ8_8 => {
-                self.quantized_snapshot();
-                let Self { qsnap, qws, .. } = self;
-                out.copy_from(
-                    qsnap
-                        .as_ref()
-                        .expect("ensured above")
-                        .q_values_batch(obs, qws),
-                );
-            }
-        }
+        out.copy_from(self.act(obs));
     }
 
     /// Greedy action per sample for a batch of observations, on the
     /// selected acting datapath (the deployment-mode batched act: a
     /// `VecEnv` fleet choosing actions through the quantised net).
     pub fn greedy_actions(&mut self, obs: &Tensor) -> Vec<usize> {
-        match self.acting {
-            ActingPrecision::Float32 => {
-                let q = self.net.forward_batch(obs, &mut self.ws);
-                (0..q.batch()).map(|i| argmax(q.sample(i))).collect()
-            }
-            ActingPrecision::FixedQ8_8 => {
-                self.quantized_snapshot();
-                let Self { qsnap, qws, .. } = self;
-                let q = qsnap
-                    .as_ref()
-                    .expect("ensured above")
-                    .q_values_batch(obs, qws);
-                (0..q.batch()).map(|i| argmax(q.sample(i))).collect()
-            }
-        }
+        let q = self.act(obs);
+        (0..q.batch()).map(|i| argmax(q.sample(i))).collect()
     }
 
     /// Accumulates one Bellman gradient step for a transition; returns the
     /// TD error. Gradients build up in the network's accumulators until
     /// [`QAgent::apply_update`] (batch-of-N semantics, §III-D).
+    ///
+    /// The serial reference for [`QAgent::accumulate_td_batch`]: every
+    /// network pass is a batch of one on the agent's own workspaces.
     pub fn accumulate_td(&mut self, t: &Transition) -> f32 {
         let y = if t.terminal {
             t.reward
-        } else if self.double_q {
-            // Double-DQN: online argmax, target evaluation.
-            let a_star = self.net.forward(&t.next_state).argmax();
-            let next_q = self.target.forward(&t.next_state);
-            t.reward + self.gamma * next_q.data()[a_star]
         } else {
-            let next_q = self.target.forward(&t.next_state);
-            t.reward + self.gamma * next_q.max_value()
+            let next = (*t.next_state).clone().unsqueezed0();
+            let next_q = self.target.forward_batch(&next, &mut self.target_ws);
+            if self.double_q {
+                // Double-DQN: online argmax, target evaluation.
+                let a_star = self.net.forward_batch(&next, &mut self.ws).argmax();
+                t.reward + self.gamma * next_q.data()[a_star]
+            } else {
+                t.reward + self.gamma * next_q.max_value()
+            }
         };
-        let q = self.net.forward(&t.state);
+        let state = (*t.state).clone().unsqueezed0();
+        let q = self.net.forward_batch(&state, &mut self.ws);
         let td = q.data()[t.action] - y;
         let mut grad = Tensor::zeros(q.shape());
         grad.data_mut()[t.action] = self.loss.gradient(q.data()[t.action], y);
-        self.net.backward(&grad);
+        self.net
+            .backward_batch(&grad, &mut self.ws)
+            .expect("the online forward just ran");
         td
     }
 
@@ -367,7 +326,7 @@ impl QAgent {
     /// activations stay in the online workspace for
     /// [`QAgent::td_backward`]. Double-DQN: the online net picks a* over
     /// the *next* states (the backward half re-runs the states forward,
-    /// exactly as the serial path re-runs forward).
+    /// exactly as [`QAgent::accumulate_td`] does).
     pub(crate) fn td_forward(&mut self, batch: &TransitionBatch) -> TdForward {
         let Self {
             net,
@@ -468,7 +427,9 @@ impl QAgent {
     ///
     /// # Errors
     ///
-    /// Propagates [`mramrl_nn::NnError`] on structural mismatch.
+    /// Propagates [`mramrl_nn::NnError`] on malformed bytes or a
+    /// structural mismatch. A failed load changes nothing: the online
+    /// net, the target net and the Q8.8 snapshot stay as they were.
     pub fn load_transfer(&mut self, bytes: &[u8]) -> Result<(), mramrl_nn::NnError> {
         self.net.load_weights(bytes)?;
         self.invalidate_quantized();
@@ -491,6 +452,12 @@ mod tests {
         NetworkSpec::micro(8, 1, 5)
     }
 
+    /// `net`'s Q-values for one observation, as a batch of one.
+    fn q1(net: &Network, obs: &Tensor) -> Tensor {
+        let x = obs.clone().unsqueezed0();
+        net.forward_batch(&x, &mut net.workspace()).clone()
+    }
+
     fn transition(r: f32, terminal: bool) -> Transition {
         Transition {
             state: std::sync::Arc::new(Tensor::filled(&[1, 8, 8], 0.4)),
@@ -505,7 +472,7 @@ mod tests {
     fn terminal_target_is_reward_only() {
         let mut agent = QAgent::new(&spec(), 1);
         let t = transition(-1.0, true);
-        let q_before = agent.q_values(&t.state).data()[2];
+        let q_before = q1(agent.net(), &t.state).data()[2];
         let td = agent.accumulate_td(&t);
         assert!((td - (q_before + 1.0)).abs() < 1e-5);
     }
@@ -514,8 +481,8 @@ mod tests {
     fn nonterminal_target_uses_discounted_max() {
         let mut agent = QAgent::new(&spec(), 2).with_gamma(0.9);
         let t = transition(0.5, false);
-        let q_before = agent.q_values(&t.state).data()[2];
-        let next_max = agent.target.forward(&t.next_state).max_value();
+        let q_before = q1(agent.net(), &t.state).data()[2];
+        let next_max = q1(&agent.target, &t.next_state).max_value();
         let td = agent.accumulate_td(&t);
         assert!((td - (q_before - (0.5 + 0.9 * next_max))).abs() < 1e-5);
     }
@@ -525,12 +492,12 @@ mod tests {
         let mut agent = QAgent::new(&spec(), 3).with_gamma(0.0);
         let sgd = Sgd::new(0.01);
         let t = transition(1.0, true);
-        let before = (agent.q_values(&t.state).data()[2] - 1.0).abs();
+        let before = (q1(agent.net(), &t.state).data()[2] - 1.0).abs();
         for _ in 0..100 {
             agent.accumulate_td(&t);
             agent.apply_update(&sgd, 1, u64::MAX);
         }
-        let after = (agent.q_values(&t.state).data()[2] - 1.0).abs();
+        let after = (q1(agent.net(), &t.state).data()[2] - 1.0).abs();
         assert!(after < 0.2 * before, "before {before}, after {after}");
     }
 
@@ -543,12 +510,12 @@ mod tests {
             agent.accumulate_td(&t);
             agent.apply_update(&sgd, 1, u64::MAX); // never auto-sync
         }
-        let online = agent.net.forward(&t.state);
-        let target = agent.target.forward(&t.state);
+        let online = q1(&agent.net, &t.state);
+        let target = q1(&agent.target, &t.state);
         assert_ne!(online.data(), target.data());
         agent.sync_target();
-        let target = agent.target.forward(&t.state);
-        let online = agent.net.forward(&t.state);
+        let target = q1(&agent.target, &t.state);
+        let online = q1(&agent.net, &t.state);
         assert_eq!(online.data(), target.data());
     }
 
@@ -617,7 +584,10 @@ mod tests {
         let obs: Vec<Tensor> = (0..3)
             .map(|i| Tensor::filled(&[1, 8, 8], 0.2 + 0.3 * i as f32))
             .collect();
-        let serial: Vec<usize> = obs.iter().map(|o| agent.greedy_action(o)).collect();
+        let serial: Vec<usize> = obs
+            .iter()
+            .map(|o| agent.greedy_actions(&o.clone().unsqueezed0())[0])
+            .collect();
         let mut data = Vec::new();
         for o in &obs {
             data.extend_from_slice(o.data());
@@ -635,8 +605,35 @@ mod tests {
         let mut agent = QAgent::new(&spec(), 5);
         agent.load_transfer(&bytes).unwrap();
         let x = Tensor::filled(&[1, 8, 8], 0.3);
-        let online = agent.net.forward(&x);
-        let target = agent.target.forward(&x);
+        let online = q1(&agent.net, &x);
+        let target = q1(&agent.target, &x);
         assert_eq!(online.data(), target.data());
+    }
+
+    /// A blob that fails to load — cut short, or with a byte past its
+    /// end — leaves the online net, the target net and the Q8.8
+    /// snapshot exactly as they were.
+    #[test]
+    fn failed_transfer_load_changes_nothing() {
+        let good = spec().build(77).save_weights();
+        let mut extended = good.clone();
+        extended.push(0);
+        for bad in [&good[..good.len() - 3], &extended[..]] {
+            let mut agent = QAgent::new(&spec(), 5);
+            let sgd = Sgd::new(0.05);
+            agent.accumulate_td(&transition(1.0, true));
+            agent.apply_update(&sgd, 1, u64::MAX); // online ≠ target now
+            let snapshot = agent.quantized_snapshot_shared();
+            let (net, target) = (agent.net.save_weights(), agent.target.save_weights());
+            assert_ne!(net, target);
+
+            assert!(agent.load_transfer(bad).is_err());
+            assert!(agent.net.save_weights() == net, "online net changed");
+            assert!(agent.target.save_weights() == target, "target changed");
+            assert!(
+                std::sync::Arc::ptr_eq(&agent.quantized_snapshot_shared(), &snapshot),
+                "Q8.8 snapshot dropped"
+            );
+        }
     }
 }

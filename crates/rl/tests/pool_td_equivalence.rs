@@ -103,7 +103,10 @@ fn pooled_greedy_actions_match_serial() {
     }
     let batch = Tensor::from_vec(&[4, 1, 8, 8], data);
     let mut serial = QAgent::new(&spec, 21);
-    let want: Vec<usize> = obs.iter().map(|o| serial.greedy_action(o)).collect();
+    let want: Vec<usize> = obs
+        .iter()
+        .map(|o| serial.greedy_actions(&o.clone().unsqueezed0())[0])
+        .collect();
     for pool_threads in [1usize, 2, 7] {
         let pool = ThreadPool::new(pool_threads);
         let _installed = pool.install();

@@ -115,7 +115,7 @@ proptest! {
             next_state: std::sync::Arc::new(Tensor::filled(&[1, 8, 8], 0.9)),
             terminal: true,
         };
-        let q = agent.q_values(&t.state).data()[1];
+        let q = agent.q_values_batch(&(*t.state).clone().unsqueezed0()).data()[1];
         let td = agent.accumulate_td(&t);
         prop_assert!((td - (q - r)).abs() < 1e-5);
     }

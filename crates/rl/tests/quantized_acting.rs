@@ -56,16 +56,17 @@ fn quantised_acting_matches_engine_bitwise() {
     }
 }
 
-/// `q_values_batch` row `i` equals `q_values(obs_i)` bitwise in
-/// deployment mode (the serial/batched contract holds through the
-/// agent's routing layer).
+/// `q_values_batch` row `i` equals a batch-of-1 `q_values_batch(obs_i)`
+/// bitwise in deployment mode (the serial/batched contract holds
+/// through the agent's routing layer).
 #[test]
 fn quantised_batched_q_values_match_serial() {
     let mut agent = QAgent::new(&spec(), 9).with_acting_precision(ActingPrecision::FixedQ8_8);
     let obs = obs_batch(3, 16, 21);
     let batched = agent.q_values_batch(&obs);
     for i in 0..3 {
-        let single = agent.q_values(&Tensor::from_vec(&[1, 16, 16], obs.sample(i).to_vec()));
+        let single =
+            agent.q_values_batch(&Tensor::from_vec(&[1, 1, 16, 16], obs.sample(i).to_vec()));
         assert_eq!(
             single
                 .data()
@@ -174,11 +175,11 @@ fn trained_policy_argmax_fidelity_at_least_80_pct() {
     let mut obs = env.reset(0);
     let (mut agree, trials) = (0usize, 50usize);
     for _ in 0..trials {
-        let x = Tensor::from_vec(&[1, 16, 16], obs.data().to_vec());
+        let x = Tensor::from_vec(&[1, 1, 16, 16], obs.data().to_vec());
         agent.set_acting_precision(ActingPrecision::Float32);
-        let af = agent.greedy_action(&x);
+        let af = agent.greedy_actions(&x)[0];
         agent.set_acting_precision(ActingPrecision::FixedQ8_8);
-        let aq = agent.greedy_action(&x);
+        let aq = agent.greedy_actions(&x)[0];
         agree += usize::from(af == aq);
         let s = env.step(&[mramrl_env::Action::from_index(af)]).remove(0);
         obs = if s.crashed {
